@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,31 +59,17 @@ def fused_gated_residual(x: Tensor, g: Tensor, r: Tensor) -> Tensor:
     return nt.record("fused_gated_residual", (x, g, r), (out,), bwd)[0]
 
 
-def _ln_stats(xd: np.ndarray, eps: float):
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return xc * inv, inv
-
-
-def _ln_bwd(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
-    gm = g.mean(axis=-1, keepdims=True)
-    gx = (g * xhat).mean(axis=-1, keepdims=True)
-    return inv * (g - gm - xhat * gx)
-
-
 def fused_ln_scale(x: Tensor, s: Tensor, eps: float = 1e-6) -> Tensor:
     """LayerNorm(x) * (1 + s) in one pass; s = 0 reduces to plain LayerNorm."""
     sd, expanded = _expand_mod(s.data.astype(np.float64, copy=False), x.shape)
-    xhat, inv = _ln_stats(x.data.astype(np.float64, copy=False), eps)
+    xhat, inv = nt._ln_stats(x.data.astype(np.float64, copy=False), eps)
     out = (xhat * (1.0 + sd)).astype(nt._result_dtype(x, s))
 
     def bwd(G):
         ds = G * xhat
         if expanded:
             ds = ds.sum(axis=1)
-        return _ln_bwd(xhat, inv, G * (1.0 + sd)), ds
+        return nt._ln_bwd(xhat, inv, G * (1.0 + sd)), ds
 
     return nt.record("fused_ln_scale", (x, s), (out,), bwd)[0]
 
@@ -103,7 +89,7 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor, s: Tensor,
     xd = x.data.astype(np.float64, copy=False)
     rd = r.data.astype(np.float64, copy=False)
     h = xd + th * rd
-    xhat, inv = _ln_stats(h, eps)
+    xhat, inv = nt._ln_stats(h, eps)
     m = xhat * (1.0 + sd)
     dtype = nt._result_dtype(x, g, r, s)
 
@@ -111,7 +97,7 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor, s: Tensor,
         ds = Gm * xhat
         if s_exp:
             ds = ds.sum(axis=1)
-        dh = Gh + _ln_bwd(xhat, inv, Gm * (1.0 + sd))
+        dh = Gh + nt._ln_bwd(xhat, inv, Gm * (1.0 + sd))
         dg = dh * rd * (1.0 - th * th)
         if g_exp:
             dg = dg.sum(axis=1)
@@ -151,22 +137,6 @@ def rotate_pairs(t: Tensor) -> Tensor:
         return (gi,)
 
     return nt.record("rotate_pairs", (t,), (out,), bwd)[0]
-
-
-def rope_2d(x: Tensor, pos_h: int, pos_w: int) -> Tensor:
-    """Rotate a (..., d_h) vector by height/width-indexed angles.
-
-    The first half of head dims carries the height axis, the second half
-    the width axis; rotation preserves the vector norm, and inner products
-    between rotated vectors depend only on position differences.
-    """
-    cos, sin = _rope_tables(pos_h, pos_w, x.shape[-1])
-    c = Tensor(cos, dtype=np.float64)
-    s = Tensor(sin, dtype=np.float64)
-    if c.shape != x.shape:
-        c = nt.broadcast_to(c, x.shape)
-        s = nt.broadcast_to(s, x.shape)
-    return nt.add(nt.mul(x, c), nt.mul(rotate_pairs(x), s))
 
 
 def rope_apply_grid(x: Tensor, pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
@@ -232,11 +202,6 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
     return nt.reshape(out, (B, S_i, H_q * d_h))
 
 
-def kv_cache_elements(n_layers: int, seq: int, n_kv_heads: int, head_dim: int) -> int:
-    """Per-image KV cache element count: 2 * L * S * H_kv * d_h."""
-    return 2 * n_layers * seq * n_kv_heads * head_dim
-
-
 # ---------------------------------------------------------------------------
 # timestep embedding
 
@@ -284,12 +249,6 @@ class TimestepEmbed:
     def named_parameters(self, prefix: str):
         return {f"{prefix}.fc1.weight": self.w1, f"{prefix}.fc1.bias": self.b1,
                 f"{prefix}.fc2.weight": self.w2, f"{prefix}.fc2.bias": self.b2}
-
-
-def timestep_embed(t, d: int, seed: int = 0) -> Tensor:
-    """Standalone timestep embedding with weights derived from a seed."""
-    emb = TimestepEmbed(d, np.random.default_rng(seed))
-    return emb(t)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +335,6 @@ class ModelConfig:
         return np.float64 if self.dtype == "float64" else np.float32
 
 
-@dataclass
-class RouteRecord:
-    """Instrumentation record of one routing pass at one layer/step."""
-
-    layer: int
-    step: int
-    logits: np.ndarray        # (S, E)
-    top_indices: np.ndarray   # (E, capacity)
-    grid: tuple[int, int]
-
-
 class Block:
     def __init__(self, cfg: ModelConfig, layer: int, rng: np.random.Generator):
         d, dt = cfg.d_model, cfg.np_dtype
@@ -439,9 +387,9 @@ class Block:
         return out
 
 
-def _chunks(m: Tensor, d: int, n: int) -> list[Tensor]:
-    return [nt.gather_rows(nt.transpose(m, (1, 0)), np.arange(i * d, (i + 1) * d))
-            for i in range(n)]
+def _chunks(m: Tensor, n: int) -> tuple[Tensor, ...]:
+    """Split (B, n*d) modulation into n (B, d) parts."""
+    return nt.split(m, n, axis=-1)
 
 
 class MoEDiT:
@@ -475,9 +423,6 @@ class MoEDiT:
                        "final_proj.weight": self.final_proj_w,
                        "final_proj.bias": self.final_proj_b})
         return params
-
-    def router_weights(self) -> dict[int, Tensor]:
-        return {b.layer: b.router_gate for b in self.blocks if not b.dense}
 
     # -- text -------------------------------------------------------------
 
@@ -546,11 +491,11 @@ class MoEDiT:
         return cf
 
     def forward(self, z_t: Tensor, t, ctx: TextContext | None,
-                stage: StageId, capture_step: int | None = None):
+                stage: StageId):
         """Predict the velocity for a noisy latent.
 
-        Returns (velocity, aux) where aux carries tape-connected router
-        logits per MoE layer plus routing records when capture_step is set.
+        Returns (velocity, aux) where aux carries the tape-connected router
+        logits and the routing decisions of every MoE layer.
         """
         cfg = self.cfg
         B = z_t.shape[0]
@@ -563,13 +508,12 @@ class MoEDiT:
         pos_h = np.repeat(np.arange(gh), gw)
         pos_w = np.tile(np.arange(gw), gh)
 
-        aux = {"router_logits": [], "decisions": [], "records": []}
+        aux = {"router_logits": [], "decisions": []}
         for blk in self.blocks:
             mod = nt.add(nt.matmul(t_vec, blk.mod_w),
                          nt.broadcast_to(nt.reshape(blk.mod_b, (1, -1)),
                                          (B, 5 * cfg.d_model)))
-            sa_shift, sa_scale, sa_gate, ff_scale, ff_gate = [
-                nt.transpose(c, (1, 0)) for c in _chunks(mod, cfg.d_model, 5)]
+            sa_shift, sa_scale, sa_gate, ff_scale, ff_gate = _chunks(mod, 5)
 
             a_in = nt.add(fused_ln_scale(x, sa_scale),
                           nt.broadcast_to(nt.reshape(sa_shift, (B, 1, -1)), x.shape))
@@ -591,25 +535,18 @@ class MoEDiT:
                                     capacity_factor=self.capacity_factor_for(
                                         blk.layer, stage),
                                     gate_scale=cfg.gate_scale,
-                                    gate_eps=cfg.gate_eps, seed=cfg.seed)
+                                    gate_eps=cfg.gate_eps)
                 moe_out, decisions, routing = moe_forward(
                     h, x_norm, x_mod, t_vec, rcfg, blk.bank, blk.router_gate,
                     return_routing=True)
                 aux["router_logits"].append(routing["logits"])
                 aux["decisions"].append((blk.layer, decisions))
-                if capture_step is not None:
-                    for dec in decisions:
-                        aux["records"].append(RouteRecord(
-                            layer=blk.layer, step=capture_step,
-                            logits=dec.logits, top_indices=dec.top_indices,
-                            grid=(gh, gw)))
                 x = fused_gated_residual(h, ff_gate, moe_out)
 
         fmod = nt.add(nt.matmul(t_vec, self.final_mod_w),
                       nt.broadcast_to(nt.reshape(self.final_mod_b, (1, -1)),
                                       (B, 2 * cfg.d_model)))
-        f_shift, f_scale = [nt.transpose(c, (1, 0))
-                            for c in _chunks(fmod, cfg.d_model, 2)]
+        f_shift, f_scale = _chunks(fmod, 2)
         y = nt.add(fused_ln_scale(x, f_scale),
                    nt.broadcast_to(nt.reshape(f_shift, (B, 1, -1)), x.shape))
         out = nt.add(nt.matmul(y, self.final_proj_w),

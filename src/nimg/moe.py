@@ -1,14 +1,17 @@
-"""Sparse expert computation: SwiGLU experts over grouped token segments.
+"""Sparse expert computation: routed SwiGLU experts run as one batched op.
 
 Experts run on the modulated token state while routing decisions come from
-the unmodulated state (see router). Tokens claimed by several experts get
-their gated outputs scatter-added in fixed expert-major order; a shared
-expert covers every token so none is left without expert output.
+the unmodulated state (see router). Expert-choice routing gives every expert
+exactly B * capacity tokens, so the routed tokens form one (E, B*cap, d)
+block that a single stacked SwiGLU maps against (E, h, d) weights. Tokens
+claimed by several experts get their gated outputs scatter-added in fixed
+expert-major order; a shared expert covers every token so none is left
+without expert output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +22,8 @@ from .tensor import ShapeError, Tensor
 
 def swiglu_arrays(x: np.ndarray, w1: np.ndarray, w3: np.ndarray,
                   w2: np.ndarray) -> np.ndarray:
-    """Gated-linear forward in float64 on raw arrays (shared with the
-    expert-parallel simulator so both paths produce identical bits)."""
+    """Gated-linear forward in float64 on raw 2-D arrays; the per-expert
+    reference the tests compare the taped op against."""
     x = x.astype(np.float64, copy=False)
     h1 = x @ w1.astype(np.float64, copy=False).T
     h3 = x @ w3.astype(np.float64, copy=False).T
@@ -31,34 +34,39 @@ def swiglu_arrays(x: np.ndarray, w1: np.ndarray, w3: np.ndarray,
 def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
     """Single-pass SwiGLU: (SiLU(x W1^T) * (x W3^T)) W2^T.
 
-    One tape node with a hand-derived pullback; value-identical to the
-    three-step composition within float rounding.
+    x is (..., n, d) and the weights are (..., h, d), (..., h, d) and
+    (..., d, h) with the same leading axes, so one call covers a dense FFN
+    (no leading axes) and a stack of experts (one leading axis). One tape
+    node with a hand-derived pullback; value-identical to the three-step
+    composition within float rounding.
     """
-    n, d = x.shape[-2], x.shape[-1]
-    h = w1.shape[0]
-    if w1.shape != (h, d) or w3.shape != (h, d) or w2.shape != (d, h):
+    lead, d = x.shape[:-2], x.shape[-1]
+    h = w1.shape[-2] if w1.ndim >= 2 else -1
+    if (x.ndim < 2 or w1.shape != lead + (h, d) or w3.shape != lead + (h, d)
+            or w2.shape != lead + (d, h)):
         raise ShapeError(f"swiglu weight shapes w1={w1.shape} w3={w3.shape} "
-                         f"w2={w2.shape} inconsistent with d={d}")
+                         f"w2={w2.shape} inconsistent with x={x.shape}")
+    T = lambda a: np.swapaxes(a, -1, -2)
     xd = x.data.astype(np.float64, copy=False)
     w1d = w1.data.astype(np.float64, copy=False)
     w3d = w3.data.astype(np.float64, copy=False)
     w2d = w2.data.astype(np.float64, copy=False)
-    h1 = xd @ w1d.T
-    h3 = xd @ w3d.T
+    h1 = xd @ T(w1d)
+    h3 = xd @ T(w3d)
     sig = 1.0 / (1.0 + np.exp(-h1))
     act = h1 * sig
     pre = act * h3
-    out = (pre @ w2d.T).astype(nt._result_dtype(x, w1, w3, w2))
+    out = (pre @ T(w2d)).astype(nt._result_dtype(x, w1, w3, w2))
 
     def bwd(g):
         gpre = g @ w2d
-        gw2 = g.reshape(-1, d).T @ pre.reshape(-1, h)
+        gw2 = T(g) @ pre
         gact = gpre * h3
         gh3 = gpre * act
         gh1 = gact * sig * (1.0 + h1 * (1.0 - sig))
         gx = gh1 @ w1d + gh3 @ w3d
-        gw1 = gh1.reshape(-1, h).T @ xd.reshape(-1, d)
-        gw3 = gh3.reshape(-1, h).T @ xd.reshape(-1, d)
+        gw1 = T(gh1) @ xd
+        gw3 = T(gh3) @ xd
         return gx, gw1, gw3, gw2
 
     return nt.record("swiglu", (x, w1, w3, w2), (out,), bwd)[0]
@@ -85,54 +93,10 @@ class ExpertBank:
     shared_w3: Tensor
     shared_w2: Tensor  # (d, h_shared)
 
-    @property
-    def n_experts(self) -> int:
-        return self.w1.shape[0]
 
-    def expert_weights(self, e: int) -> tuple[Tensor, Tensor, Tensor]:
-        take = lambda w: nt.reshape(nt.gather_rows(w, np.array([e])), w.shape[1:])
-        return take(self.w1), take(self.w3), take(self.w2)
-
-
-@dataclass
-class GroupedBatch:
-    """Expert-concatenated token rows with prefix-sum segment boundaries."""
-
-    tokens: Tensor            # (N_total, d)
-    offsets: np.ndarray       # (E+1,) non-decreasing, offsets[0] == 0
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        off = np.asarray(self.offsets, dtype=np.int64)
-        if off.ndim != 1 or off[0] != 0 or np.any(np.diff(off) < 0):
-            raise ShapeError(f"invalid offsets {off}")
-        if off[-1] != self.tokens.shape[0]:
-            raise ShapeError(f"offsets end {off[-1]} != token count "
-                             f"{self.tokens.shape[0]}")
-        self.offsets = off
-
-
-def grouped_forward(batch: GroupedBatch, bank: ExpertBank) -> Tensor:
-    """Run segment e through expert e; output keeps input row order.
-
-    Empty segments contribute empty slices. Equivalent to a per-expert loop
-    by construction (and tested against one).
-    """
-    E = bank.n_experts
-    if len(batch.offsets) != E + 1:
-        raise ShapeError(f"offsets length {len(batch.offsets)} != E+1 ({E + 1})")
-    pieces = []
-    for e in range(E):
-        lo, hi = int(batch.offsets[e]), int(batch.offsets[e + 1])
-        if hi == lo:
-            continue
-        seg = nt.gather_rows(batch.tokens, np.arange(lo, hi, dtype=np.int64))
-        w1, w3, w2 = bank.expert_weights(e)
-        pieces.append(swiglu(seg, w1, w3, w2))
-    if not pieces:
-        return Tensor(np.zeros((0, batch.tokens.shape[1])),
-                      dtype=batch.tokens.data.dtype)
-    return pieces[0] if len(pieces) == 1 else nt.concat(pieces, axis=0)
+def grouped_forward(tokens: Tensor, bank: ExpertBank) -> Tensor:
+    """Run row block e of (E, n, d) tokens through expert e; returns (E, n, d)."""
+    return swiglu(tokens, bank.w1, bank.w3, bank.w2)
 
 
 def moe_forward(x: Tensor, x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
@@ -150,9 +114,8 @@ def moe_forward(x: Tensor, x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
     E = cfg.n_experts
 
     x_mod_flat = nt.reshape(x_mod, (B * S, d))
-    gathered = nt.gather_rows(x_mod_flat, token_flat)          # (E*B*cap, d)
-    offsets = np.arange(E + 1, dtype=np.int64) * (B * cap)
-    expert_out = grouped_forward(GroupedBatch(gathered, offsets), bank)
+    gathered = nt.reshape(nt.gather_rows(x_mod_flat, token_flat), (E, B * cap, d))
+    expert_out = nt.reshape(grouped_forward(gathered, bank), (E * B * cap, d))
     gated = nt.mul(expert_out,
                    nt.broadcast_to(nt.reshape(routing["gates"], (-1, 1)),
                                    expert_out.shape))

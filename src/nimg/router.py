@@ -40,7 +40,6 @@ class RouterConfig:
     capacity_factor: float
     gate_scale: float = 1.0
     gate_eps: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_experts < 1:

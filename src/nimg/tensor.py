@@ -21,7 +21,7 @@ class ShapeError(ValueError):
 
 
 class UnsupportedOp(ValueError):
-    """Unknown op kind."""
+    """Unsupported storage dtype."""
 
 
 class NonScalarLoss(ValueError):
@@ -303,9 +303,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size and -1 not in shape:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    out = a.data.reshape(shape)
+    try:
+        out = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"cannot reshape {a.shape} to {shape}") from None
     return record("reshape", (a,), (out,), lambda g: (g.reshape(a.shape),))[0]
 
 
@@ -330,12 +331,11 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    base = tensors[0].shape
-    for t in tensors[1:]:
-        if len(t.shape) != len(base):
-            raise ShapeError(f"concat rank mismatch: {base} vs {t.shape}")
     dtype = _result_dtype(*tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis).astype(dtype)
+    try:  # numpy reports rank, dim and axis mismatches as ValueError
+        out = np.concatenate([t.data for t in tensors], axis=axis).astype(dtype)
+    except ValueError as e:
+        raise ShapeError(f"concat of {[t.shape for t in tensors]}: {e}") from None
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -343,6 +343,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return record("concat", tuple(tensors), (out,), bwd)[0]
+
+
+def split(a: Tensor, n: int, axis: int = 0) -> tuple[Tensor, ...]:
+    """n equal slices along axis as one node with n outputs."""
+    a = as_tensor(a)
+    if not -a.ndim <= axis < a.ndim or n < 1 or a.shape[axis] % n:
+        raise ShapeError(f"cannot split {a.shape} into {n} equal parts "
+                         f"along axis {axis}")
+    outs = [np.ascontiguousarray(p) for p in np.split(a.data, n, axis=axis)]
+    return record("split", (a,), outs, lambda *gs: (np.concatenate(gs, axis=axis),))
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -496,23 +506,28 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return record("logsumexp", (a,), (np.asarray(out),), bwd)[0]
 
 
+def _ln_stats(xd: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised values and inverse std of a LayerNorm over the last axis."""
+    mu = xd.mean(axis=-1, keepdims=True)
+    xc = xd - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def _ln_bwd(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """LayerNorm pullback from the _ln_stats of its input."""
+    gm = g.mean(axis=-1, keepdims=True)
+    gx = (g * xhat).mean(axis=-1, keepdims=True)
+    return inv * (g - gm - xhat * gx)
+
+
 def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
     """LayerNorm over the last axis, no affine parameters."""
     a = as_tensor(a)
-    da = _f64(a)
-    mu = da.mean(axis=-1, keepdims=True)
-    xc = da - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat, inv = _ln_stats(_f64(a), eps)
     out = xhat.astype(a.data.dtype)
-
-    def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xhat * gx),)
-
-    return record("layernorm", (a,), (out,), bwd)[0]
+    return record("layernorm", (a,), (out,), lambda g: (_ln_bwd(xhat, inv, g),))[0]
 
 
 def rmsnorm(a: Tensor, eps: float = 1e-6) -> Tensor:
@@ -549,28 +564,7 @@ def add_auxiliary(main: Tensor, aux: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# dispatch-style forward + backward engine
-
-
-_OPS = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-    "matmul": matmul, "reshape": reshape, "transpose": transpose,
-    "broadcast_to": broadcast_to, "concat": concat,
-    "gather_rows": gather_rows, "scatter_add_rows": scatter_add_rows,
-    "exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos,
-    "tanh": tanh, "sigmoid": sigmoid,
-    "silu": silu, "sum": sum, "mean": mean, "softmax": softmax,
-    "logsumexp": logsumexp, "layernorm": layernorm, "rmsnorm": rmsnorm,
-    "add_auxiliary": add_auxiliary,
-}
-
-
-def forward(op_kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply a named op; unknown kinds raise UnsupportedOp."""
-    fn = _OPS.get(op_kind)
-    if fn is None:
-        raise UnsupportedOp(f"unknown op kind {op_kind!r}")
-    return fn(*inputs, **kwargs)
+# backward engine
 
 
 def backward(tape: Tape, loss: Tensor) -> None:

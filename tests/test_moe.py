@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nimg import tensor as nt
-from nimg.moe import (ExpertBank, GroupedBatch, grouped_forward, moe_forward,
-                      swiglu, swiglu_arrays, swiglu_composed)
+from nimg.moe import (ExpertBank, grouped_forward, moe_forward, swiglu,
+                      swiglu_arrays, swiglu_composed)
 from nimg.router import RouterConfig, route
 from nimg.tensor import ShapeError, Tape, Tensor, backward, grad_check
 
@@ -72,44 +72,51 @@ def test_grouped_forward_equal_weights():
     bank.w1.data[1] = bank.w1.data[0]
     bank.w3.data[1] = bank.w3.data[0]
     bank.w2.data[1] = bank.w2.data[0]
-    row = rng.normal(size=3)
+    row = rng.normal(size=(1, 3))
     tokens = Tensor(np.stack([row, row]), dtype=np.float64)
-    out = grouped_forward(GroupedBatch(tokens, np.array([0, 1, 2])), bank)
+    out = grouped_forward(tokens, bank)
     np.testing.assert_array_equal(out.data[0], out.data[1])
-
-
-def test_grouped_forward_empty_segment():
-    rng = np.random.default_rng(4)
-    bank = make_bank(rng, 2, 4, 3)
-    tokens = Tensor(rng.normal(size=(5, 3)), dtype=np.float64)
-    out = grouped_forward(GroupedBatch(tokens, np.array([0, 0, 5])), bank)
-    w1, w3, w2 = bank.expert_weights(1)
-    expect = swiglu(tokens, w1, w3, w2).data
-    np.testing.assert_allclose(out.data, expect, rtol=1e-12)
 
 
 def test_grouped_forward_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    E, h, d = 3, 4, 5
+    E, n, h, d = 3, 4, 6, 5
     bank = make_bank(rng, E, h, d)
-    counts = [2, 0, 3]
-    tokens_np = rng.normal(size=(sum(counts), d))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    out = grouped_forward(GroupedBatch(Tensor(tokens_np, dtype=np.float64),
-                                       offsets), bank)
-    oracle = np.concatenate([
-        swiglu_arrays(tokens_np[offsets[e]:offsets[e + 1]], bank.w1.data[e],
-                      bank.w3.data[e], bank.w2.data[e])
-        for e in range(E) if counts[e]
-    ])
+    tokens_np = rng.normal(size=(E, n, d))
+    out = grouped_forward(Tensor(tokens_np, dtype=np.float64), bank)
+    oracle = np.stack([swiglu_arrays(tokens_np[e], bank.w1.data[e],
+                                     bank.w3.data[e], bank.w2.data[e])
+                       for e in range(E)])
+    assert out.shape == (E, n, d)
     np.testing.assert_allclose(out.data, oracle, rtol=1e-9, atol=1e-12)
 
 
-def test_grouped_batch_validates_offsets():
-    with pytest.raises(ShapeError):
-        GroupedBatch(Tensor(np.zeros((3, 2))), np.array([0, 2, 1]))
-    with pytest.raises(ShapeError):
-        GroupedBatch(Tensor(np.zeros((3, 2))), np.array([0, 1, 2]))
+def test_swiglu_stacked_gradients_vs_fd():
+    rng = np.random.default_rng(13)
+    E, n, h, d = 2, 3, 4, 3
+    x = Tensor(rng.normal(size=(E, n, d)), dtype=np.float64)
+    w1 = Tensor(rng.normal(size=(E, h, d)), dtype=np.float64)
+    w3 = Tensor(rng.normal(size=(E, h, d)), dtype=np.float64)
+    w2 = Tensor(rng.normal(size=(E, d, h)), dtype=np.float64)
+    weight = Tensor(rng.normal(size=(E, n, d)), dtype=np.float64)
+    loss = lambda y: nt.sum(nt.mul(y, weight))
+
+    rep = grad_check(lambda p: loss(swiglu(p, w1, w3, w2)), x, h=1e-5)
+    assert rep.max_rel_err <= 1e-6, rep.max_rel_err
+    rep = grad_check(lambda p: loss(swiglu(x, p, w3, w2)), w1, h=1e-5)
+    assert rep.max_rel_err <= 1e-6, rep.max_rel_err
+    rep = grad_check(lambda p: loss(swiglu(x, w1, w3, p)), w2, h=1e-5)
+    assert rep.max_rel_err <= 1e-6, rep.max_rel_err
+
+
+def test_swiglu_stacked_shape_mismatch():
+    z = lambda s: Tensor(np.zeros(s))
+    with pytest.raises(ShapeError):  # 2 token blocks, 3 experts
+        swiglu(z((2, 4, 3)), z((3, 5, 3)), z((3, 5, 3)), z((3, 3, 5)))
+    with pytest.raises(ShapeError):  # stacked weights, unstacked tokens
+        swiglu(z((4, 3)), z((2, 5, 3)), z((2, 5, 3)), z((2, 3, 5)))
+    with pytest.raises(ShapeError):  # one weight unstacked
+        swiglu(z((2, 4, 3)), z((2, 5, 3)), z((5, 3)), z((2, 3, 5)))
 
 
 def moe_setup(rng, B, S, d, E, C, h=4):

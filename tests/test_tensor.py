@@ -41,8 +41,16 @@ def test_shape_errors():
         nt.add(a, b)
     with pytest.raises(ShapeError):
         nt.matmul(a, Tensor(np.zeros((2, 2))))
+    with pytest.raises(ShapeError):
+        nt.reshape(a, (4, -1))
+    with pytest.raises(ShapeError):
+        nt.concat([a, Tensor(np.zeros((2, 2)))], axis=0)
+    with pytest.raises(ShapeError):
+        nt.concat([a, a], axis=2)
+    with pytest.raises(ShapeError):
+        nt.split(a, 2, axis=1)
     with pytest.raises(UnsupportedOp):
-        nt.forward("conv3d", a)
+        nt.set_default_dtype(np.int32)
 
 
 def test_backward_sum_gives_ones():
@@ -123,6 +131,8 @@ def test_binary_and_shape_op_gradients():
         y = nt.concat([y, nt.neg(y)], axis=1)
         y = nt.transpose(y, (1, 0))
         y = nt.reshape(y, (2, 6))
+        lo, mid, hi = nt.split(y, 3, axis=1)
+        y = nt.add(nt.mul(lo, 2.0), nt.mul(mid, hi))
         return nt.mean(nt.mul(y, y))
 
     for seed in range(20):
