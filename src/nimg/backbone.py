@@ -48,7 +48,7 @@ def fused_gated_residual(x: Tensor, g: Tensor, r: Tensor) -> Tensor:
     th = np.tanh(gd)
     xd = x.data.astype(np.float64, copy=False)
     rd = r.data.astype(np.float64, copy=False)
-    out = (xd + th * rd).astype(nt._result_dtype(x, g, r))
+    out = (xd + th * rd).astype(nt._result_dtype(x, g, r), copy=False)
 
     def bwd(G):
         dg = G * rd * (1.0 - th * th)
@@ -63,7 +63,7 @@ def fused_ln_scale(x: Tensor, s: Tensor, eps: float = 1e-6) -> Tensor:
     """LayerNorm(x) * (1 + s) in one pass; s = 0 reduces to plain LayerNorm."""
     sd, expanded = _expand_mod(s.data.astype(np.float64, copy=False), x.shape)
     xhat, inv = nt._ln_stats(x.data.astype(np.float64, copy=False), eps)
-    out = (xhat * (1.0 + sd)).astype(nt._result_dtype(x, s))
+    out = (xhat * (1.0 + sd)).astype(nt._result_dtype(x, s), copy=False)
 
     def bwd(G):
         ds = G * xhat
@@ -104,7 +104,7 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor, s: Tensor,
         return dh, dg, dh * th, ds
 
     return nt.record("fused_gate_res_ln_scale", (x, g, r, s),
-                     (h.astype(dtype), m.astype(dtype)), bwd)
+                     (h.astype(dtype, copy=False), m.astype(dtype, copy=False)), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +143,8 @@ def rope_apply_grid(x: Tensor, pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
     """Apply per-token rotary angles to (B, S, H, d_h) head vectors."""
     B, S, H, d_h = x.shape
     cos, sin = _rope_tables(pos_h, pos_w, d_h)          # (S, d_h)
-    c = nt.broadcast_to(Tensor(cos[None, :, None, :], dtype=np.float64), x.shape)
-    s = nt.broadcast_to(Tensor(sin[None, :, None, :], dtype=np.float64), x.shape)
+    c = nt.broadcast_to(Tensor(cos[None, :, None, :], dtype=x.dtype), x.shape)
+    s = nt.broadcast_to(Tensor(sin[None, :, None, :], dtype=x.dtype), x.shape)
     return nt.add(nt.mul(x, c), nt.mul(rotate_pairs(x), s))
 
 
@@ -194,7 +194,7 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
     if S_t > 0 and text_mask is not None:
         add = np.zeros((B, 1, 1, S_i + S_t))
         add[:, 0, 0, S_i:] = np.where(np.asarray(text_mask, bool), 0.0, -1e30)
-        scores = nt.add(scores, nt.broadcast_to(Tensor(add, dtype=np.float64),
+        scores = nt.add(scores, nt.broadcast_to(Tensor(add, dtype=scores.dtype),
                                                 scores.shape))
     attn = nt.softmax(scores, axis=-1)
     out = nt.matmul(attn, nt.transpose(v_all, (0, 2, 1, 3)))  # (B, H_q, S_i, d_h)
@@ -222,7 +222,7 @@ def sinusoidal_features(t: Tensor, dim: int) -> Tensor:
     freqs = np.exp(np.linspace(0.0, math.log(10000.0), half))
     tcol = nt.reshape(t, (t.size, 1))
     args = nt.mul(nt.broadcast_to(tcol, (t.size, half)),
-                  nt.broadcast_to(Tensor(freqs[None, :], dtype=np.float64),
+                  nt.broadcast_to(Tensor(freqs[None, :], dtype=t.dtype),
                                   (t.size, half)))
     return nt.concat([nt.sin(args), nt.cos(args)], axis=-1)
 

@@ -56,7 +56,7 @@ def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-h1))
     act = h1 * sig
     pre = act * h3
-    out = (pre @ T(w2d)).astype(nt._result_dtype(x, w1, w3, w2))
+    out = (pre @ T(w2d)).astype(nt._result_dtype(x, w1, w3, w2), copy=False)
 
     def bwd(g):
         gpre = g @ w2d

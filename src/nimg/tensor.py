@@ -6,10 +6,20 @@ storage to float64 end to end. Gradients are always float64. Elementwise
 ops require equal shapes or a scalar operand; any other broadcast must go
 through an explicit broadcast_to, which keeps reference comparisons
 unambiguous.
+
+Buffer ownership. A tensor is immutable after forward: an op's output array
+may be the very array its pullback closure reads (no defensive copies), so
+writing into .data in place corrupts later gradients. After backward, a
+leaf's .grad (a tensor no recorded node produced) is exclusively owned and
+may be edited in place; an intermediate's .grad is read-only and may share
+memory with another tensor's .grad, because pullbacks hand out aliased
+arrays (add/sub pass the same upstream gradient to both operands, reshape
+returns a view).
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from typing import Callable, Sequence
 
@@ -141,8 +151,12 @@ class Node:
         self.bwd = bwd
 
 
-_TAPE_STACK: list["Tape"] = []
-_GRAD_ENABLED: bool = True
+# Per thread (and per asyncio task): a tape entered or a no_grad block in one
+# thread never affects recording in another.
+_TAPE_STACK: contextvars.ContextVar[tuple["Tape", ...]] = contextvars.ContextVar(
+    "nimg_tape_stack", default=())
+_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "nimg_grad_enabled", default=True)
 
 
 class Tape:
@@ -152,29 +166,27 @@ class Tape:
         self.nodes: list[Node] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        self._token = _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _TAPE_STACK.reset(self._token)
         return False
 
 
 class no_grad:
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
 def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPE_STACK.get()
+    return stack[-1] if stack else None
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -191,9 +203,13 @@ def record(op: str, inputs: Sequence[Tensor], out_arrays: Sequence[np.ndarray],
     bwd receives one float64 grad array per output (zeros where unused) and
     returns one grad array (or None) per input. Shared entry point for every
     differentiable op, including fused kernels defined in sibling modules.
+
+    Neither side is copied: an output array may be one the closure reads,
+    and bwd may return its incoming grad, a view of it, or the same array
+    for several inputs. bwd must not write into the arrays it receives.
     """
     tape = active_tape()
-    track = _GRAD_ENABLED and tape is not None and any(t.requires_grad for t in inputs)
+    track = _GRAD_ENABLED.get() and tape is not None and any(t.requires_grad for t in inputs)
     outs = tuple(Tensor(a, requires_grad=track, dtype=a.dtype) for a in out_arrays)
     if track:
         tape.nodes.append(Node(op, tuple(inputs), outs, bwd))
@@ -236,7 +252,7 @@ def add(a, b) -> Tensor:
     a = as_tensor(a, b if isinstance(b, Tensor) else None)
     b = as_tensor(b, a)
     _ew_shapes(a, b, "add")
-    out = (_f64(a) + _f64(b)).astype(_result_dtype(a, b))
+    out = (_f64(a) + _f64(b)).astype(_result_dtype(a, b), copy=False)
     return record("add", (a, b), (out,),
                   lambda g: (_sum_to(g, a.shape), _sum_to(g, b.shape)))[0]
 
@@ -245,7 +261,7 @@ def sub(a, b) -> Tensor:
     a = as_tensor(a, b if isinstance(b, Tensor) else None)
     b = as_tensor(b, a)
     _ew_shapes(a, b, "sub")
-    out = (_f64(a) - _f64(b)).astype(_result_dtype(a, b))
+    out = (_f64(a) - _f64(b)).astype(_result_dtype(a, b), copy=False)
     return record("sub", (a, b), (out,),
                   lambda g: (_sum_to(g, a.shape), _sum_to(-g, b.shape)))[0]
 
@@ -255,7 +271,7 @@ def mul(a, b) -> Tensor:
     b = as_tensor(b, a)
     _ew_shapes(a, b, "mul")
     da, db = _f64(a), _f64(b)
-    out = (da * db).astype(_result_dtype(a, b))
+    out = (da * db).astype(_result_dtype(a, b), copy=False)
     return record("mul", (a, b), (out,),
                   lambda g: (_sum_to(g * db, a.shape), _sum_to(g * da, b.shape)))[0]
 
@@ -265,7 +281,7 @@ def div(a, b) -> Tensor:
     b = as_tensor(b, a)
     _ew_shapes(a, b, "div")
     da, db = _f64(a), _f64(b)
-    out = (da / db).astype(_result_dtype(a, b))
+    out = (da / db).astype(_result_dtype(a, b), copy=False)
     return record("div", (a, b), (out,),
                   lambda g: (_sum_to(g / db, a.shape),
                              _sum_to(-g * da / (db * db), b.shape)))[0]
@@ -273,7 +289,7 @@ def div(a, b) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out = (-a.data).astype(a.data.dtype)
+    out = (-a.data).astype(a.data.dtype, copy=False)
     return record("neg", (a,), (out,), lambda g: (-g,))[0]
 
 
@@ -284,7 +300,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else -1]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     da, db = _f64(a), _f64(b)
-    out = np.matmul(da, db).astype(_result_dtype(a, b))
+    out = np.matmul(da, db).astype(_result_dtype(a, b), copy=False)
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(db, -1, -2)) if b.ndim > 1 else np.multiply.outer(g, db) if a.ndim > 1 else g * db
@@ -333,7 +349,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     dtype = _result_dtype(*tensors)
     try:  # numpy reports rank, dim and axis mismatches as ValueError
-        out = np.concatenate([t.data for t in tensors], axis=axis).astype(dtype)
+        out = np.concatenate([t.data for t in tensors], axis=axis).astype(dtype, copy=False)
     except ValueError as e:
         raise ShapeError(f"concat of {[t.shape for t in tensors]}: {e}") from None
     sizes = [t.shape[axis] for t in tensors]
@@ -355,6 +371,35 @@ def split(a: Tensor, n: int, axis: int = 0) -> tuple[Tensor, ...]:
     return record("split", (a,), outs, lambda *gs: (np.concatenate(gs, axis=axis),))
 
 
+def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[idx[i]] += rows[i] for every i, in place; returns out.
+
+    Bitwise equal to numpy's unbuffered add.at for idx in [0, len(out)):
+    every target row receives its addends one at a time in increasing i.
+    A stable sort of idx groups each target's addends in that order; round
+    r adds every target's r-th addend. Targets are ranked by addend count,
+    so the targets still live in round r are a prefix of one compact
+    accumulator and a round is one gather plus one contiguous in-place add.
+    The number of rounds is the largest multiplicity.
+    """
+    if not idx.size:
+        return out
+    # the smallest dtype lets numpy radix-sort indices that fit in 16 bits
+    order = np.argsort(idx.astype(np.min_scalar_type(idx.max())), kind="stable")
+    sidx = idx[order]
+    starts = np.flatnonzero(np.diff(sidx, prepend=-1))  # first addend of each target
+    counts = np.diff(starts, append=idx.size)
+    most = np.argsort(-counts, kind="stable")
+    starts, counts = starts[most], counts[most]
+    targets = sidx[starts]
+    acc = out[targets]
+    for r in range(counts[0]):
+        n = np.count_nonzero(counts > r)
+        acc[:n] += rows[order[starts[:n] + r]]
+    out[targets] = acc
+    return out
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis 0; backward scatter-adds into the source."""
     a = as_tensor(a)
@@ -366,9 +411,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = np.ascontiguousarray(a.data[idx])
 
     def bwd(g):
-        z = np.zeros(a.shape, dtype=np.float64)
-        np.add.at(z, idx, g)
-        return (z,)
+        return (_scatter_add(np.zeros(a.shape, dtype=np.float64), idx, g),)
 
     return record("gather_rows", (a,), (out,), bwd)[0]
 
@@ -381,9 +424,8 @@ def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
         raise ShapeError("scatter_add_rows: one index per value row required")
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         raise ShapeError(f"scatter_add_rows index out of range for {n_rows} rows")
-    out = np.zeros((n_rows,) + values.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, _f64(values))
-    out = out.astype(values.data.dtype)
+    out = _scatter_add(np.zeros((n_rows,) + values.shape[1:], dtype=np.float64),
+                       idx, _f64(values)).astype(values.data.dtype, copy=False)
     return record("scatter_add_rows", (values,), (out,),
                   lambda g: (np.ascontiguousarray(g[idx]),))[0]
 
@@ -395,49 +437,49 @@ def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     a = as_tensor(a)
     e = np.exp(_f64(a))
-    out = e.astype(a.data.dtype)
+    out = e.astype(a.data.dtype, copy=False)
     return record("exp", (a,), (out,), lambda g: (g * e,))[0]
 
 
 def log(a: Tensor) -> Tensor:
     a = as_tensor(a)
     da = _f64(a)
-    out = np.log(da).astype(a.data.dtype)
+    out = np.log(da).astype(a.data.dtype, copy=False)
     return record("log", (a,), (out,), lambda g: (g / da,))[0]
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = as_tensor(a)
     r = np.sqrt(_f64(a))
-    out = r.astype(a.data.dtype)
+    out = r.astype(a.data.dtype, copy=False)
     return record("sqrt", (a,), (out,), lambda g: (g * 0.5 / r,))[0]
 
 
 def sin(a: Tensor) -> Tensor:
     a = as_tensor(a)
     da = _f64(a)
-    out = np.sin(da).astype(a.data.dtype)
+    out = np.sin(da).astype(a.data.dtype, copy=False)
     return record("sin", (a,), (out,), lambda g: (g * np.cos(da),))[0]
 
 
 def cos(a: Tensor) -> Tensor:
     a = as_tensor(a)
     da = _f64(a)
-    out = np.cos(da).astype(a.data.dtype)
+    out = np.cos(da).astype(a.data.dtype, copy=False)
     return record("cos", (a,), (out,), lambda g: (-g * np.sin(da),))[0]
 
 
 def tanh(a: Tensor) -> Tensor:
     a = as_tensor(a)
     th = np.tanh(_f64(a))
-    out = th.astype(a.data.dtype)
+    out = th.astype(a.data.dtype, copy=False)
     return record("tanh", (a,), (out,), lambda g: (g * (1.0 - th * th),))[0]
 
 
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-_f64(a)))
-    out = s.astype(a.data.dtype)
+    out = s.astype(a.data.dtype, copy=False)
     return record("sigmoid", (a,), (out,), lambda g: (g * s * (1.0 - s),))[0]
 
 
@@ -445,7 +487,7 @@ def silu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     da = _f64(a)
     s = 1.0 / (1.0 + np.exp(-da))
-    out = (da * s).astype(a.data.dtype)
+    out = (da * s).astype(a.data.dtype, copy=False)
     return record("silu", (a,), (out,),
                   lambda g: (g * s * (1.0 + da * (1.0 - s)),))[0]
 
@@ -456,7 +498,7 @@ def silu(a: Tensor) -> Tensor:
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = as_tensor(a)
-    out = _f64(a).sum(axis=axis, keepdims=keepdims).astype(a.data.dtype)
+    out = _f64(a).sum(axis=axis, keepdims=keepdims).astype(a.data.dtype, copy=False)
     out = np.asarray(out)
 
     def bwd(g):
@@ -480,7 +522,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     m = da.max(axis=axis, keepdims=True)
     e = np.exp(da - m)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = s.astype(a.data.dtype)
+    out = s.astype(a.data.dtype, copy=False)
 
     def bwd(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
@@ -497,7 +539,7 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     se = e.sum(axis=axis, keepdims=True)
     lse = m + np.log(se)
     soft = e / se
-    out = (lse if keepdims else np.squeeze(lse, axis=axis)).astype(a.data.dtype)
+    out = (lse if keepdims else np.squeeze(lse, axis=axis)).astype(a.data.dtype, copy=False)
 
     def bwd(g):
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -526,7 +568,7 @@ def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
     """LayerNorm over the last axis, no affine parameters."""
     a = as_tensor(a)
     xhat, inv = _ln_stats(_f64(a), eps)
-    out = xhat.astype(a.data.dtype)
+    out = xhat.astype(a.data.dtype, copy=False)
     return record("layernorm", (a,), (out,), lambda g: (_ln_bwd(xhat, inv, g),))[0]
 
 
@@ -536,7 +578,7 @@ def rmsnorm(a: Tensor, eps: float = 1e-6) -> Tensor:
     da = _f64(a)
     ms = (da * da).mean(axis=-1, keepdims=True) + eps
     inv = 1.0 / np.sqrt(ms)
-    out = (da * inv).astype(a.data.dtype)
+    out = (da * inv).astype(a.data.dtype, copy=False)
     n = a.shape[-1]
 
     def bwd(g):
@@ -568,15 +610,24 @@ def add_auxiliary(main: Tensor, aux: Tensor) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate dLoss/dLeaf into .grad of every requires_grad tensor.
+    """Accumulate dLoss/dT into .grad of every requires_grad tensor T reached.
 
     Nodes are visited in exact reverse insertion order. Calling twice
     without zero_grad accumulates.
+
+    Nothing is copied on the way: a tensor's first gradient contribution is
+    kept as the pullback returned it, which may alias another tensor's
+    gradient. The second contribution allocates one sum buffer that the
+    engine owns; later ones are added into it in place. Only owned buffers
+    are ever written. Intermediates get their gradient array as is (shared
+    and read-only); a leaf gets a copy unless its buffer is engine-owned, so
+    a leaf's .grad never shares memory with another tensor's.
     """
     if loss.size != 1:
         raise NonScalarLoss(f"loss must be scalar, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=np.float64)}
     owners: dict[int, Tensor] = {id(loss): loss}
+    owned: set[int] = set()
     for node in reversed(tape.nodes):
         out_grads = []
         have_any = False
@@ -596,16 +647,25 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if g is None or not t.requires_grad:
                 continue
             key = id(t)
-            if key in grads:
+            if key in owned:
+                grads[key] += g
+            elif key in grads:
                 grads[key] = grads[key] + g
+                owned.add(key)
             else:
                 grads[key] = np.asarray(g, dtype=np.float64)
                 owners[key] = t
+    produced = {id(o) for node in tape.nodes for o in node.outputs}
     for key, t in owners.items():
         if not t.requires_grad:
             continue
         g = grads[key]
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        if t.grad is not None:
+            t.grad = t.grad + g
+        elif key in owned or key in produced:
+            t.grad = g
+        else:
+            t.grad = g.copy()
 
 
 class GradCheckReport:

@@ -101,3 +101,31 @@ def test_text_kv_computed_once_across_denoising_steps():
             z = Tensor(z.data - vel.data / K, dtype=np.float64)
     assert np.isfinite(z.data).all()
     assert model.text_kv_recompute_count == 1
+
+
+def test_float32_model_computes_in_float32():
+    rng = np.random.default_rng(4)
+    model = MoEDiT(ModelConfig(dtype="float32"))
+    z = Tensor(rng.standard_normal((2, 4, 8, 8)), dtype=np.float32)
+    with Tape() as tape:
+        vel = velocity(model, z, rng.uniform(0.0, 1.0, 2))
+    wide = [n.op for n in tape.nodes for o in n.outputs if o.dtype != np.float32]
+    assert tape.nodes and not wide, wide
+    assert vel.dtype == np.float32
+
+
+def test_forward_is_equivariant_under_batch_permutation():
+    # bitwise: every op treats batch rows independently, in the same order
+    rng = np.random.default_rng(5)
+    model = MoEDiT(ModelConfig())
+    randomise_modulation(model, rng)
+    prompts = ["red cat under the old tree", "a quiet river", "blue boat"]
+    z, t = rng.standard_normal((3, 4, 8, 8)), rng.uniform(0.0, 1.0, 3)
+    perm = [2, 0, 1]
+    with nt.no_grad():
+        vel = model.forward(Tensor(z, dtype=np.float64), t,
+                            model.precompute_text_kv(prompts), StageId.S256)[0]
+        vel_p = model.forward(Tensor(z[perm], dtype=np.float64), t[perm],
+                              model.precompute_text_kv([prompts[i] for i in perm]),
+                              StageId.S256)[0]
+    assert vel_p.data.tobytes() == vel.data[perm].tobytes()

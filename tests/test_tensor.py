@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from nimg import tensor as nt
+from nimg.backbone import fused_gated_residual
 from nimg.tensor import (NonScalarLoss, ShapeError, Tape, Tensor,
                          UnsupportedOp, backward, grad_check)
 
@@ -195,3 +198,126 @@ def test_no_grad_blocks_recording():
             y = nt.mul(x, 2.0)
     assert tape.nodes == []
     assert not y.requires_grad
+
+
+def test_leaf_grads_of_add_do_not_share_memory():
+    # add hands one upstream array to both operands; leaves must not alias it
+    a = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+    b = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+    with Tape() as tape:
+        loss = nt.sum(nt.add(a, b))
+    backward(tape, loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad[0, 0] = 7.0
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
+def test_intermediate_fan_in_through_aliasing_pullbacks():
+    rng = np.random.default_rng(7)
+    g = Tensor(rng.normal(size=(2, 4)), dtype=np.float64)
+    r = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+    w = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+
+    def fn(p):
+        q = nt.mul(p, w)
+        y = nt.tanh(p)  # three consumers; each pullback hands y an alias of its g
+        flat = nt.reshape(y, (6, 4))
+        gated = fused_gated_residual(y, g, r)
+        doubled = nt.add(y, y)
+        # doubled and q receive one shared array, which q's pullback reads
+        # only after y's contributions have been summed
+        s = nt.add(nt.add(doubled, q), nt.reshape(nt.mul(flat, flat), (2, 3, 4)))
+        return nt.sum(nt.mul(s, gated))
+
+    for seed in range(5):
+        p = Tensor(np.random.default_rng(seed).normal(size=(2, 3, 4)))
+        rep = grad_check(fn, p, h=1e-5)
+        assert rep.max_rel_err <= 1e-6, (seed, rep.max_rel_err)
+
+
+SCATTER_INDICES = {
+    "random_with_duplicates": np.random.default_rng(8).integers(0, 5, 40),
+    "all_same": np.full(12, 3),
+    "empty": np.zeros(0, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("kind", SCATTER_INDICES)
+def test_scatter_add_rows_and_gather_pullback_match_add_at(kind):
+    idx = SCATTER_INDICES[kind]
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(idx.size, 3))
+    ref = np.zeros((5, 3))
+    np.add.at(ref, idx, rows)
+
+    out = nt.scatter_add_rows(Tensor(rows, dtype=np.float64), idx, 5)
+    assert out.data.tobytes() == ref.tobytes()
+
+    src = Tensor(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
+    with Tape() as tape:
+        nt.gather_rows(src, idx)
+    (pulled,) = tape.nodes[-1].bwd(rows)
+    assert pulled.tobytes() == ref.tobytes()
+
+
+def test_grads_mark_exactly_the_nodes_whose_pullback_ran():
+    # a layer tracer counts the nodes backward visited by out.grad is not None
+    x = Tensor(np.random.default_rng(10).normal(size=(4, 3)), requires_grad=True,
+               dtype=np.float64)
+    with Tape() as tape:
+        lo, hi = nt.split(x, 2, axis=0)
+        nt.exp(hi)  # recorded but never reaches the loss
+        y = nt.add(nt.reshape(lo, (3, 2)), 1.0)
+        loss = nt.sum(nt.mul(y, y))
+    ran = set()
+
+    def counted(node, bwd):
+        def wrapped(*grads):
+            ran.add(id(node))
+            return bwd(*grads)
+        return wrapped
+
+    for node in tape.nodes:
+        node.bwd = counted(node, node.bwd)
+    backward(tape, loss)
+    carry = {id(n) for n in tape.nodes if any(o.grad is not None for o in n.outputs)}
+    assert carry == ran
+    assert len(ran) == len(tape.nodes) - 1
+
+
+def test_tape_state_is_per_thread():
+    barrier = threading.Barrier(2, timeout=10)
+    tapes, errors = {}, []
+
+    def worker(name, in_no_grad):
+        try:
+            x = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
+            with Tape() as tape:
+                barrier.wait()  # both tapes are active from here on
+                if in_no_grad:
+                    with nt.no_grad():
+                        barrier.wait()
+                        nt.mul(x, 2.0)
+                        barrier.wait()
+                else:
+                    barrier.wait()  # the other thread is inside no_grad now
+                    nt.mul(x, 3.0)
+                    barrier.wait()
+                nt.add(x, 1.0)
+            tapes[name] = (tape, x)
+        except Exception as e:  # surfaced below; a thread cannot fail the test
+            errors.append(e)
+
+    threads = [threading.Thread(target=worker, args=(n, n == "quiet"))
+               for n in ("quiet", "loud")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert nt.active_tape() is None
+    for name, ops in (("quiet", ["add"]), ("loud", ["mul", "add"])):
+        tape, x = tapes[name]
+        assert [n.op for n in tape.nodes] == ops
+        assert all(n.inputs[0] is x for n in tape.nodes)
