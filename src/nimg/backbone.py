@@ -30,46 +30,37 @@ from .tensor import DomainError, ShapeError, Tensor
 # fused modulation kernels (one tape node each)
 
 
-def _expand_mod(m: np.ndarray, like_shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
-    if m.shape == like_shape:
-        return m, False
-    if len(like_shape) == 3 and m.shape == (like_shape[0], like_shape[2]):
-        return m[:, None, :], True
-    raise ShapeError(f"modulation shape {m.shape} does not broadcast over "
-                     f"{like_shape}")
+def _expand_mod(m: np.ndarray, like_shape: tuple[int, ...]) -> np.ndarray:
+    """(B, d) modulation as (B, 1, d), broadcast over the tokens of (B, S, d)."""
+    if len(like_shape) != 3 or m.shape != (like_shape[0], like_shape[2]):
+        raise ShapeError(f"modulation shape {m.shape} is not (B, d) for "
+                         f"activations {like_shape}")
+    return m[:, None, :]
 
 
 def fused_gated_residual(x: Tensor, g: Tensor, r: Tensor) -> Tensor:
-    """x + tanh(g) * r in one pass; g is (B, d) broadcast over tokens or
-    shaped like x. tanh(0) = 0 gates the branch fully off."""
+    """x + tanh(g) * r in one pass; g is (B, d) broadcast over tokens.
+    tanh(0) = 0 gates the branch fully off."""
     if r.shape != x.shape:
         raise ShapeError(f"residual shape {r.shape} != {x.shape}")
-    gd, expanded = _expand_mod(g.data.astype(np.float64, copy=False), x.shape)
-    th = np.tanh(gd)
-    xd = x.data.astype(np.float64, copy=False)
-    rd = r.data.astype(np.float64, copy=False)
-    out = (xd + th * rd).astype(nt._result_dtype(x, g, r), copy=False)
+    th = np.tanh(_expand_mod(g.data, x.shape))
+    rd = r.data
+    out = x.data + th * rd
 
     def bwd(G):
-        dg = G * rd * (1.0 - th * th)
-        if expanded:
-            dg = dg.sum(axis=1)
-        return G, dg, G * th
+        return G, (G * rd * (1.0 - th * th)).sum(axis=1), G * th
 
     return nt.record("fused_gated_residual", (x, g, r), (out,), bwd)[0]
 
 
 def fused_ln_scale(x: Tensor, s: Tensor, eps: float = 1e-6) -> Tensor:
     """LayerNorm(x) * (1 + s) in one pass; s = 0 reduces to plain LayerNorm."""
-    sd, expanded = _expand_mod(s.data.astype(np.float64, copy=False), x.shape)
-    xhat, inv = nt._ln_stats(x.data.astype(np.float64, copy=False), eps)
-    out = (xhat * (1.0 + sd)).astype(nt._result_dtype(x, s), copy=False)
+    sd = _expand_mod(s.data, x.shape)
+    xhat, inv = nt._ln_stats(x.data, eps)
+    out = xhat * (1.0 + sd)
 
     def bwd(G):
-        ds = G * xhat
-        if expanded:
-            ds = ds.sum(axis=1)
-        return nt._ln_bwd(xhat, inv, G * (1.0 + sd)), ds
+        return nt._ln_bwd(xhat, inv, G * (1.0 + sd)), (G * xhat).sum(axis=1)
 
     return nt.record("fused_ln_scale", (x, s), (out,), bwd)[0]
 
@@ -83,28 +74,19 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor, s: Tensor,
     """
     if r.shape != x.shape:
         raise ShapeError(f"residual shape {r.shape} != {x.shape}")
-    gd, g_exp = _expand_mod(g.data.astype(np.float64, copy=False), x.shape)
-    sd, s_exp = _expand_mod(s.data.astype(np.float64, copy=False), x.shape)
-    th = np.tanh(gd)
-    xd = x.data.astype(np.float64, copy=False)
-    rd = r.data.astype(np.float64, copy=False)
-    h = xd + th * rd
+    th = np.tanh(_expand_mod(g.data, x.shape))
+    sd = _expand_mod(s.data, x.shape)
+    rd = r.data
+    h = x.data + th * rd
     xhat, inv = nt._ln_stats(h, eps)
     m = xhat * (1.0 + sd)
-    dtype = nt._result_dtype(x, g, r, s)
 
     def bwd(Gh, Gm):
-        ds = Gm * xhat
-        if s_exp:
-            ds = ds.sum(axis=1)
         dh = Gh + nt._ln_bwd(xhat, inv, Gm * (1.0 + sd))
-        dg = dh * rd * (1.0 - th * th)
-        if g_exp:
-            dg = dg.sum(axis=1)
-        return dh, dg, dh * th, ds
+        dg = (dh * rd * (1.0 - th * th)).sum(axis=1)
+        return dh, dg, dh * th, (Gm * xhat).sum(axis=1)
 
-    return nt.record("fused_gate_res_ln_scale", (x, g, r, s),
-                     (h.astype(dtype, copy=False), m.astype(dtype, copy=False)), bwd)
+    return nt.record("fused_gate_res_ln_scale", (x, g, r, s), (h, m), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +125,8 @@ def rope_apply_grid(x: Tensor, pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
     """Apply per-token rotary angles to (B, S, H, d_h) head vectors."""
     B, S, H, d_h = x.shape
     cos, sin = _rope_tables(pos_h, pos_w, d_h)          # (S, d_h)
-    c = nt.broadcast_to(Tensor(cos[None, :, None, :], dtype=x.dtype), x.shape)
-    s = nt.broadcast_to(Tensor(sin[None, :, None, :], dtype=x.dtype), x.shape)
+    c = nt.broadcast_to(Tensor(cos[None, :, None, :]), x.shape)
+    s = nt.broadcast_to(Tensor(sin[None, :, None, :]), x.shape)
     return nt.add(nt.mul(x, c), nt.mul(rotate_pairs(x), s))
 
 
@@ -194,8 +176,7 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
     if S_t > 0 and text_mask is not None:
         add = np.zeros((B, 1, 1, S_i + S_t))
         add[:, 0, 0, S_i:] = np.where(np.asarray(text_mask, bool), 0.0, -1e30)
-        scores = nt.add(scores, nt.broadcast_to(Tensor(add, dtype=scores.dtype),
-                                                scores.shape))
+        scores = nt.add(scores, nt.broadcast_to(Tensor(add), scores.shape))
     attn = nt.softmax(scores, axis=-1)
     out = nt.matmul(attn, nt.transpose(v_all, (0, 2, 1, 3)))  # (B, H_q, S_i, d_h)
     out = nt.transpose(out, (0, 2, 1, 3))
@@ -222,20 +203,19 @@ def sinusoidal_features(t: Tensor, dim: int) -> Tensor:
     freqs = np.exp(np.linspace(0.0, math.log(10000.0), half))
     tcol = nt.reshape(t, (t.size, 1))
     args = nt.mul(nt.broadcast_to(tcol, (t.size, half)),
-                  nt.broadcast_to(Tensor(freqs[None, :], dtype=t.dtype),
-                                  (t.size, half)))
+                  nt.broadcast_to(Tensor(freqs[None, :]), (t.size, half)))
     return nt.concat([nt.sin(args), nt.cos(args)], axis=-1)
 
 
 class TimestepEmbed:
     """Sinusoidal features through a two-layer SiLU MLP."""
 
-    def __init__(self, d_model: int, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, d_model: int, rng: np.random.Generator):
         self.d_model = d_model
-        self.w1 = Tensor(trunc_normal(rng, (d_model, d_model)), requires_grad=True, dtype=dtype)
-        self.b1 = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
-        self.w2 = Tensor(trunc_normal(rng, (d_model, d_model)), requires_grad=True, dtype=dtype)
-        self.b2 = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
+        self.w1 = Tensor(trunc_normal(rng, (d_model, d_model)), requires_grad=True)
+        self.b1 = Tensor(np.zeros(d_model), requires_grad=True)
+        self.w2 = Tensor(trunc_normal(rng, (d_model, d_model)), requires_grad=True)
+        self.b2 = Tensor(np.zeros(d_model), requires_grad=True)
 
     def __call__(self, t) -> Tensor:
         feats = sinusoidal_features(t, self.d_model)          # (B, d)
@@ -281,7 +261,6 @@ class TextContext:
     v_txt: list[Tensor]
     mask: np.ndarray             # (B, S_t) validity for padded positions
     s_t: int
-    prompts: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +295,6 @@ class ModelConfig:
     gate_eps: float = 1e-6
     capacity_override: float | None = None
     seed: int = 0
-    dtype: str = "float64"
 
     def __post_init__(self):
         if self.n_q_heads % self.n_kv_heads != 0:
@@ -330,17 +308,13 @@ class ModelConfig:
         if self.dense_hidden is None:
             self.dense_hidden = self.d_model
 
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
-
 
 class Block:
     def __init__(self, cfg: ModelConfig, layer: int, rng: np.random.Generator):
-        d, dt = cfg.d_model, cfg.np_dtype
+        d = cfg.d_model
         kv_dim = cfg.n_kv_heads * cfg.head_dim
         p = lambda shape, std=0.02: Tensor(trunc_normal(rng, shape, std),
-                                           requires_grad=True, dtype=dt)
+                                           requires_grad=True)
         self.layer = layer
         self.cfg = cfg
         self.wq = p((d, d))
@@ -350,8 +324,8 @@ class Block:
         self.wk_txt = p((d, kv_dim))
         self.wv_txt = p((d, kv_dim))
         # (sa_shift, sa_scale, sa_gate, ff_scale, ff_gate) from t_emb
-        self.mod_w = Tensor(np.zeros((d, 5 * d)), requires_grad=True, dtype=dt)
-        self.mod_b = Tensor(np.zeros(5 * d), requires_grad=True, dtype=dt)
+        self.mod_w = Tensor(np.zeros((d, 5 * d)), requires_grad=True)
+        self.mod_b = Tensor(np.zeros(5 * d), requires_grad=True)
         self.dense = layer < cfg.dense_layers
         if self.dense:
             h = cfg.dense_hidden
@@ -398,16 +372,16 @@ class MoEDiT:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        d, dt = cfg.d_model, cfg.np_dtype
+        d = cfg.d_model
         in_dim = cfg.latent_channels * cfg.patch * cfg.patch
-        self.patch_w = Tensor(trunc_normal(rng, (in_dim, d)), requires_grad=True, dtype=dt)
-        self.patch_b = Tensor(np.zeros(d), requires_grad=True, dtype=dt)
-        self.time_embed = TimestepEmbed(d, rng, dtype=dt)
+        self.patch_w = Tensor(trunc_normal(rng, (in_dim, d)), requires_grad=True)
+        self.patch_b = Tensor(np.zeros(d), requires_grad=True)
+        self.time_embed = TimestepEmbed(d, rng)
         self.blocks = [Block(cfg, i, rng) for i in range(cfg.n_layers)]
-        self.final_mod_w = Tensor(np.zeros((d, 2 * d)), requires_grad=True, dtype=dt)
-        self.final_mod_b = Tensor(np.zeros(2 * d), requires_grad=True, dtype=dt)
-        self.final_proj_w = Tensor(trunc_normal(rng, (d, in_dim)), requires_grad=True, dtype=dt)
-        self.final_proj_b = Tensor(np.zeros(in_dim), requires_grad=True, dtype=dt)
+        self.final_mod_w = Tensor(np.zeros((d, 2 * d)), requires_grad=True)
+        self.final_mod_b = Tensor(np.zeros(2 * d), requires_grad=True)
+        self.final_proj_w = Tensor(trunc_normal(rng, (d, in_dim)), requires_grad=True)
+        self.final_proj_b = Tensor(np.zeros(in_dim), requires_grad=True)
         self._text_kv_recomputes = 0
 
     # -- parameters -------------------------------------------------------
@@ -444,9 +418,8 @@ class MoEDiT:
             mask[b, :e.shape[0]] = True
             cmat[b, :e.shape[0]] = e
         if s_t == 0:
-            return TextContext(k_txt=[], v_txt=[], mask=mask, s_t=0,
-                               prompts=tuple(prompts))
-        c = Tensor(cmat, dtype=cfg.np_dtype)
+            return TextContext(k_txt=[], v_txt=[], mask=mask, s_t=0)
+        c = Tensor(cmat)
         ks, vs = [], []
         pos_w = np.arange(s_t)
         pos_h = np.zeros(s_t)
@@ -458,8 +431,7 @@ class MoEDiT:
                            (B, s_t, cfg.n_kv_heads, cfg.head_dim))
             ks.append(k)
             vs.append(v)
-        return TextContext(k_txt=ks, v_txt=vs, mask=mask, s_t=s_t,
-                           prompts=tuple(prompts))
+        return TextContext(k_txt=ks, v_txt=vs, mask=mask, s_t=s_t)
 
     # -- forward ----------------------------------------------------------
 
@@ -503,8 +475,11 @@ class MoEDiT:
         x = nt.add(nt.matmul(tokens, self.patch_w),
                    nt.broadcast_to(nt.reshape(self.patch_b, (1, 1, -1)),
                                    (B, gh * gw, cfg.d_model)))
-        t_arr = np.full(B, float(t)) if np.isscalar(t) else np.asarray(t, dtype=np.float64)
-        t_vec = self.time_embed(Tensor(t_arr, dtype=cfg.np_dtype))
+        t_arr = np.asarray(t)
+        if t_arr.shape not in ((), (B,)):
+            raise ShapeError(f"timestep t has shape {t_arr.shape}; expected () "
+                             f"or ({B},) for a batch of {B}")
+        t_vec = self.time_embed(Tensor(np.broadcast_to(t_arr, (B,))))
         pos_h = np.repeat(np.arange(gh), gw)
         pos_w = np.tile(np.arange(gw), gh)
 

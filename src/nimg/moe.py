@@ -22,13 +22,12 @@ from .tensor import ShapeError, Tensor
 
 def swiglu_arrays(x: np.ndarray, w1: np.ndarray, w3: np.ndarray,
                   w2: np.ndarray) -> np.ndarray:
-    """Gated-linear forward in float64 on raw 2-D arrays; the per-expert
-    reference the tests compare the taped op against."""
-    x = x.astype(np.float64, copy=False)
-    h1 = x @ w1.astype(np.float64, copy=False).T
-    h3 = x @ w3.astype(np.float64, copy=False).T
+    """Gated-linear forward on raw 2-D arrays; the per-expert reference the
+    tests compare the taped op against."""
+    h1 = x @ w1.T
+    h3 = x @ w3.T
     s = 1.0 / (1.0 + np.exp(-h1))
-    return (h1 * s * h3) @ w2.astype(np.float64, copy=False).T
+    return (h1 * s * h3) @ w2.T
 
 
 def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
@@ -47,16 +46,13 @@ def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
         raise ShapeError(f"swiglu weight shapes w1={w1.shape} w3={w3.shape} "
                          f"w2={w2.shape} inconsistent with x={x.shape}")
     T = lambda a: np.swapaxes(a, -1, -2)
-    xd = x.data.astype(np.float64, copy=False)
-    w1d = w1.data.astype(np.float64, copy=False)
-    w3d = w3.data.astype(np.float64, copy=False)
-    w2d = w2.data.astype(np.float64, copy=False)
+    xd, w1d, w3d, w2d = x.data, w1.data, w3.data, w2.data
     h1 = xd @ T(w1d)
     h3 = xd @ T(w3d)
     sig = 1.0 / (1.0 + np.exp(-h1))
     act = h1 * sig
     pre = act * h3
-    out = (pre @ T(w2d)).astype(nt._result_dtype(x, w1, w3, w2), copy=False)
+    out = pre @ T(w2d)
 
     def bwd(g):
         gpre = g @ w2d

@@ -122,7 +122,7 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, cfg: RouterConfig):
     scores = nt.softmax(logits, axis=-1)
 
     # Selection is index arithmetic off-tape; gate values flow on-tape.
-    affinity_np = scores.data.astype(np.float64).transpose(0, 2, 1)  # (B, E, S)
+    affinity_np = scores.data.transpose(0, 2, 1)                     # (B, E, S)
     top = _topk_rows(affinity_np, capacity)                           # (B, E, cap)
 
     # Flat dispatch order is expert-major (e, b, slot) so expert segments
@@ -141,13 +141,12 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, cfg: RouterConfig):
     gates = nt.mul(nt.div(gate_raw, nt.add(tot_per_slot, cfg.gate_eps)),
                    cfg.gate_scale)                                    # (E*B*cap,)
 
-    gates_np = gates.data.astype(np.float64).reshape(E, B, capacity)
+    gates_np = gates.data.reshape(E, B, capacity)
     aff_sel = np.take_along_axis(affinity_np, top, axis=-1)
-    logits_np = logits.data.astype(np.float64)
     decisions = [RouterDecision(top_indices=top[b].copy(),
                                 affinity=aff_sel[b].copy(),
                                 gates=gates_np[:, b, :].copy(),
-                                logits=logits_np[b].copy(),
+                                logits=logits.data[b].copy(),
                                 capacity=capacity)
                  for b in range(B)]
 

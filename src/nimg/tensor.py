@@ -1,11 +1,9 @@
 """Dense tensors with taped reverse-mode differentiation.
 
-Storage defaults to float32 with float64 accumulation inside every op;
-setting NIMG_VERIFY=1 (or calling set_default_dtype(np.float64)) switches
-storage to float64 end to end. Gradients are always float64. Elementwise
-ops require equal shapes or a scalar operand; any other broadcast must go
-through an explicit broadcast_to, which keeps reference comparisons
-unambiguous.
+Storage is float64, and so is every op and gradient; input data of any
+other numeric dtype is converted on construction. Elementwise ops require
+equal shapes or a scalar operand; any other broadcast must go through an
+explicit broadcast_to, which keeps reference comparisons unambiguous.
 
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
@@ -20,7 +18,6 @@ returns a view).
 from __future__ import annotations
 
 import contextvars
-import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +28,7 @@ class ShapeError(ValueError):
 
 
 class UnsupportedOp(ValueError):
-    """Unsupported storage dtype."""
+    """Storage dtype other than float64 requested."""
 
 
 class NonScalarLoss(ValueError):
@@ -46,30 +43,16 @@ class EvalError(RuntimeError):
     """A checked function produced a non-finite value."""
 
 
-_DEFAULT_DTYPE = np.float64 if os.environ.get("NIMG_VERIFY") == "1" else np.float32
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise UnsupportedOp(f"unsupported storage dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 class Tensor:
     """Immutable-after-forward dense array, optionally tracked on a tape."""
 
     __slots__ = ("data", "requires_grad", "grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str = ""):
-        if dtype is None:
-            dtype = _DEFAULT_DTYPE
-        self.data = np.ascontiguousarray(np.asarray(data), dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float64,
+                 name: str = ""):
+        if np.dtype(dtype) != np.float64:
+            raise UnsupportedOp(f"unsupported storage dtype {np.dtype(dtype)}")
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
@@ -90,19 +73,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         if self.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -189,11 +163,8 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else _DEFAULT_DTYPE
-    return Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def record(op: str, inputs: Sequence[Tensor], out_arrays: Sequence[np.ndarray],
@@ -210,18 +181,10 @@ def record(op: str, inputs: Sequence[Tensor], out_arrays: Sequence[np.ndarray],
     """
     tape = active_tape()
     track = _GRAD_ENABLED.get() and tape is not None and any(t.requires_grad for t in inputs)
-    outs = tuple(Tensor(a, requires_grad=track, dtype=a.dtype) for a in out_arrays)
+    outs = tuple(Tensor(a, requires_grad=track) for a in out_arrays)
     if track:
         tape.nodes.append(Node(op, tuple(inputs), outs, bwd))
     return outs
-
-
-def _result_dtype(*tensors: Tensor):
-    return np.result_type(*(t.data.dtype for t in tensors)).type
-
-
-def _f64(t: Tensor) -> np.ndarray:
-    return t.data.astype(np.float64, copy=False)
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -249,39 +212,35 @@ def _ew_shapes(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
+    a, b = as_tensor(a), as_tensor(b)
     _ew_shapes(a, b, "add")
-    out = (_f64(a) + _f64(b)).astype(_result_dtype(a, b), copy=False)
+    out = a.data + b.data
     return record("add", (a, b), (out,),
                   lambda g: (_sum_to(g, a.shape), _sum_to(g, b.shape)))[0]
 
 
 def sub(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
+    a, b = as_tensor(a), as_tensor(b)
     _ew_shapes(a, b, "sub")
-    out = (_f64(a) - _f64(b)).astype(_result_dtype(a, b), copy=False)
+    out = a.data - b.data
     return record("sub", (a, b), (out,),
                   lambda g: (_sum_to(g, a.shape), _sum_to(-g, b.shape)))[0]
 
 
 def mul(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
+    a, b = as_tensor(a), as_tensor(b)
     _ew_shapes(a, b, "mul")
-    da, db = _f64(a), _f64(b)
-    out = (da * db).astype(_result_dtype(a, b), copy=False)
+    da, db = a.data, b.data
+    out = da * db
     return record("mul", (a, b), (out,),
                   lambda g: (_sum_to(g * db, a.shape), _sum_to(g * da, b.shape)))[0]
 
 
 def div(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
+    a, b = as_tensor(a), as_tensor(b)
     _ew_shapes(a, b, "div")
-    da, db = _f64(a), _f64(b)
-    out = (da / db).astype(_result_dtype(a, b), copy=False)
+    da, db = a.data, b.data
+    out = da / db
     return record("div", (a, b), (out,),
                   lambda g: (_sum_to(g / db, a.shape),
                              _sum_to(-g * da / (db * db), b.shape)))[0]
@@ -289,8 +248,7 @@ def div(a, b) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out = (-a.data).astype(a.data.dtype, copy=False)
-    return record("neg", (a,), (out,), lambda g: (-g,))[0]
+    return record("neg", (a,), (-a.data,), lambda g: (-g,))[0]
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -299,8 +257,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul requires rank >= 1 operands")
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else -1]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-    da, db = _f64(a), _f64(b)
-    out = np.matmul(da, db).astype(_result_dtype(a, b), copy=False)
+    da, db = a.data, b.data
+    out = np.matmul(da, db)
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(db, -1, -2)) if b.ndim > 1 else np.multiply.outer(g, db) if a.ndim > 1 else g * db
@@ -347,9 +305,8 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    dtype = _result_dtype(*tensors)
     try:  # numpy reports rank, dim and axis mismatches as ValueError
-        out = np.concatenate([t.data for t in tensors], axis=axis).astype(dtype, copy=False)
+        out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat of {[t.shape for t in tensors]}: {e}") from None
     sizes = [t.shape[axis] for t in tensors]
@@ -425,7 +382,7 @@ def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         raise ShapeError(f"scatter_add_rows index out of range for {n_rows} rows")
     out = _scatter_add(np.zeros((n_rows,) + values.shape[1:], dtype=np.float64),
-                       idx, _f64(values)).astype(values.data.dtype, copy=False)
+                       idx, values.data)
     return record("scatter_add_rows", (values,), (out,),
                   lambda g: (np.ascontiguousarray(g[idx]),))[0]
 
@@ -436,59 +393,39 @@ def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    e = np.exp(_f64(a))
-    out = e.astype(a.data.dtype, copy=False)
-    return record("exp", (a,), (out,), lambda g: (g * e,))[0]
-
-
-def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    da = _f64(a)
-    out = np.log(da).astype(a.data.dtype, copy=False)
-    return record("log", (a,), (out,), lambda g: (g / da,))[0]
-
-
-def sqrt(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    r = np.sqrt(_f64(a))
-    out = r.astype(a.data.dtype, copy=False)
-    return record("sqrt", (a,), (out,), lambda g: (g * 0.5 / r,))[0]
+    e = np.exp(a.data)
+    return record("exp", (a,), (e,), lambda g: (g * e,))[0]
 
 
 def sin(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    da = _f64(a)
-    out = np.sin(da).astype(a.data.dtype, copy=False)
-    return record("sin", (a,), (out,), lambda g: (g * np.cos(da),))[0]
+    da = a.data
+    return record("sin", (a,), (np.sin(da),), lambda g: (g * np.cos(da),))[0]
 
 
 def cos(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    da = _f64(a)
-    out = np.cos(da).astype(a.data.dtype, copy=False)
-    return record("cos", (a,), (out,), lambda g: (-g * np.sin(da),))[0]
+    da = a.data
+    return record("cos", (a,), (np.cos(da),), lambda g: (-g * np.sin(da),))[0]
 
 
 def tanh(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    th = np.tanh(_f64(a))
-    out = th.astype(a.data.dtype, copy=False)
-    return record("tanh", (a,), (out,), lambda g: (g * (1.0 - th * th),))[0]
+    th = np.tanh(a.data)
+    return record("tanh", (a,), (th,), lambda g: (g * (1.0 - th * th),))[0]
 
 
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-_f64(a)))
-    out = s.astype(a.data.dtype, copy=False)
-    return record("sigmoid", (a,), (out,), lambda g: (g * s * (1.0 - s),))[0]
+    s = 1.0 / (1.0 + np.exp(-a.data))
+    return record("sigmoid", (a,), (s,), lambda g: (g * s * (1.0 - s),))[0]
 
 
 def silu(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    da = _f64(a)
+    da = a.data
     s = 1.0 / (1.0 + np.exp(-da))
-    out = (da * s).astype(a.data.dtype, copy=False)
-    return record("silu", (a,), (out,),
+    return record("silu", (a,), (da * s,),
                   lambda g: (g * s * (1.0 + da * (1.0 - s)),))[0]
 
 
@@ -498,8 +435,7 @@ def silu(a: Tensor) -> Tensor:
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = as_tensor(a)
-    out = _f64(a).sum(axis=axis, keepdims=keepdims).astype(a.data.dtype, copy=False)
-    out = np.asarray(out)
+    out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bwd(g):
         if axis is None:
@@ -518,28 +454,27 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    da = _f64(a)
+    da = a.data
     m = da.max(axis=axis, keepdims=True)
     e = np.exp(da - m)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = s.astype(a.data.dtype, copy=False)
 
     def bwd(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return (s * (g - dot),)
 
-    return record("softmax", (a,), (out,), bwd)[0]
+    return record("softmax", (a,), (s,), bwd)[0]
 
 
 def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    da = _f64(a)
+    da = a.data
     m = da.max(axis=axis, keepdims=True)
     e = np.exp(da - m)
     se = e.sum(axis=axis, keepdims=True)
     lse = m + np.log(se)
     soft = e / se
-    out = (lse if keepdims else np.squeeze(lse, axis=axis)).astype(a.data.dtype, copy=False)
+    out = lse if keepdims else np.squeeze(lse, axis=axis)
 
     def bwd(g):
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -567,18 +502,17 @@ def _ln_bwd(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
 def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
     """LayerNorm over the last axis, no affine parameters."""
     a = as_tensor(a)
-    xhat, inv = _ln_stats(_f64(a), eps)
-    out = xhat.astype(a.data.dtype, copy=False)
-    return record("layernorm", (a,), (out,), lambda g: (_ln_bwd(xhat, inv, g),))[0]
+    xhat, inv = _ln_stats(a.data, eps)
+    return record("layernorm", (a,), (xhat,), lambda g: (_ln_bwd(xhat, inv, g),))[0]
 
 
 def rmsnorm(a: Tensor, eps: float = 1e-6) -> Tensor:
     """RMS normalization over the last axis, no affine parameters."""
     a = as_tensor(a)
-    da = _f64(a)
+    da = a.data
     ms = (da * da).mean(axis=-1, keepdims=True) + eps
     inv = 1.0 / np.sqrt(ms)
-    out = (da * inv).astype(a.data.dtype, copy=False)
+    out = da * inv
     n = a.shape[-1]
 
     def bwd(g):
@@ -613,7 +547,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate dLoss/dT into .grad of every requires_grad tensor T reached.
 
     Nodes are visited in exact reverse insertion order. Calling twice
-    without zero_grad accumulates.
+    without resetting .grad accumulates.
 
     Nothing is copied on the way: a tensor's first gradient contribution is
     kept as the pullback returned it, which may alias another tensor's
@@ -653,7 +587,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 grads[key] = grads[key] + g
                 owned.add(key)
             else:
-                grads[key] = np.asarray(g, dtype=np.float64)
+                grads[key] = np.asarray(g)
                 owners[key] = t
     produced = {id(o) for node in tape.nodes for o in node.outputs}
     for key, t in owners.items():
@@ -695,11 +629,11 @@ def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
     """
     if h <= 0:
         raise DomainError("h must be positive")
-    base = point.data.astype(np.float64).copy()
+    base = point.data.copy()
 
     def eval_at(arr: np.ndarray) -> float:
         with no_grad():
-            v = fn(Tensor(arr, dtype=np.float64))
+            v = fn(Tensor(arr))
         if v.size != 1:
             raise NonScalarLoss("grad_check fn must be scalar-valued")
         val = float(v.data.reshape(()))
@@ -707,7 +641,7 @@ def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
             raise EvalError("fn evaluated to a non-finite value")
         return val
 
-    p = Tensor(base.copy(), requires_grad=True, dtype=np.float64)
+    p = Tensor(base.copy(), requires_grad=True)
     with Tape() as tape:
         out = fn(p)
     if out.size != 1:

@@ -52,8 +52,23 @@ def test_shape_errors():
         nt.concat([a, a], axis=2)
     with pytest.raises(ShapeError):
         nt.split(a, 2, axis=1)
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):  # modulation must be (B, d)
+        fused_gated_residual(x, x, x)
     with pytest.raises(UnsupportedOp):
-        nt.set_default_dtype(np.int32)
+        Tensor(np.zeros(2), dtype=np.float32)
+
+
+def test_inputs_are_stored_as_float64():
+    for data in (np.ones(3, dtype=np.float32), np.arange(3), [1, 2, 3], 2):
+        assert Tensor(data).dtype == np.float64
+    np.testing.assert_array_equal(Tensor(np.float32([0.1, -2.5])).data,
+                                  np.float32([0.1, -2.5]).astype(np.float64))
+    x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        loss = nt.sum(nt.matmul(x, x))
+    backward(tape, loss)
+    assert x.grad.dtype == np.float64
 
 
 def test_backward_sum_gives_ones():
@@ -95,8 +110,13 @@ def test_grad_check_constant():
     assert np.max(np.abs(rep.numeric)) <= 1e-8
 
 
+def mean_last_axis(t):
+    return nt.mean(t, axis=-1)
+
+
 UNARY_OPS = [nt.exp, nt.tanh, nt.sigmoid, nt.silu, nt.softmax, nt.layernorm,
-             nt.rmsnorm, lambda t: nt.logsumexp(t, axis=-1)]
+             nt.rmsnorm, lambda t: nt.logsumexp(t, axis=-1), nt.sin, nt.cos,
+             nt.neg, mean_last_axis]
 
 
 def fd_ok(rep, rtol, atol=1e-9):
@@ -176,19 +196,6 @@ def test_add_auxiliary_value_and_gradient():
     backward(tape, out)
     np.testing.assert_allclose(x.grad, [1.0, 1.0])
     np.testing.assert_allclose(aux_src.grad, [3.0])  # d(0.5*a^2)/da
-
-
-def test_float32_storage_float64_grad():
-    nt.set_default_dtype(np.float32)
-    try:
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        assert x.data.dtype == np.float32
-        with Tape() as tape:
-            loss = nt.sum(nt.matmul(x, x))
-        backward(tape, loss)
-        assert x.grad.dtype == np.float64
-    finally:
-        nt.set_default_dtype(np.float32)
 
 
 def test_no_grad_blocks_recording():
