@@ -123,25 +123,14 @@ def rotate_pairs(t: Tensor) -> Tensor:
 
 def rope_apply_grid(x: Tensor, pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
     """Apply per-token rotary angles to (B, S, H, d_h) head vectors."""
-    B, S, H, d_h = x.shape
-    cos, sin = _rope_tables(pos_h, pos_w, d_h)          # (S, d_h)
-    c = nt.broadcast_to(Tensor(cos[None, :, None, :]), x.shape)
-    s = nt.broadcast_to(Tensor(sin[None, :, None, :]), x.shape)
+    cos, sin = _rope_tables(pos_h, pos_w, x.shape[3])   # (S, d_h)
+    # (S, 1, d_h): one table for every sample and head
+    c, s = Tensor(cos[:, None, :]), Tensor(sin[:, None, :])
     return nt.add(nt.mul(x, c), nt.mul(rotate_pairs(x), s))
 
 
 # ---------------------------------------------------------------------------
 # attention
-
-
-def repeat_kv_heads(t: Tensor, n_rep: int) -> Tensor:
-    """(B, S, H_kv, d_h) -> (B, S, H_kv * n_rep, d_h) by repetition."""
-    if n_rep == 1:
-        return t
-    B, S, H, D = t.shape
-    t = nt.reshape(t, (B, S, H, 1, D))
-    t = nt.broadcast_to(t, (B, S, H, n_rep, D))
-    return nt.reshape(t, (B, S, H * n_rep, D))
 
 
 def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
@@ -153,6 +142,10 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
     (B, S_t, H_kv, d_h); text_mask is a boolean (B, S_t) validity mask.
     Text contributes no queries, so scores are (S_i, S_i + S_t). Returns
     (B, S_i, H_q * d_h).
+
+    Grouped-query attention is a batch broadcast: queries are split into
+    (H_kv, n_rep) head groups and K/V carry a unit group axis, so query head
+    j * n_rep + r reads kv head j without K/V being repeated.
     """
     B, S_i, H_q, d_h = q.shape
     H_kv = k_img.shape[2]
@@ -166,20 +159,19 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
         S_t = k_txt.shape[1]
     else:
         k_all, v_all, S_t = k_img, v_img, 0
+    S_kv = S_i + S_t
 
-    k_all = repeat_kv_heads(k_all, n_rep)
-    v_all = repeat_kv_heads(v_all, n_rep)
-
-    qh = nt.transpose(q, (0, 2, 1, 3))                  # (B, H_q, S_i, d_h)
-    kh = nt.transpose(k_all, (0, 2, 3, 1))              # (B, H_q, d_h, S_kv)
+    qh = nt.transpose(nt.reshape(q, (B, S_i, H_kv, n_rep, d_h)),
+                      (0, 2, 3, 1, 4))                  # (B, H_kv, n_rep, S_i, d_h)
+    kh = nt.reshape(nt.transpose(k_all, (0, 2, 3, 1)), (B, H_kv, 1, d_h, S_kv))
+    vh = nt.reshape(nt.transpose(v_all, (0, 2, 1, 3)), (B, H_kv, 1, S_kv, d_h))
     scores = nt.mul(nt.matmul(qh, kh), 1.0 / math.sqrt(d_h))
     if S_t > 0 and text_mask is not None:
-        add = np.zeros((B, 1, 1, S_i + S_t))
-        add[:, 0, 0, S_i:] = np.where(np.asarray(text_mask, bool), 0.0, -1e30)
-        scores = nt.add(scores, nt.broadcast_to(Tensor(add), scores.shape))
+        bias = np.zeros((B, 1, 1, 1, S_kv))
+        bias[:, 0, 0, 0, S_i:] = np.where(np.asarray(text_mask, bool), 0.0, -1e30)
+        scores = nt.add(scores, Tensor(bias))
     attn = nt.softmax(scores, axis=-1)
-    out = nt.matmul(attn, nt.transpose(v_all, (0, 2, 1, 3)))  # (B, H_q, S_i, d_h)
-    out = nt.transpose(out, (0, 2, 1, 3))
+    out = nt.transpose(nt.matmul(attn, vh), (0, 3, 1, 2, 4))  # (B, S_i, H_kv, n_rep, d_h)
     return nt.reshape(out, (B, S_i, H_q * d_h))
 
 
@@ -201,9 +193,7 @@ def sinusoidal_features(t: Tensor, dim: int) -> Tensor:
     t = nt.as_tensor(t)
     half = dim // 2
     freqs = np.exp(np.linspace(0.0, math.log(10000.0), half))
-    tcol = nt.reshape(t, (t.size, 1))
-    args = nt.mul(nt.broadcast_to(tcol, (t.size, half)),
-                  nt.broadcast_to(Tensor(freqs[None, :]), (t.size, half)))
+    args = nt.mul(nt.reshape(t, (t.size, 1)), Tensor(freqs))   # (B, half)
     return nt.concat([nt.sin(args), nt.cos(args)], axis=-1)
 
 
@@ -219,12 +209,8 @@ class TimestepEmbed:
 
     def __call__(self, t) -> Tensor:
         feats = sinusoidal_features(t, self.d_model)          # (B, d)
-        h = nt.silu(nt.add(nt.matmul(feats, self.w1),
-                           nt.broadcast_to(nt.reshape(self.b1, (1, -1)),
-                                           (feats.shape[0], self.d_model))))
-        return nt.add(nt.matmul(h, self.w2),
-                      nt.broadcast_to(nt.reshape(self.b2, (1, -1)),
-                                      (feats.shape[0], self.d_model)))
+        h = nt.silu(nt.add(nt.matmul(feats, self.w1), self.b1))
+        return nt.add(nt.matmul(h, self.w2), self.b2)
 
     def named_parameters(self, prefix: str):
         return {f"{prefix}.fc1.weight": self.w1, f"{prefix}.fc1.bias": self.b1,
@@ -472,9 +458,7 @@ class MoEDiT:
         cfg = self.cfg
         B = z_t.shape[0]
         tokens, (gh, gw) = self.patchify(z_t)
-        x = nt.add(nt.matmul(tokens, self.patch_w),
-                   nt.broadcast_to(nt.reshape(self.patch_b, (1, 1, -1)),
-                                   (B, gh * gw, cfg.d_model)))
+        x = nt.add(nt.matmul(tokens, self.patch_w), self.patch_b)
         t_arr = np.asarray(t)
         if t_arr.shape not in ((), (B,)):
             raise ShapeError(f"timestep t has shape {t_arr.shape}; expected () "
@@ -485,13 +469,10 @@ class MoEDiT:
 
         aux = {"router_logits": [], "decisions": []}
         for blk in self.blocks:
-            mod = nt.add(nt.matmul(t_vec, blk.mod_w),
-                         nt.broadcast_to(nt.reshape(blk.mod_b, (1, -1)),
-                                         (B, 5 * cfg.d_model)))
+            mod = nt.add(nt.matmul(t_vec, blk.mod_w), blk.mod_b)
             sa_shift, sa_scale, sa_gate, ff_scale, ff_gate = _chunks(mod, 5)
 
-            a_in = nt.add(fused_ln_scale(x, sa_scale),
-                          nt.broadcast_to(nt.reshape(sa_shift, (B, 1, -1)), x.shape))
+            a_in = nt.add(fused_ln_scale(x, sa_scale), nt.reshape(sa_shift, (B, 1, -1)))
             r_attn = self._attention(blk, a_in, ctx, pos_h, pos_w)
 
             if blk.dense:
@@ -503,30 +484,23 @@ class MoEDiT:
                 h = fused_gated_residual(x, sa_gate, r_attn)
                 scale = 1.0 / math.sqrt(blk.layer + 1)
                 x_norm = nt.mul(nt.rmsnorm(h), scale)
-                x_mod = nt.mul(x_norm,
-                               nt.add(nt.broadcast_to(
-                                   nt.reshape(ff_scale, (B, 1, -1)), h.shape), 1.0))
+                x_mod = nt.mul(x_norm, nt.add(nt.reshape(ff_scale, (B, 1, -1)), 1.0))
                 rcfg = RouterConfig(d_model=cfg.d_model, n_experts=cfg.n_experts,
                                     capacity_factor=self.capacity_factor_for(
                                         blk.layer, stage),
                                     gate_scale=cfg.gate_scale,
                                     gate_eps=cfg.gate_eps)
                 moe_out, decisions, routing = moe_forward(
-                    h, x_norm, x_mod, t_vec, rcfg, blk.bank, blk.router_gate,
+                    x_norm, x_mod, t_vec, rcfg, blk.bank, blk.router_gate,
                     return_routing=True)
                 aux["router_logits"].append(routing["logits"])
                 aux["decisions"].append((blk.layer, decisions))
                 x = fused_gated_residual(h, ff_gate, moe_out)
 
-        fmod = nt.add(nt.matmul(t_vec, self.final_mod_w),
-                      nt.broadcast_to(nt.reshape(self.final_mod_b, (1, -1)),
-                                      (B, 2 * cfg.d_model)))
+        fmod = nt.add(nt.matmul(t_vec, self.final_mod_w), self.final_mod_b)
         f_shift, f_scale = _chunks(fmod, 2)
-        y = nt.add(fused_ln_scale(x, f_scale),
-                   nt.broadcast_to(nt.reshape(f_shift, (B, 1, -1)), x.shape))
-        out = nt.add(nt.matmul(y, self.final_proj_w),
-                     nt.broadcast_to(nt.reshape(self.final_proj_b, (1, 1, -1)),
-                                     (B, gh * gw, self.patch_w.shape[0])))
+        y = nt.add(fused_ln_scale(x, f_scale), nt.reshape(f_shift, (B, 1, -1)))
+        out = nt.add(nt.matmul(y, self.final_proj_w), self.final_proj_b)
         vel = self.unpatchify(out, (gh, gw), z_t.shape)
         return vel, aux
 

@@ -95,7 +95,7 @@ def grouped_forward(tokens: Tensor, bank: ExpertBank) -> Tensor:
     return swiglu(tokens, bank.w1, bank.w3, bank.w2)
 
 
-def moe_forward(x: Tensor, x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
+def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
                 cfg: RouterConfig, bank: ExpertBank, w_r: Tensor,
                 return_routing: bool = False):
     """Full sparse layer: route on x_norm + t_emb, compute experts on x_mod.
@@ -103,7 +103,7 @@ def moe_forward(x: Tensor, x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
     Returns (B, S, d); tokens selected by zero experts receive only the
     shared-expert output.
     """
-    B, S, d = x.shape
+    B, S, d = x_mod.shape
     decisions, routing = route_full(x_norm, t_emb, w_r, cfg)
     cap = routing["capacity"]
     token_flat = routing["token_flat"]
@@ -112,9 +112,7 @@ def moe_forward(x: Tensor, x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
     x_mod_flat = nt.reshape(x_mod, (B * S, d))
     gathered = nt.reshape(nt.gather_rows(x_mod_flat, token_flat), (E, B * cap, d))
     expert_out = nt.reshape(grouped_forward(gathered, bank), (E * B * cap, d))
-    gated = nt.mul(expert_out,
-                   nt.broadcast_to(nt.reshape(routing["gates"], (-1, 1)),
-                                   expert_out.shape))
+    gated = nt.mul(expert_out, nt.reshape(routing["gates"], (-1, 1)))
     combined = nt.scatter_add_rows(gated, token_flat, B * S)   # (B*S, d)
     shared = swiglu(x_mod_flat, bank.shared_w1, bank.shared_w3, bank.shared_w2)
     out = nt.reshape(nt.add(combined, shared), (B, S, d))

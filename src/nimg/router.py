@@ -130,8 +130,7 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, cfg: RouterConfig):
     top_eb = top.transpose(1, 0, 2)                                   # (E, B, cap)
     batch_off = (np.arange(B, dtype=np.int64) * S)[None, :, None]
     token_flat = (top_eb + batch_off).reshape(-1)                     # (E*B*cap,)
-    expert_ids = np.broadcast_to(np.arange(E, dtype=np.int64)[:, None, None],
-                                 top_eb.shape).reshape(-1)
+    expert_ids = np.repeat(np.arange(E, dtype=np.int64), B * capacity)
     cell_flat = token_flat * E + expert_ids
     gate_raw = nt.gather_rows(nt.reshape(scores, (B * S * E, 1)), cell_flat)
     gate_raw = nt.reshape(gate_raw, (E * B * capacity,))

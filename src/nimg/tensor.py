@@ -1,9 +1,10 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 Storage is float64, and so is every op and gradient; input data of any
-other numeric dtype is converted on construction. Elementwise ops require
-equal shapes or a scalar operand; any other broadcast must go through an
-explicit broadcast_to, which keeps reference comparisons unambiguous.
+other numeric dtype is converted on construction. The elementwise binary
+ops (add, sub, mul, div) broadcast by numpy's rules and raise ShapeError
+where numpy cannot broadcast; their pullbacks sum each gradient back to its
+operand's shape, so no operand has to be expanded to full size first.
 
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
@@ -201,10 +202,11 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _ew_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not equal "
-                     "and neither operand is scalar")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not "
+                         "broadcast") from None
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +296,11 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
+    """A materialised full-size copy of a broadcast.
+
+    Elementwise ops broadcast without it; use it only where an op needs the
+    copy itself, e.g. before concat.
+    """
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
     try:

@@ -5,7 +5,8 @@ import pytest
 
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gate_res_ln_scale,
-                           fused_gated_residual, fused_ln_scale)
+                           fused_gated_residual, fused_ln_scale,
+                           joint_attention, rope_apply_grid)
 from nimg.router import StageId
 from nimg.tensor import ShapeError, Tape, Tensor, backward, grad_check
 
@@ -183,3 +184,85 @@ def test_fused_modulation_op_matches_composition_and_fd(name):
 
         rep = grad_check(loss, args[i], h=1e-5)
         assert rep.max_rel_err <= 1e-6, (name, i, rep.max_rel_err)
+
+
+def attention_loop(q, k_img, v_img, k_txt=None, v_txt=None, mask=None):
+    """Per (sample, query head) masked softmax attention; head h reads kv
+    head h // n_rep."""
+    B, S_i, H_q, d_h = q.shape
+    n_rep = H_q // k_img.shape[2]
+    k, v = k_img, v_img
+    valid = np.ones((B, S_i), bool)
+    if k_txt is not None:
+        k = np.concatenate([k_img, k_txt], axis=1)
+        v = np.concatenate([v_img, v_txt], axis=1)
+        valid = np.concatenate([valid, mask], axis=1)
+    out = np.zeros((B, S_i, H_q, d_h))
+    for b in range(B):
+        for h in range(H_q):
+            j = h // n_rep
+            s = q[b, :, h] @ k[b, :, j].T / math.sqrt(d_h)
+            s = np.where(valid[b], s, -np.inf)
+            p = np.exp(s - s.max(axis=-1, keepdims=True))
+            out[b, :, h] = (p / p.sum(axis=-1, keepdims=True)) @ v[b, :, j]
+    return out.reshape(B, S_i, H_q * d_h)
+
+
+@pytest.mark.parametrize("with_text", [True, False], ids=["text", "no_text"])
+@pytest.mark.parametrize("n_rep", [1, 2, 4])
+def test_joint_attention_matches_per_head_loop(n_rep, with_text):
+    rng = np.random.default_rng(10)
+    B, S_i, S_t, H_kv, d_h = 2, 5, 3, 2, 4
+    arrays = {"q": rng.standard_normal((B, S_i, H_kv * n_rep, d_h)),
+              "k_img": rng.standard_normal((B, S_i, H_kv, d_h)),
+              "v_img": rng.standard_normal((B, S_i, H_kv, d_h))}
+    if with_text:
+        arrays["k_txt"] = rng.standard_normal((B, S_t, H_kv, d_h))
+        arrays["v_txt"] = rng.standard_normal((B, S_t, H_kv, d_h))
+    mask = np.array([[True, True, True], [True, False, False]])  # sample 1 padded
+    extra = {"text_mask": mask} if with_text else {}
+
+    def attend(**over):
+        ts = {n: over.get(n, Tensor(a)) for n, a in arrays.items()}
+        return joint_attention(**ts, **extra)
+
+    expect = attention_loop(*arrays.values(), mask=mask if with_text else None)
+    np.testing.assert_allclose(attend().data, expect, rtol=1e-12, atol=1e-14)
+    w = Tensor(rng.standard_normal(expect.shape))
+    for name in ("q", "k_img", "v_txt" if with_text else "v_img"):
+        rep = grad_check(lambda p, name=name: nt.sum(nt.mul(attend(**{name: p}), w)),
+                         Tensor(arrays[name]), h=1e-5)
+        assert rep.max_rel_err <= 1e-6, (name, rep.max_rel_err)
+
+
+def test_rope_apply_grid_matches_pair_rotation_loop():
+    rng = np.random.default_rng(11)
+    B, H, d_h = 2, 3, 8
+    pos_h, pos_w = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
+    x = rng.standard_normal((B, pos_h.size, H, d_h))
+    out = rope_apply_grid(Tensor(x), pos_h, pos_w).data
+    quarter = d_h // 4
+    expect = np.empty_like(x)
+    for s in range(pos_h.size):
+        for i in range(d_h // 2):  # pair i is dims (2i, 2i + 1)
+            pos = pos_h[s] if i < quarter else pos_w[s]
+            theta = pos * 10000.0 ** (-(i % quarter) / quarter)
+            c, sn = math.cos(theta), math.sin(theta)
+            x0, x1 = x[:, s, :, 2 * i], x[:, s, :, 2 * i + 1]
+            expect[:, s, :, 2 * i] = c * x0 - sn * x1
+            expect[:, s, :, 2 * i + 1] = sn * x0 + c * x1
+    np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-15)
+    pair_norm = lambda a: np.hypot(a[..., 0::2], a[..., 1::2])
+    np.testing.assert_allclose(pair_norm(out), pair_norm(x), rtol=1e-12)
+
+
+def test_only_the_router_materialises_a_broadcast():
+    rng = np.random.default_rng(12)
+    model = MoEDiT(ModelConfig())
+    with Tape() as tape:
+        velocity(model, latent(rng), rng.uniform(0.0, 1.0, 2))
+    copies = [n for n in tape.nodes if n.op == "broadcast_to"]
+    assert len(copies) == sum(not blk.dense for blk in model.blocks) == 1
+    for node in copies:  # the router's t_full, whose one consumer is a concat
+        t_full = node.outputs[0]
+        assert [m.op for m in tape.nodes if any(i is t_full for i in m.inputs)] == ["concat"]

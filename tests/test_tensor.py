@@ -164,6 +164,29 @@ def test_binary_and_shape_op_gradients():
         assert rep.max_rel_err <= 1e-6, (seed, rep.max_rel_err)
 
 
+ELEMENTWISE_OPS = {"add": (nt.add, np.add), "sub": (nt.sub, np.subtract),
+                   "mul": (nt.mul, np.multiply), "div": (nt.div, np.divide)}
+BROADCAST_PAIRS = [((2, 3, 4), (4,)), ((2, 3, 4), (2, 1, 4)),
+                   ((3, 1), (4,)), ((2, 3, 4), (1,))]
+
+
+@pytest.mark.parametrize("shapes", BROADCAST_PAIRS, ids=str)
+@pytest.mark.parametrize("op", ELEMENTWISE_OPS)
+def test_elementwise_ops_broadcast_like_numpy(op, shapes):
+    taped, ref = ELEMENTWISE_OPS[op]
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=shapes[0])
+    # |b| in [0.5, 2] keeps the divisor away from 0
+    b = rng.uniform(0.5, 2.0, size=shapes[1]) * rng.choice([-1.0, 1.0], size=shapes[1])
+    np.testing.assert_array_equal(taped(Tensor(a), Tensor(b)).data, ref(a, b))
+    w = Tensor(rng.normal(size=np.broadcast_shapes(*shapes)))
+    losses = ((lambda p: nt.sum(nt.mul(taped(p, Tensor(b)), w)), a),
+              (lambda p: nt.sum(nt.mul(taped(Tensor(a), p), w)), b))
+    for operand, (fn, point) in enumerate(losses):
+        rep = grad_check(fn, Tensor(point), h=1e-5)
+        assert rep.max_rel_err <= 1e-6, (operand, rep.max_rel_err)
+
+
 def test_gather_scatter_gradients():
     idx = np.array([0, 2, 2, 1])
 
