@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as nt
 from .moe import ExpertBank, moe_forward, swiglu
-from .router import ConfigError, RouterConfig, StageId, capacity_schedule, DENSE
+from .router import DENSE_LAYERS, ConfigError, StageId, capacity_schedule
 from .tensor import DomainError, ShapeError, Tensor
 
 
@@ -271,15 +271,9 @@ class ModelConfig:
     n_kv_heads: int = 1
     head_dim: int = 8
     n_experts: int = 4
-    expert_hidden: int = 16
-    shared_hidden: int | None = None
-    dense_hidden: int | None = None
-    dense_layers: int = 3
+    expert_hidden: int = 16   # routed and shared experts alike
     latent_channels: int = 4
     patch: int = 2
-    gate_scale: float = 1.0
-    gate_eps: float = 1e-6
-    capacity_override: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -289,10 +283,6 @@ class ModelConfig:
             raise ConfigError("n_q_heads * head_dim must equal d_model")
         if self.head_dim % 4 != 0:
             raise ConfigError("head_dim must be divisible by 4 for 2-axis rope")
-        if self.shared_hidden is None:
-            self.shared_hidden = self.expert_hidden
-        if self.dense_hidden is None:
-            self.dense_hidden = self.d_model
 
 
 class Block:
@@ -312,18 +302,17 @@ class Block:
         # (sa_shift, sa_scale, sa_gate, ff_scale, ff_gate) from t_emb
         self.mod_w = Tensor(np.zeros((d, 5 * d)), requires_grad=True)
         self.mod_b = Tensor(np.zeros(5 * d), requires_grad=True)
-        self.dense = layer < cfg.dense_layers
-        if self.dense:
-            h = cfg.dense_hidden
-            self.ffn_w1 = p((h, d))
-            self.ffn_w3 = p((h, d))
-            self.ffn_w2 = p((d, h))
+        self.dense = layer < DENSE_LAYERS
+        if self.dense:  # hidden width d
+            self.ffn_w1 = p((d, d))
+            self.ffn_w3 = p((d, d))
+            self.ffn_w2 = p((d, d))
         else:
-            E, h, hs = cfg.n_experts, cfg.expert_hidden, cfg.shared_hidden
+            E, h = cfg.n_experts, cfg.expert_hidden
             self.router_gate = p((2 * d, E), std=0.006)
             self.bank = ExpertBank(w1=p((E, h, d)), w3=p((E, h, d)),
-                                   w2=p((E, d, h)), shared_w1=p((hs, d)),
-                                   shared_w3=p((hs, d)), shared_w2=p((d, hs)))
+                                   w2=p((E, d, h)), shared_w1=p((h, d)),
+                                   shared_w3=p((h, d)), shared_w2=p((d, h)))
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.attn.wq": self.wq, f"{prefix}.attn.wk": self.wk,
@@ -440,14 +429,6 @@ class MoEDiT:
         t = nt.transpose(t, (0, 3, 1, 4, 2, 5))
         return nt.reshape(t, (B, C, H, W))
 
-    def capacity_factor_for(self, layer: int, stage: StageId) -> float:
-        if self.cfg.capacity_override is not None:
-            return self.cfg.capacity_override
-        cf = capacity_schedule(max(layer, 3), stage,
-                               n_layers=max(32, self.cfg.n_layers))
-        assert cf is not DENSE
-        return cf
-
     def forward(self, z_t: Tensor, t, ctx: TextContext | None,
                 stage: StageId):
         """Predict the velocity for a noisy latent.
@@ -456,7 +437,13 @@ class MoEDiT:
         logits and the routing decisions of every MoE layer.
         """
         cfg = self.cfg
+        if z_t.ndim != 4 or z_t.shape[1] != cfg.latent_channels:
+            raise ShapeError(f"latent z_t has shape {z_t.shape}; expected "
+                             f"(B, {cfg.latent_channels}, H, W)")
         B = z_t.shape[0]
+        if ctx is not None and ctx.mask.shape[0] != B:
+            raise ShapeError(f"text context ctx holds {ctx.mask.shape[0]} prompts "
+                             f"for a latent batch of {B}")
         tokens, (gh, gw) = self.patchify(z_t)
         x = nt.add(nt.matmul(tokens, self.patch_w), self.patch_b)
         t_arr = np.asarray(t)
@@ -485,13 +472,9 @@ class MoEDiT:
                 scale = 1.0 / math.sqrt(blk.layer + 1)
                 x_norm = nt.mul(nt.rmsnorm(h), scale)
                 x_mod = nt.mul(x_norm, nt.add(nt.reshape(ff_scale, (B, 1, -1)), 1.0))
-                rcfg = RouterConfig(d_model=cfg.d_model, n_experts=cfg.n_experts,
-                                    capacity_factor=self.capacity_factor_for(
-                                        blk.layer, stage),
-                                    gate_scale=cfg.gate_scale,
-                                    gate_eps=cfg.gate_eps)
+                cf = capacity_schedule(blk.layer, stage, n_layers=cfg.n_layers)
                 moe_out, decisions, routing = moe_forward(
-                    x_norm, x_mod, t_vec, rcfg, blk.bank, blk.router_gate,
+                    x_norm, x_mod, t_vec, cf, blk.bank, blk.router_gate,
                     return_routing=True)
                 aux["router_logits"].append(routing["logits"])
                 aux["decisions"].append((blk.layer, decisions))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as nt
-from .router import RouterConfig, route_full
+from .router import route_full
 from .tensor import ShapeError, Tensor
 
 
@@ -96,7 +96,7 @@ def grouped_forward(tokens: Tensor, bank: ExpertBank) -> Tensor:
 
 
 def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
-                cfg: RouterConfig, bank: ExpertBank, w_r: Tensor,
+                capacity_factor: float, bank: ExpertBank, w_r: Tensor,
                 return_routing: bool = False):
     """Full sparse layer: route on x_norm + t_emb, compute experts on x_mod.
 
@@ -104,10 +104,10 @@ def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
     shared-expert output.
     """
     B, S, d = x_mod.shape
-    decisions, routing = route_full(x_norm, t_emb, w_r, cfg)
+    decisions, routing = route_full(x_norm, t_emb, w_r, capacity_factor)
     cap = routing["capacity"]
     token_flat = routing["token_flat"]
-    E = cfg.n_experts
+    E = w_r.shape[1]
 
     x_mod_flat = nt.reshape(x_mod, (B * S, d))
     gathered = nt.reshape(nt.gather_rows(x_mod_flat, token_flat), (E, B * cap, d))

@@ -31,28 +31,10 @@ class StageId(enum.Enum):
 
 #: Sentinel returned by capacity_schedule for layers that run a dense FFN.
 DENSE = "dense"
-
-
-@dataclass
-class RouterConfig:
-    d_model: int
-    n_experts: int
-    capacity_factor: float
-    gate_scale: float = 1.0
-    gate_eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.n_experts < 1:
-            raise ConfigError("n_experts must be >= 1")
-        if self.capacity_factor <= 0:
-            raise ConfigError("capacity_factor must be > 0")
-        if self.gate_eps <= 0:
-            raise ConfigError("gate_eps must be > 0")
-
-    def validate_weight(self, w_r: Tensor) -> None:
-        want = (2 * self.d_model, self.n_experts)
-        if tuple(w_r.shape) != want:
-            raise ConfigError(f"router weight shape {w_r.shape}, expected {want}")
+#: Layers 0 .. DENSE_LAYERS-1 run a dense FFN at every stage.
+DENSE_LAYERS = 3
+#: Added to each token's gate total before normalizing.
+GATE_EPS = 1e-6
 
 
 @dataclass
@@ -61,7 +43,7 @@ class RouterDecision:
 
     top_indices: np.ndarray   # (E, capacity) token positions
     affinity: np.ndarray      # (E, capacity) raw softmax scores
-    gates: np.ndarray         # (E, capacity) normalized * gate_scale
+    gates: np.ndarray         # (E, capacity) normalized
     logits: np.ndarray        # (S, E)
     capacity: int
 
@@ -76,14 +58,14 @@ def capacity_for(S: int, E: int, C: float) -> int:
 def capacity_schedule(layer: int, stage: StageId, n_layers: int = 32):
     """Capacity factor for a layer at a training stage; DENSE for layers 0-2.
 
-    The first three layers run dense FFNs at every stage. Later stages
+    The first DENSE_LAYERS layers run dense FFNs at every stage. Later stages
     sparsify: the low-resolution stage keeps 8.0 everywhere, the middle
     stage 4.0, and the high-resolution stage 4.0 for layers 3-4 and 2.0
     beyond.
     """
     if not 0 <= layer < n_layers:
         raise IndexError(f"layer {layer} out of range [0, {n_layers})")
-    if layer < 3:
+    if layer < DENSE_LAYERS:
         return DENSE
     if stage == StageId.S256:
         return 8.0
@@ -100,21 +82,21 @@ def _topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
     return order[..., :k]
 
 
-def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, cfg: RouterConfig):
+def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: float):
     """Routing pass keeping gates and logits on the tape.
 
     x_norm: (B, S, d) unmodulated token state; t_emb: (B, d) timestep
-    embedding broadcast over tokens. Returns (decisions, routing) where
+    embedding broadcast over tokens; w_r: (2d, E) router weight, whose
+    column count is the number of experts. Returns (decisions, routing) where
     decisions is one RouterDecision per sample and routing carries the
     tape-connected gate tensor plus flat gather/scatter indices in
     expert-major order.
     """
-    cfg.validate_weight(w_r)
     B, S, d = x_norm.shape
-    E = cfg.n_experts
-    capacity = capacity_for(S, E, cfg.capacity_factor)
-    if capacity < 1:
-        raise ConfigError("computed capacity is zero")
+    if w_r.ndim != 2 or w_r.shape[0] != 2 * d or w_r.shape[1] < 1:
+        raise ConfigError(f"router weight shape {w_r.shape}, expected ({2 * d}, E >= 1)")
+    E = w_r.shape[1]
+    capacity = capacity_for(S, E, capacity_factor)
 
     t_full = nt.broadcast_to(nt.reshape(t_emb, (B, 1, d)), (B, S, d))
     router_in = nt.concat([x_norm, t_full], axis=-1)          # (B, S, 2d)
@@ -137,8 +119,7 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, cfg: RouterConfig):
 
     totals = nt.scatter_add_rows(nt.reshape(gate_raw, (-1, 1)), token_flat, B * S)
     tot_per_slot = nt.reshape(nt.gather_rows(totals, token_flat), (-1,))
-    gates = nt.mul(nt.div(gate_raw, nt.add(tot_per_slot, cfg.gate_eps)),
-                   cfg.gate_scale)                                    # (E*B*cap,)
+    gates = nt.div(gate_raw, nt.add(tot_per_slot, GATE_EPS))         # (E*B*cap,)
 
     gates_np = gates.data.reshape(E, B, capacity)
     aff_sel = np.take_along_axis(affinity_np, top, axis=-1)
@@ -160,8 +141,8 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, cfg: RouterConfig):
 
 
 def route(x_norm: Tensor, t_emb: Tensor, w_r: Tensor,
-          cfg: RouterConfig) -> list[RouterDecision]:
+          capacity_factor: float) -> list[RouterDecision]:
     """Route a batch; returns one detached RouterDecision per sample."""
     with nt.no_grad():
-        decisions, _ = route_full(x_norm, t_emb, w_r, cfg)
+        decisions, _ = route_full(x_norm, t_emb, w_r, capacity_factor)
     return decisions

@@ -29,7 +29,7 @@ class ShapeError(ValueError):
 
 
 class UnsupportedOp(ValueError):
-    """Storage dtype other than float64 requested."""
+    """Storage dtype other than float64 requested, or data float64 cannot hold."""
 
 
 class NonScalarLoss(ValueError):
@@ -53,7 +53,11 @@ class Tensor:
                  name: str = ""):
         if np.dtype(dtype) != np.float64:
             raise UnsupportedOp(f"unsupported storage dtype {np.dtype(dtype)}")
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        try:
+            self.data = np.ascontiguousarray(data, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise UnsupportedOp(f"cannot store {type(data).__name__} data "
+                                "as float64") from None
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
@@ -255,12 +259,11 @@ def neg(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 1 or b.ndim < 1:
-        raise ShapeError("matmul requires rank >= 1 operands")
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else -1]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     da, db = a.data, b.data
-    out = np.matmul(da, db)
+    try:  # numpy reports rank, inner and batch dim mismatches as ValueError
+        out = np.matmul(da, db)
+    except ValueError as e:
+        raise ShapeError(f"matmul of {a.shape} and {b.shape}: {e}") from None
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(db, -1, -2)) if b.ndim > 1 else np.multiply.outer(g, db) if a.ndim > 1 else g * db
@@ -289,8 +292,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
+    try:  # AxisError is a ValueError
+        out = np.ascontiguousarray(a.data.transpose(axes))
+    except ValueError as e:
+        raise ShapeError(f"transpose of {a.shape} by {axes}: {e}") from None
     inv = tuple(int(i) for i in np.argsort(axes))
-    out = np.ascontiguousarray(a.data.transpose(axes))
     return record("transpose", (a,), (out,),
                   lambda g: (np.ascontiguousarray(g.transpose(inv)),))[0]
 
@@ -335,6 +341,19 @@ def split(a: Tensor, n: int, axis: int = 0) -> tuple[Tensor, ...]:
     return record("split", (a,), outs, lambda *gs: (np.concatenate(gs, axis=axis),))
 
 
+def _row_index(indices, n_rows: int, op: str) -> np.ndarray:
+    """indices as a flat int64 array of rows in [0, n_rows); ShapeError otherwise."""
+    idx = np.asarray(indices)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"{op}: row indices must be integers, got {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    if idx.ndim != 1:
+        raise ShapeError(f"{op} expects a flat index array")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise ShapeError(f"{op} index out of range for {n_rows} rows")
+    return idx
+
+
 def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """out[idx[i]] += rows[i] for every i, in place; returns out.
 
@@ -367,11 +386,7 @@ def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarr
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis 0; backward scatter-adds into the source."""
     a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows expects a flat index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"gather_rows index out of range for {a.shape[0]} rows")
+    idx = _row_index(indices, a.shape[0], "gather_rows")
     out = np.ascontiguousarray(a.data[idx])
 
     def bwd(g):
@@ -383,11 +398,9 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
     """Accumulate value rows into a zero buffer of n_rows rows (stable order)."""
     values = as_tensor(values)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != (values.shape[0],):
+    idx = _row_index(indices, n_rows, "scatter_add_rows")
+    if idx.size != values.shape[0]:
         raise ShapeError("scatter_add_rows: one index per value row required")
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise ShapeError(f"scatter_add_rows index out of range for {n_rows} rows")
     out = _scatter_add(np.zeros((n_rows,) + values.shape[1:], dtype=np.float64),
                        idx, values.data)
     return record("scatter_add_rows", (values,), (out,),
@@ -396,12 +409,6 @@ def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
-
-
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    e = np.exp(a.data)
-    return record("exp", (a,), (e,), lambda g: (g * e,))[0]
 
 
 def sin(a: Tensor) -> Tensor:
@@ -422,12 +429,6 @@ def tanh(a: Tensor) -> Tensor:
     return record("tanh", (a,), (th,), lambda g: (g * (1.0 - th * th),))[0]
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return record("sigmoid", (a,), (s,), lambda g: (g * s * (1.0 - s),))[0]
-
-
 def silu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     da = a.data
@@ -442,7 +443,10 @@ def silu(a: Tensor) -> Tensor:
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = as_tensor(a)
-    out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
+    try:
+        out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
+    except ValueError as e:
+        raise ShapeError(f"sum of {a.shape} over axis {axis}: {e}") from None
 
     def bwd(g):
         if axis is None:
@@ -455,14 +459,18 @@ def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    total = sum(a, axis=axis, keepdims=keepdims)  # first, so a bad axis is a ShapeError
     n = a.size if axis is None else int(np.prod([a.shape[i] for i in np.atleast_1d(axis)]))
-    return mul(sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(total, 1.0 / n)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     da = a.data
-    m = da.max(axis=axis, keepdims=True)
+    try:
+        m = da.max(axis=axis, keepdims=True)
+    except ValueError as e:
+        raise ShapeError(f"softmax of {a.shape} over axis {axis}: {e}") from None
     e = np.exp(da - m)
     s = e / e.sum(axis=axis, keepdims=True)
 
@@ -471,23 +479,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (s * (g - dot),)
 
     return record("softmax", (a,), (s,), bwd)[0]
-
-
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    da = a.data
-    m = da.max(axis=axis, keepdims=True)
-    e = np.exp(da - m)
-    se = e.sum(axis=axis, keepdims=True)
-    lse = m + np.log(se)
-    soft = e / se
-    out = lse if keepdims else np.squeeze(lse, axis=axis)
-
-    def bwd(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (gg * soft,)
-
-    return record("logsumexp", (a,), (np.asarray(out),), bwd)[0]
 
 
 def _ln_stats(xd: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -527,23 +518,6 @@ def rmsnorm(a: Tensor, eps: float = 1e-6) -> Tensor:
         return (g * inv - da * (dot * inv ** 3 / n),)
 
     return record("rmsnorm", (a,), (out,), bwd)[0]
-
-
-def add_auxiliary(main: Tensor, aux: Tensor) -> Tensor:
-    """Pass main through unchanged while routing gradient into aux.
-
-    Backward sends the upstream gradient to main and injects the summed
-    upstream gradient into aux, exactly as if aux had been added to the
-    objective — without aux appearing in the forward value.
-    """
-    main, aux = as_tensor(main), as_tensor(aux)
-    out = main.data.copy()
-
-    def bwd(g):
-        inj = np.full(aux.shape, np.sum(g), dtype=np.float64)
-        return g, inj
-
-    return record("add_auxiliary", (main, aux), (out,), bwd)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nimg import moe
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gate_res_ln_scale,
                            fused_gated_residual, fused_ln_scale,
@@ -48,6 +49,24 @@ def test_blocks_are_identities_at_zero_modulation_init():
     randomise_modulation(model, rng)
     full, bare = with_and_without_blocks(model, z, t)
     assert not np.allclose(full, bare)
+
+
+def test_forward_uses_the_capacity_schedule(monkeypatch):
+    model = MoEDiT(ModelConfig(n_layers=6))
+    assert [blk.dense for blk in model.blocks] == [True] * 3 + [False] * 3
+    seen, route_full = [], moe.route_full
+
+    def spy(x_norm, t_emb, w_r, capacity_factor):
+        seen.append(capacity_factor)
+        return route_full(x_norm, t_emb, w_r, capacity_factor)
+
+    monkeypatch.setattr(moe, "route_full", spy)
+    z = latent(np.random.default_rng(4))
+    for stage, want in ((StageId.S1024, [4.0, 4.0, 2.0]), (StageId.S256, [8.0] * 3)):
+        seen.clear()
+        with nt.no_grad():
+            model.forward(z, 0.5, model.precompute_text_kv(PROMPTS), stage)
+        assert seen == want, stage
 
 
 def test_unpatchify_inverts_patchify():

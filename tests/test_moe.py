@@ -4,7 +4,7 @@ import pytest
 from nimg import tensor as nt
 from nimg.moe import (ExpertBank, grouped_forward, moe_forward, swiglu,
                       swiglu_arrays, swiglu_composed)
-from nimg.router import RouterConfig, route
+from nimg.router import GATE_EPS, route
 from nimg.tensor import ShapeError, Tape, Tensor, backward, grad_check
 
 
@@ -120,20 +120,19 @@ def test_swiglu_stacked_shape_mismatch():
 
 
 def moe_setup(rng, B, S, d, E, C, h=4):
-    cfg = RouterConfig(d_model=d, n_experts=E, capacity_factor=C)
     bank = make_bank(rng, E, h, d)
     w_r = Tensor(rng.normal(size=(2 * d, E)), dtype=np.float64)
     x = Tensor(rng.normal(size=(B, S, d)), dtype=np.float64)
     x_norm = Tensor(rng.normal(size=(B, S, d)), dtype=np.float64)
     x_mod = Tensor(rng.normal(size=(B, S, d)), dtype=np.float64)
     t_emb = Tensor(rng.normal(size=(B, d)), dtype=np.float64)
-    return cfg, bank, w_r, x, x_norm, x_mod, t_emb
+    return C, bank, w_r, x, x_norm, x_mod, t_emb
 
 
-def dense_oracle(x_mod, t_emb, x_norm, w_r, cfg, bank):
+def dense_oracle(x_mod, t_emb, x_norm, w_r, C, bank):
     """Per-token bookkeeping oracle: shared + sum of gated selecting experts."""
     B, S, d = x_mod.shape
-    decs = route(x_norm, t_emb, w_r, cfg)
+    decs = route(x_norm, t_emb, w_r, C)
     out = np.zeros((B, S, d))
     for b in range(B):
         dec = decs[b]
@@ -141,7 +140,7 @@ def dense_oracle(x_mod, t_emb, x_norm, w_r, cfg, bank):
             row = x_mod.data[b, s][None, :]
             acc = swiglu_arrays(row, bank.shared_w1.data, bank.shared_w3.data,
                                 bank.shared_w2.data)[0]
-            for e in range(cfg.n_experts):
+            for e in range(w_r.shape[1]):
                 hits = np.nonzero(dec.top_indices[e] == s)[0]
                 for slot in hits:
                     y = swiglu_arrays(row, bank.w1.data[e], bank.w3.data[e],
@@ -153,9 +152,9 @@ def dense_oracle(x_mod, t_emb, x_norm, w_r, cfg, bank):
 
 def test_moe_forward_zero_experts_gives_shared_only():
     rng = np.random.default_rng(6)
-    cfg, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 6, 4, 2, 1.0)
+    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 6, 4, 2, 1.0)
     bank.w2.data[:] = 0.0  # routed experts output zero
-    out = moe_forward(x_norm, x_mod, t_emb, cfg, bank, w_r)
+    out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
     shared = swiglu_arrays(x_mod.data.reshape(-1, 4), bank.shared_w1.data,
                            bank.shared_w3.data, bank.shared_w2.data)
     np.testing.assert_array_equal(out.data, shared.reshape(out.shape))
@@ -163,22 +162,19 @@ def test_moe_forward_zero_experts_gives_shared_only():
 
 def test_moe_forward_single_expert_full_capacity():
     rng = np.random.default_rng(7)
-    alpha = 1.7
     d, S = 3, 4
-    cfg = RouterConfig(d_model=d, n_experts=1, capacity_factor=1.0,
-                       gate_scale=alpha, gate_eps=1e-6)
     bank = make_bank(rng, 1, 5, d)
     w_r = Tensor(rng.normal(size=(2 * d, 1)), dtype=np.float64)
     x_mod = Tensor(rng.normal(size=(1, S, d)), dtype=np.float64)
     x_norm = Tensor(rng.normal(size=(1, S, d)), dtype=np.float64)
     t_emb = Tensor(rng.normal(size=(1, d)), dtype=np.float64)
-    out = moe_forward(x_norm, x_mod, t_emb, cfg, bank, w_r)
+    out = moe_forward(x_norm, x_mod, t_emb, 1.0, bank, w_r)
     flat = x_mod.data.reshape(-1, d)
     shared = swiglu_arrays(flat, bank.shared_w1.data, bank.shared_w3.data,
                            bank.shared_w2.data)
     routed = swiglu_arrays(flat, bank.w1.data[0], bank.w3.data[0],
                            bank.w2.data[0])
-    gate = alpha * 1.0 / (1.0 + cfg.gate_eps)  # sole expert, affinity 1
+    gate = 1.0 / (1.0 + GATE_EPS)  # sole expert, affinity 1
     expect = shared + gate * routed
     np.testing.assert_allclose(out.data.reshape(-1, d), expect, rtol=1e-9)
 
@@ -190,9 +186,9 @@ def test_moe_forward_matches_dense_oracle():
         S = int(rng.integers(2, 17))
         E = int(rng.integers(1, 5))
         C = float(rng.uniform(0.5, 4.0))
-        cfg, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, B, S, 4, E, C)
-        out = moe_forward(x_norm, x_mod, t_emb, cfg, bank, w_r)
-        oracle = dense_oracle(x_mod, t_emb, x_norm, w_r, cfg, bank)
+        C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, B, S, 4, E, C)
+        out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
+        oracle = dense_oracle(x_mod, t_emb, x_norm, w_r, C, bank)
         np.testing.assert_allclose(out.data, oracle, rtol=1e-6, atol=1e-9,
                                    err_msg=f"trial {trial}")
         assert np.all(np.isfinite(out.data))
@@ -200,23 +196,23 @@ def test_moe_forward_matches_dense_oracle():
 
 def test_moe_forward_batch_permutation_equivariance():
     rng = np.random.default_rng(9)
-    cfg, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 3, 5, 4, 2, 1.5)
-    out = moe_forward(x_norm, x_mod, t_emb, cfg, bank, w_r).data
+    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 3, 5, 4, 2, 1.5)
+    out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r).data
     perm = np.array([2, 0, 1])
     out_p = moe_forward(
         Tensor(x_norm.data[perm], dtype=np.float64),
         Tensor(x_mod.data[perm], dtype=np.float64),
-        Tensor(t_emb.data[perm], dtype=np.float64), cfg, bank, w_r).data
+        Tensor(t_emb.data[perm], dtype=np.float64), C, bank, w_r).data
     np.testing.assert_allclose(out_p, out[perm], rtol=1e-12)
 
 
 def test_moe_forward_decoupling_from_modulation_scale():
     rng = np.random.default_rng(10)
-    cfg, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 8, 4, 2, 2.0)
-    out1, dec1, _ = moe_forward(x_norm, x_mod, t_emb, cfg, bank, w_r,
+    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 8, 4, 2, 2.0)
+    out1, dec1, _ = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r,
                                 return_routing=True)
     x_mod10 = Tensor(10.0 * x_mod.data, dtype=np.float64)
-    out2, dec2, _ = moe_forward(x_norm, x_mod10, t_emb, cfg, bank, w_r,
+    out2, dec2, _ = moe_forward(x_norm, x_mod10, t_emb, C, bank, w_r,
                                 return_routing=True)
     np.testing.assert_array_equal(dec1[0].top_indices, dec2[0].top_indices)
     np.testing.assert_array_equal(dec1[0].gates, dec2[0].gates)
@@ -225,17 +221,17 @@ def test_moe_forward_decoupling_from_modulation_scale():
 
 def test_moe_forward_gradients_vs_fd():
     rng = np.random.default_rng(11)
-    cfg, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 5, 3, 2, 1.5)
+    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 5, 3, 2, 1.5)
 
     def loss_wrt_xmod(p):
-        out = moe_forward(x_norm, p, t_emb, cfg, bank, w_r)
+        out = moe_forward(x_norm, p, t_emb, C, bank, w_r)
         return nt.sum(nt.mul(out, out))
 
     rep = grad_check(loss_wrt_xmod, x_mod, h=1e-5)
     assert rep.max_rel_err <= 1e-5, rep.max_rel_err
 
     def loss_wrt_wr(p):
-        out = moe_forward(x_norm, x_mod, t_emb, cfg, bank, p)
+        out = moe_forward(x_norm, x_mod, t_emb, C, bank, p)
         return nt.sum(nt.mul(out, out))
 
     rep = grad_check(loss_wrt_wr, w_r, h=1e-5)
@@ -244,11 +240,11 @@ def test_moe_forward_gradients_vs_fd():
 
 def test_moe_forward_router_weight_receives_grad():
     rng = np.random.default_rng(12)
-    cfg, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 6, 4, 3, 2.0)
+    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 6, 4, 3, 2.0)
     w_r.requires_grad = True
     x_norm.requires_grad = True
     with Tape() as tape:
-        out = moe_forward(x_norm, x_mod, t_emb, cfg, bank, w_r)
+        out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
         loss = nt.sum(nt.mul(out, out))
     backward(tape, loss)
     assert w_r.grad is not None and np.any(w_r.grad != 0.0)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nimg.router import (DENSE, ConfigError, RouterConfig, StageId,
-                         capacity_for, capacity_schedule, route)
+from nimg.router import (DENSE, GATE_EPS, ConfigError, StageId, capacity_for,
+                         capacity_schedule, route)
 from nimg.tensor import Tensor
 
 
@@ -47,11 +47,10 @@ def test_capacity_schedule_anchors():
 
 def test_uniform_logits_tie_break_by_index():
     B, S, d, E = 1, 6, 4, 2
-    cfg = RouterConfig(d_model=d, n_experts=E, capacity_factor=1.0)
     w_r = Tensor(np.zeros((2 * d, E)), dtype=np.float64)
     rng = np.random.default_rng(0)
     x_norm, t_emb = make_inputs(rng, B, S, d)
-    (dec,) = route(x_norm, t_emb, w_r, cfg)
+    (dec,) = route(x_norm, t_emb, w_r, 1.0)
     cap = capacity_for(S, E, 1.0)
     for e in range(E):
         np.testing.assert_array_equal(np.sort(dec.top_indices[e]), np.arange(cap))
@@ -60,11 +59,10 @@ def test_uniform_logits_tie_break_by_index():
 
 def test_full_capacity_every_token_selected_and_gates_sum_to_one():
     B, S, d, E, C = 1, 4, 4, 2, 2.0  # capacity = ceil(2*4/2) = 4 = S
-    cfg = RouterConfig(d_model=d, n_experts=E, capacity_factor=C, gate_eps=1e-6)
     rng = np.random.default_rng(1)
     w_r = Tensor(rng.normal(size=(2 * d, E)), dtype=np.float64)
     x_norm, t_emb = make_inputs(rng, B, S, d)
-    (dec,) = route(x_norm, t_emb, w_r, cfg)
+    (dec,) = route(x_norm, t_emb, w_r, C)
     assert dec.capacity == S
     for e in range(E):
         np.testing.assert_array_equal(np.sort(dec.top_indices[e]), np.arange(S))
@@ -83,11 +81,10 @@ def test_exact_utilization_random_instances():
         E = int(rng.integers(1, 9))
         C = float(rng.uniform(0.5, 8.0))
         d = int(rng.integers(2, 9))
-        cfg = RouterConfig(d_model=d, n_experts=E, capacity_factor=C)
         w_r = Tensor(rng.normal(size=(2 * d, E)), dtype=np.float64)
         x_norm, t_emb = make_inputs(rng, B, S, d)
         cap = capacity_for(S, E, C)
-        for dec in route(x_norm, t_emb, w_r, cfg):
+        for dec in route(x_norm, t_emb, w_r, C):
             assert dec.top_indices.shape == (E, cap)
             for e in range(E):
                 row = dec.top_indices[e]
@@ -98,18 +95,16 @@ def test_exact_utilization_random_instances():
 def test_gate_normalization_identity():
     rng = np.random.default_rng(3)
     d, E, S = 6, 4, 10
-    cfg = RouterConfig(d_model=d, n_experts=E, capacity_factor=2.0, gate_eps=1e-6)
     w_r = Tensor(rng.normal(size=(2 * d, E)), dtype=np.float64)
     x_norm, t_emb = make_inputs(rng, 1, S, d)
-    (dec,) = route(x_norm, t_emb, w_r, cfg)
+    (dec,) = route(x_norm, t_emb, w_r, 2.0)
     totals = np.zeros(S)
     np.add.at(totals, dec.top_indices.reshape(-1), dec.affinity.reshape(-1))
     gate_sums = np.zeros(S)
     np.add.at(gate_sums, dec.top_indices.reshape(-1), dec.gates.reshape(-1))
     selected = np.unique(dec.top_indices.reshape(-1))
-    expected = totals[selected] / (totals[selected] + cfg.gate_eps)
-    np.testing.assert_allclose(gate_sums[selected] / cfg.gate_scale, expected,
-                               rtol=0, atol=1e-12)
+    expected = totals[selected] / (totals[selected] + GATE_EPS)
+    np.testing.assert_allclose(gate_sums[selected], expected, rtol=0, atol=1e-12)
 
 
 def test_timestep_can_flip_selection():
@@ -118,7 +113,6 @@ def test_timestep_can_flip_selection():
     # expert-1 logit, token B a large expert-2 logit; suppressing expert 1
     # makes A the expert-0 winner, suppressing expert 2 makes it B.
     d, E = 3, 3
-    cfg = RouterConfig(d_model=d, n_experts=E, capacity_factor=1.0)
     w = np.zeros((2 * d, E))
     w[:d] = 10.0 * np.eye(3)
     w[d:] = -20.0 * np.eye(3)
@@ -127,8 +121,8 @@ def test_timestep_can_flip_selection():
                     dtype=np.float64)
     t_a = Tensor(np.array([[0.0, 1.0, 0.0]]), dtype=np.float64)
     t_b = Tensor(np.array([[0.0, 0.0, 1.0]]), dtype=np.float64)
-    (dec_a,) = route(x_norm, t_a, w_r, cfg)
-    (dec_b,) = route(x_norm, t_b, w_r, cfg)
+    (dec_a,) = route(x_norm, t_a, w_r, 1.0)
+    (dec_b,) = route(x_norm, t_b, w_r, 1.0)
     assert dec_a.top_indices[0, 0] == 0
     assert dec_b.top_indices[0, 0] == 1
     assert not np.array_equal(dec_a.top_indices, dec_b.top_indices)
@@ -137,11 +131,10 @@ def test_timestep_can_flip_selection():
 def test_route_deterministic_bitwise():
     rng = np.random.default_rng(11)
     d, E, S = 5, 4, 12
-    cfg = RouterConfig(d_model=d, n_experts=E, capacity_factor=1.5)
     w_r = Tensor(rng.normal(size=(2 * d, E)), dtype=np.float64)
     x_norm, t_emb = make_inputs(rng, 2, S, d)
-    a = route(x_norm, t_emb, w_r, cfg)
-    b = route(x_norm, t_emb, w_r, cfg)
+    a = route(x_norm, t_emb, w_r, 1.5)
+    b = route(x_norm, t_emb, w_r, 1.5)
     for da, db in zip(a, b):
         np.testing.assert_array_equal(da.top_indices, db.top_indices)
         np.testing.assert_array_equal(da.gates, db.gates)
@@ -150,6 +143,7 @@ def test_route_deterministic_bitwise():
 
 
 def test_router_weight_shape_validated():
-    cfg = RouterConfig(d_model=4, n_experts=2, capacity_factor=1.0)
-    with pytest.raises(ConfigError):
-        cfg.validate_weight(Tensor(np.zeros((4, 2))))
+    d, E = 4, 2
+    x_norm, t_emb = make_inputs(np.random.default_rng(12), 1, 3, d)
+    with pytest.raises(ConfigError):  # (d, E) instead of (2d, E)
+        route(x_norm, t_emb, Tensor(np.zeros((d, E))), 1.0)

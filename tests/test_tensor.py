@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nimg import tensor as nt
-from nimg.backbone import fused_gated_residual
+from nimg.backbone import ModelConfig, MoEDiT, fused_gated_residual
+from nimg.router import StageId
 from nimg.tensor import (NonScalarLoss, ShapeError, Tape, Tensor,
                          UnsupportedOp, backward, grad_check)
 
@@ -57,6 +58,53 @@ def test_shape_errors():
         fused_gated_residual(x, x, x)
     with pytest.raises(UnsupportedOp):
         Tensor(np.zeros(2), dtype=np.float32)
+
+
+def forward_on(z_shape, prompts=("a cat", "a dog")):
+    model = MoEDiT(ModelConfig())
+    with nt.no_grad():
+        model.forward(Tensor(np.zeros(z_shape)), 0.5,
+                      model.precompute_text_kv(list(prompts)), StageId.S256)
+
+
+M23 = Tensor(np.zeros((2, 3)))
+BAD_INPUTS = {  # case: (call, error type, message pattern)
+    "gather_rows_fractional_index":
+        (lambda: nt.gather_rows(M23, [0.5]), ShapeError, "integers"),
+    "scatter_add_rows_fractional_index":
+        (lambda: nt.scatter_add_rows(Tensor(np.ones((1, 3))), [0.5], 2),
+         ShapeError, "integers"),
+    "matmul_batch_axes":
+        (lambda: nt.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5)))),
+         ShapeError, None),
+    "transpose_axis_out_of_range":
+        (lambda: nt.transpose(M23, (0, 2)), ShapeError, None),
+    "transpose_repeated_axis": (lambda: nt.transpose(M23, (0, 0)), ShapeError, None),
+    "sum_axis_out_of_range": (lambda: nt.sum(M23, axis=2), ShapeError, None),
+    "mean_axis_out_of_range": (lambda: nt.mean(M23, axis=2), ShapeError, None),
+    "softmax_axis_out_of_range": (lambda: nt.softmax(M23, axis=2), ShapeError, None),
+    "tensor_from_string": (lambda: Tensor("abc"), UnsupportedOp, None),
+    "forward_3d_latent": (lambda: forward_on((2, 8, 8)), ShapeError, "z_t"),
+    "forward_channel_count": (lambda: forward_on((2, 3, 8, 8)), ShapeError, "z_t"),
+    "forward_prompt_count":
+        (lambda: forward_on((2, 4, 8, 8), prompts=("one prompt",)), ShapeError, "ctx"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_inputs_raise_nimg_errors(case):
+    call, error, pattern = BAD_INPUTS[case]
+    with pytest.raises(error, match=pattern) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_integer_and_empty_row_indices_still_work():
+    a = Tensor(np.arange(6.0).reshape(3, 2))
+    np.testing.assert_array_equal(nt.gather_rows(a, np.array([2, 0], np.int32)).data,
+                                  [[4.0, 5.0], [0.0, 1.0]])
+    assert nt.gather_rows(a, []).shape == (0, 2)
+    assert nt.scatter_add_rows(Tensor(np.zeros((0, 2))), [], 3).shape == (3, 2)
 
 
 def test_inputs_are_stored_as_float64():
@@ -114,9 +162,8 @@ def mean_last_axis(t):
     return nt.mean(t, axis=-1)
 
 
-UNARY_OPS = [nt.exp, nt.tanh, nt.sigmoid, nt.silu, nt.softmax, nt.layernorm,
-             nt.rmsnorm, lambda t: nt.logsumexp(t, axis=-1), nt.sin, nt.cos,
-             nt.neg, mean_last_axis]
+UNARY_OPS = [nt.tanh, nt.silu, nt.softmax, nt.layernorm, nt.rmsnorm, nt.sin,
+             nt.cos, nt.neg, mean_last_axis]
 
 
 def fd_ok(rep, rtol, atol=1e-9):
@@ -128,7 +175,7 @@ def fd_ok(rep, rtol, atol=1e-9):
     return bool(np.all((rel <= rtol) | (np.abs(a - n) <= atol)))
 
 
-@pytest.mark.parametrize("op", UNARY_OPS, ids=lambda f: getattr(f, "__name__", "lse"))
+@pytest.mark.parametrize("op", UNARY_OPS, ids=lambda f: f.__name__)
 def test_unary_op_gradients_100_points(op):
     rng = np.random.default_rng(42)
     for i in range(100):
@@ -208,19 +255,6 @@ def test_broadcast_to_gradient():
     assert rep.max_rel_err <= 1e-6
 
 
-def test_add_auxiliary_value_and_gradient():
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
-    aux_src = Tensor(np.array([3.0]), requires_grad=True, dtype=np.float64)
-    with Tape() as tape:
-        main = nt.sum(x)
-        aux = nt.mul(nt.sum(nt.mul(aux_src, aux_src)), 0.5)
-        out = nt.add_auxiliary(main, aux)
-    assert out.item() == main.item()  # aux absent from the forward value
-    backward(tape, out)
-    np.testing.assert_allclose(x.grad, [1.0, 1.0])
-    np.testing.assert_allclose(aux_src.grad, [3.0])  # d(0.5*a^2)/da
-
-
 def test_no_grad_blocks_recording():
     x = Tensor(np.ones(2), requires_grad=True)
     with Tape() as tape:
@@ -296,7 +330,7 @@ def test_grads_mark_exactly_the_nodes_whose_pullback_ran():
                dtype=np.float64)
     with Tape() as tape:
         lo, hi = nt.split(x, 2, axis=0)
-        nt.exp(hi)  # recorded but never reaches the loss
+        nt.sin(hi)  # recorded but never reaches the loss
         y = nt.add(nt.reshape(lo, (3, 2)), 1.0)
         loss = nt.sum(nt.mul(y, y))
     ran = set()
