@@ -5,7 +5,9 @@ image and text KV) with either a dense SwiGLU FFN or a sparse MoE layer.
 Timestep conditioning enters through zero-initialized modulation, so every
 block is an exact identity at initialization. The fused residual /
 normalization ops are single tape nodes with hand-derived pullbacks and are
-contractually equivalent to their multi-op compositions.
+contractually equivalent to their multi-op compositions. Joint attention is
+one such node too: scores, mask and softmax share one buffer, and only the
+attention probabilities are kept for the pullback.
 
 Text is encoded by a deterministic hash embedder; per-layer text key/value
 tensors are a pure function of the prompt and are precomputed once per
@@ -133,46 +135,111 @@ def rope_apply_grid(x: Tensor, pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
 # attention
 
 
+def _check_attention_shapes(q: Tensor, k_img: Tensor, v_img: Tensor,
+                            k_txt: Tensor | None, v_txt: Tensor | None,
+                            text_mask: np.ndarray | None) -> None:
+    if q.ndim != 4:
+        raise ShapeError(f"attention q has shape {q.shape}; expected (B, S_i, H_q, d_h)")
+    B, S_i, H_q, d_h = q.shape
+    if k_img.ndim != 4 or k_img.shape[:2] != (B, S_i) or k_img.shape[3] != d_h:
+        raise ShapeError(f"attention k_img has shape {k_img.shape}; expected "
+                         f"({B}, {S_i}, H_kv, {d_h}) for q {q.shape}")
+    if v_img.shape != k_img.shape:
+        raise ShapeError(f"attention v_img shape {v_img.shape} != k_img {k_img.shape}")
+    H_kv = k_img.shape[2]
+    if H_kv == 0 or H_q % H_kv != 0:
+        raise ConfigError(f"query heads {H_q} not a multiple of kv heads {H_kv}")
+    if (k_txt is None) != (v_txt is None):
+        raise ShapeError("attention needs both k_txt and v_txt, or neither")
+    if k_txt is None:
+        if text_mask is not None:
+            raise ShapeError("attention text_mask given without text K/V")
+        return
+    if k_txt.ndim != 4 or k_txt.shape[0] != B or k_txt.shape[2:] != (H_kv, d_h):
+        raise ShapeError(f"attention k_txt has shape {k_txt.shape}; expected "
+                         f"({B}, S_t, {H_kv}, {d_h})")
+    if v_txt.shape != k_txt.shape:
+        raise ShapeError(f"attention v_txt shape {v_txt.shape} != k_txt {k_txt.shape}")
+    if text_mask is not None and np.shape(text_mask) != k_txt.shape[:2]:
+        raise ShapeError(f"attention text_mask has shape {np.shape(text_mask)}; "
+                         f"expected {k_txt.shape[:2]} (B, S_t)")
+
+
 def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
                     k_txt: Tensor | None = None, v_txt: Tensor | None = None,
                     text_mask: np.ndarray | None = None) -> Tensor:
-    """Image queries attend over concatenated image and text KV.
+    """Image queries attend over concatenated image and text KV; one tape node.
 
     q: (B, S_i, H_q, d_h); k/v img: (B, S_i, H_kv, d_h); text KV optional
     (B, S_t, H_kv, d_h); text_mask is a boolean (B, S_t) validity mask.
     Text contributes no queries, so scores are (S_i, S_i + S_t). Returns
-    (B, S_i, H_q * d_h).
+    (B, S_i, H_q * d_h). Mismatched shapes raise ShapeError.
 
     Grouped-query attention is a batch broadcast: queries are split into
     (H_kv, n_rep) head groups and K/V carry a unit group axis, so query head
     j * n_rep + r reads kv head j without K/V being repeated.
+
+    The scores S = Q Kᵀ are scaled, masked and softmaxed in place in one
+    buffer, so the node retains only the probabilities P and the head-split
+    Q, K, V. With scale = 1/sqrt(d_h) and dO the output gradient, the
+    pullback is
+
+        dP = dO Vᵀ,   dS = P * (dP - rowsum(dP * P)) * scale,
+        dQ = dS K,    dK = dSᵀ Q,   dV = Pᵀ dO,
+
+    with dK and dV summed over the n_rep query heads that share a kv head.
     """
+    _check_attention_shapes(q, k_img, v_img, k_txt, v_txt, text_mask)
     B, S_i, H_q, d_h = q.shape
     H_kv = k_img.shape[2]
-    if H_q % H_kv != 0:
-        raise ConfigError(f"query heads {H_q} not a multiple of kv heads {H_kv}")
     n_rep = H_q // H_kv
+    scale = 1.0 / math.sqrt(d_h)
 
+    inputs = (q, k_img, v_img)
+    k_all, v_all, S_t = k_img.data, v_img.data, 0
     if k_txt is not None and k_txt.shape[1] > 0:
-        k_all = nt.concat([k_img, k_txt], axis=1)
-        v_all = nt.concat([v_img, v_txt], axis=1)
+        inputs += (k_txt, v_txt)
+        k_all = np.concatenate([k_all, k_txt.data], axis=1)
+        v_all = np.concatenate([v_all, v_txt.data], axis=1)
         S_t = k_txt.shape[1]
-    else:
-        k_all, v_all, S_t = k_img, v_img, 0
     S_kv = S_i + S_t
+    if S_kv == 0:
+        raise ShapeError("attention over no keys: no image or text tokens")
 
-    qh = nt.transpose(nt.reshape(q, (B, S_i, H_kv, n_rep, d_h)),
-                      (0, 2, 3, 1, 4))                  # (B, H_kv, n_rep, S_i, d_h)
-    kh = nt.reshape(nt.transpose(k_all, (0, 2, 3, 1)), (B, H_kv, 1, d_h, S_kv))
-    vh = nt.reshape(nt.transpose(v_all, (0, 2, 1, 3)), (B, H_kv, 1, S_kv, d_h))
-    scores = nt.mul(nt.matmul(qh, kh), 1.0 / math.sqrt(d_h))
+    qh = np.ascontiguousarray(q.data.reshape(B, S_i, H_kv, n_rep, d_h)
+                              .transpose(0, 2, 3, 1, 4))        # (B, H_kv, n_rep, S_i, d_h)
+    kh = np.ascontiguousarray(k_all.transpose(0, 2, 3, 1)).reshape(B, H_kv, 1, d_h, S_kv)
+    vh = np.ascontiguousarray(v_all.transpose(0, 2, 1, 3)).reshape(B, H_kv, 1, S_kv, d_h)
+    p = np.matmul(qh, kh)                                       # scores, then P
+    p *= scale
     if S_t > 0 and text_mask is not None:
-        bias = np.zeros((B, 1, 1, 1, S_kv))
-        bias[:, 0, 0, 0, S_i:] = np.where(np.asarray(text_mask, bool), 0.0, -1e30)
-        scores = nt.add(scores, Tensor(bias))
-    attn = nt.softmax(scores, axis=-1)
-    out = nt.transpose(nt.matmul(attn, vh), (0, 3, 1, 2, 4))  # (B, S_i, H_kv, n_rep, d_h)
-    return nt.reshape(out, (B, S_i, H_q * d_h))
+        bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)
+        p[..., S_i:] += bias[:, None, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, vh).transpose(0, 3, 1, 2, 4)             # (B, S_i, H_kv, n_rep, d_h)
+    out = np.ascontiguousarray(out).reshape(B, S_i, H_q * d_h)
+
+    def bwd(g):
+        go = np.ascontiguousarray(g.reshape(B, S_i, H_kv, n_rep, d_h)
+                                  .transpose(0, 2, 3, 1, 4))
+        gs = np.matmul(go, np.swapaxes(vh, -1, -2))             # dP, then dS in place
+        gv = np.matmul(np.swapaxes(p, -1, -2), go).sum(axis=2)  # (B, H_kv, S_kv, d_h)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = np.matmul(gs, np.swapaxes(kh, -1, -2))
+        gk = np.matmul(np.swapaxes(qh, -1, -2), gs).sum(axis=2)  # (B, H_kv, d_h, S_kv)
+        gq = np.ascontiguousarray(gq.transpose(0, 3, 1, 2, 4)).reshape(q.shape)
+        gk = np.ascontiguousarray(gk.transpose(0, 3, 1, 2))     # (B, S_kv, H_kv, d_h)
+        gv = np.ascontiguousarray(gv.transpose(0, 2, 1, 3))
+        if not S_t:
+            return gq, gk, gv
+        return (gq, np.ascontiguousarray(gk[:, :S_i]), np.ascontiguousarray(gv[:, :S_i]),
+                np.ascontiguousarray(gk[:, S_i:]), np.ascontiguousarray(gv[:, S_i:]))
+
+    return nt.record("joint_attention", inputs, (out,), bwd)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Storage is float64, and so is every op and gradient; input data of any
 other numeric dtype is converted on construction. The elementwise binary
 ops (add, sub, mul, div) broadcast by numpy's rules and raise ShapeError
 where numpy cannot broadcast; their pullbacks sum each gradient back to its
-operand's shape, so no operand has to be expanded to full size first.
+operand's shape, so no operand has to be expanded to full size first. An
+operand that did not require grad when the op was recorded (a constant
+table, a mask, a Python scalar) gets None from the pullback, so its
+gradient is never formed.
 
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
@@ -54,7 +57,10 @@ class Tensor:
         if np.dtype(dtype) != np.float64:
             raise UnsupportedOp(f"unsupported storage dtype {np.dtype(dtype)}")
         try:
-            self.data = np.ascontiguousarray(data, dtype=np.float64)
+            arr = np.asarray(data)
+            if arr.dtype == object:  # None and other objects would become NaN
+                raise TypeError
+            self.data = np.ascontiguousarray(arr, dtype=np.float64)
         except (TypeError, ValueError):
             raise UnsupportedOp(f"cannot store {type(data).__name__} data "
                                 "as float64") from None
@@ -221,16 +227,20 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _ew_shapes(a, b, "add")
     out = a.data + b.data
+    ra, rb = a.requires_grad, b.requires_grad
     return record("add", (a, b), (out,),
-                  lambda g: (_sum_to(g, a.shape), _sum_to(g, b.shape)))[0]
+                  lambda g: (_sum_to(g, a.shape) if ra else None,
+                             _sum_to(g, b.shape) if rb else None))[0]
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _ew_shapes(a, b, "sub")
     out = a.data - b.data
+    ra, rb = a.requires_grad, b.requires_grad
     return record("sub", (a, b), (out,),
-                  lambda g: (_sum_to(g, a.shape), _sum_to(-g, b.shape)))[0]
+                  lambda g: (_sum_to(g, a.shape) if ra else None,
+                             _sum_to(-g, b.shape) if rb else None))[0]
 
 
 def mul(a, b) -> Tensor:
@@ -238,8 +248,10 @@ def mul(a, b) -> Tensor:
     _ew_shapes(a, b, "mul")
     da, db = a.data, b.data
     out = da * db
+    ra, rb = a.requires_grad, b.requires_grad
     return record("mul", (a, b), (out,),
-                  lambda g: (_sum_to(g * db, a.shape), _sum_to(g * da, b.shape)))[0]
+                  lambda g: (_sum_to(g * db, a.shape) if ra else None,
+                             _sum_to(g * da, b.shape) if rb else None))[0]
 
 
 def div(a, b) -> Tensor:
@@ -247,9 +259,10 @@ def div(a, b) -> Tensor:
     _ew_shapes(a, b, "div")
     da, db = a.data, b.data
     out = da / db
+    ra, rb = a.requires_grad, b.requires_grad
     return record("div", (a, b), (out,),
-                  lambda g: (_sum_to(g / db, a.shape),
-                             _sum_to(-g * da / (db * db), b.shape)))[0]
+                  lambda g: (_sum_to(g / db, a.shape) if ra else None,
+                             _sum_to(-g * da / (db * db), b.shape) if rb else None))[0]
 
 
 def neg(a: Tensor) -> Tensor:

@@ -285,3 +285,55 @@ def test_only_the_router_materialises_a_broadcast():
     for node in copies:  # the router's t_full, whose one consumer is a concat
         t_full = node.outputs[0]
         assert [m.op for m in tape.nodes if any(i is t_full for i in m.inputs)] == ["concat"]
+
+
+def test_forward_records_one_fused_attention_node_per_block():
+    rng = np.random.default_rng(13)
+    model = MoEDiT(ModelConfig())
+    with Tape() as tape:
+        velocity(model, latent(rng), rng.uniform(0.0, 1.0, 2))
+    attention = [n for n in tape.nodes if n.op == "joint_attention"]
+    assert len(attention) == len(model.blocks)
+    # the routers' softmaxes are the only ones left
+    n_moe = sum(not blk.dense for blk in model.blocks)
+    assert sum(n.op == "softmax" for n in tape.nodes) == n_moe
+    for node in attention:
+        assert len(node.inputs) == 5  # q, image K/V, text K/V
+        for kv in node.inputs[1:]:
+            consumers = [m.op for m in tape.nodes if any(i is kv for i in m.inputs)]
+            assert consumers == ["joint_attention"]
+
+
+def attention_inputs(rng):
+    """q, k/v img, k/v txt and a text mask padding sample 1; 2 queries per kv head."""
+    q = Tensor(rng.standard_normal((2, 5, 4, 4)), requires_grad=True)
+    kv = [Tensor(rng.standard_normal((2, S, 2, 4)), requires_grad=True)
+          for S in (5, 5, 4, 4)]
+    mask = np.array([[True, True, True, True], [True, True, False, False]])
+    return q, *kv, mask
+
+
+def test_padded_text_positions_get_zero_kv_gradient():
+    rng = np.random.default_rng(14)
+    q, k_img, v_img, k_txt, v_txt, mask = attention_inputs(rng)
+    with Tape() as tape:
+        out = joint_attention(q, k_img, v_img, k_txt, v_txt, mask)
+        loss = nt.sum(nt.mul(out, Tensor(rng.standard_normal(out.shape))))
+    backward(tape, loss)
+    for t in (k_txt, v_txt):
+        assert not t.grad[~mask].any()  # exactly zero, not merely small
+        assert t.grad[mask].all()
+    for t in (q, k_img, v_img):
+        assert t.grad.all()
+
+
+def test_joint_attention_no_grad_is_bitwise_the_taped_output():
+    rng = np.random.default_rng(15)
+    args = attention_inputs(rng)
+    with Tape() as tape:
+        taped = joint_attention(*args)
+    assert [n.op for n in tape.nodes] == ["joint_attention"]
+    with nt.no_grad():
+        plain = joint_attention(*args)
+    assert not plain.requires_grad
+    assert plain.data.tobytes() == taped.data.tobytes()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nimg import tensor as nt
-from nimg.backbone import ModelConfig, MoEDiT, fused_gated_residual
+from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual,
+                           joint_attention)
 from nimg.router import StageId
 from nimg.tensor import (NonScalarLoss, ShapeError, Tape, Tensor,
                          UnsupportedOp, backward, grad_check)
@@ -67,6 +68,14 @@ def forward_on(z_shape, prompts=("a cat", "a dog")):
                       model.precompute_text_kv(list(prompts)), StageId.S256)
 
 
+def attend(q=(2, 5, 4, 4), kv_img=(2, 5, 2, 4), k_txt=(2, 3, 2, 4), v_txt=(2, 3, 2, 4),
+           mask=(2, 3), v_img=None):
+    """joint_attention on zero tensors of the given shapes; None omits an input."""
+    z = lambda shape: None if shape is None else Tensor(np.zeros(shape))
+    return joint_attention(z(q), z(kv_img), z(v_img or kv_img), z(k_txt), z(v_txt),
+                           None if mask is None else np.ones(mask, bool))
+
+
 M23 = Tensor(np.zeros((2, 3)))
 BAD_INPUTS = {  # case: (call, error type, message pattern)
     "gather_rows_fractional_index":
@@ -84,6 +93,27 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "mean_axis_out_of_range": (lambda: nt.mean(M23, axis=2), ShapeError, None),
     "softmax_axis_out_of_range": (lambda: nt.softmax(M23, axis=2), ShapeError, None),
     "tensor_from_string": (lambda: Tensor("abc"), UnsupportedOp, None),
+    "tensor_from_none": (lambda: Tensor(None), UnsupportedOp, None),
+    "tensor_from_list_with_none": (lambda: Tensor([1.0, None]), UnsupportedOp, None),
+    "attention_k_txt_without_v_txt":
+        (lambda: attend(v_txt=None), ShapeError, "k_txt and v_txt"),
+    "attention_v_txt_without_k_txt":
+        (lambda: attend(k_txt=None, mask=None), ShapeError, "k_txt and v_txt"),
+    "attention_text_kv_shapes_differ":
+        (lambda: attend(v_txt=(2, 2, 2, 4)), ShapeError, "v_txt"),
+    "attention_k_txt_head_dim": (lambda: attend(k_txt=(2, 3, 2, 8)), ShapeError, "k_txt"),
+    "attention_mask_3x3": (lambda: attend(mask=(3, 3)), ShapeError, "text_mask"),
+    "attention_mask_2x4": (lambda: attend(mask=(2, 4)), ShapeError, "text_mask"),
+    "attention_mask_without_text":
+        (lambda: attend(k_txt=None, v_txt=None), ShapeError, "text_mask"),
+    "attention_kv_batch": (lambda: attend(kv_img=(3, 5, 2, 4)), ShapeError, "k_img"),
+    "attention_kv_length": (lambda: attend(kv_img=(2, 6, 2, 4)), ShapeError, "k_img"),
+    "attention_kv_head_dim": (lambda: attend(kv_img=(2, 5, 2, 8)), ShapeError, "k_img"),
+    "attention_v_img_shape":
+        (lambda: attend(v_img=(2, 5, 1, 4)), ShapeError, "v_img"),
+    "attention_3d_q": (lambda: attend(q=(2, 5, 16)), ShapeError, "q"),
+    "attention_no_keys":
+        (lambda: attend((2, 0, 4, 4), (2, 0, 2, 4), None, None, None), ShapeError, "no keys"),
     "forward_3d_latent": (lambda: forward_on((2, 8, 8)), ShapeError, "z_t"),
     "forward_channel_count": (lambda: forward_on((2, 3, 8, 8)), ShapeError, "z_t"),
     "forward_prompt_count":
@@ -232,6 +262,20 @@ def test_elementwise_ops_broadcast_like_numpy(op, shapes):
     for operand, (fn, point) in enumerate(losses):
         rep = grad_check(fn, Tensor(point), h=1e-5)
         assert rep.max_rel_err <= 1e-6, (operand, rep.max_rel_err)
+
+
+@pytest.mark.parametrize("op", ELEMENTWISE_OPS)
+def test_elementwise_pullbacks_skip_constant_operands(op):
+    taped, _ = ELEMENTWISE_OPS[op]
+    x = Tensor(np.full((2, 3), 2.0), requires_grad=True)
+    g = np.ones((2, 3))
+    for args, grads_formed in (((x, Tensor(np.full(3, 4.0))), [True, False]),
+                               ((4.0, x), [False, True]),
+                               ((x, x), [True, True])):
+        with Tape() as tape:
+            taped(*args)
+        grads = tape.nodes[0].bwd(g)
+        assert [gi is not None for gi in grads] == grads_formed, args
 
 
 def test_gather_scatter_gradients():
