@@ -296,10 +296,7 @@ def hash_token_embedding(token: str, dim: int) -> np.ndarray:
 
 
 def encode_prompt(prompt: str, dim: int) -> np.ndarray:
-    toks = prompt.split()
-    if not toks:
-        return np.zeros((0, dim))
-    return np.stack([hash_token_embedding(tok, dim) for tok in toks])
+    return np.array([hash_token_embedding(t, dim) for t in prompt.split()]).reshape(-1, dim)
 
 
 @dataclass
@@ -307,13 +304,13 @@ class TextContext:
     """Per-layer text key/value tensors, fixed for a given prompt set.
 
     Nothing here depends on the diffusion timestep, so a context computed
-    once is reused across every denoising step.
+    once is reused across every denoising step. When every prompt is empty,
+    S_t is 0 and joint_attention attends over the image tokens only.
     """
 
     k_txt: list[Tensor]          # per layer, (B, S_t, H_kv, d_h)
     v_txt: list[Tensor]
     mask: np.ndarray             # (B, S_t) validity for padded positions
-    s_t: int
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +456,6 @@ class MoEDiT:
         for b, e in enumerate(enc):
             mask[b, :e.shape[0]] = True
             cmat[b, :e.shape[0]] = e
-        if s_t == 0:
-            return TextContext(k_txt=[], v_txt=[], mask=mask, s_t=0)
         c = Tensor(cmat)
         ks, vs = [], []
         pos_w = np.arange(s_t)
@@ -473,7 +468,7 @@ class MoEDiT:
                            (B, s_t, cfg.n_kv_heads, cfg.head_dim))
             ks.append(k)
             vs.append(v)
-        return TextContext(k_txt=ks, v_txt=vs, mask=mask, s_t=s_t)
+        return TextContext(k_txt=ks, v_txt=vs, mask=mask)
 
     # -- forward ----------------------------------------------------------
 
@@ -563,9 +558,9 @@ class MoEDiT:
         v = nt.reshape(nt.matmul(a_in, blk.wv), (B, S, cfg.n_kv_heads, cfg.head_dim))
         q = rope_apply_grid(nt.rmsnorm(q), pos_h, pos_w)
         k = rope_apply_grid(nt.rmsnorm(k), pos_h, pos_w)
-        if ctx is not None and ctx.s_t > 0:
+        if ctx is None:
+            attn = joint_attention(q, k, v)
+        else:
             attn = joint_attention(q, k, v, ctx.k_txt[blk.layer],
                                    ctx.v_txt[blk.layer], ctx.mask)
-        else:
-            attn = joint_attention(q, k, v)
         return nt.matmul(attn, blk.wo)

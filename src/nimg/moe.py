@@ -20,16 +20,6 @@ from .router import route_full
 from .tensor import ShapeError, Tensor
 
 
-def swiglu_arrays(x: np.ndarray, w1: np.ndarray, w3: np.ndarray,
-                  w2: np.ndarray) -> np.ndarray:
-    """Gated-linear forward on raw 2-D arrays; the per-expert reference the
-    tests compare the taped op against."""
-    h1 = x @ w1.T
-    h3 = x @ w3.T
-    s = 1.0 / (1.0 + np.exp(-h1))
-    return (h1 * s * h3) @ w2.T
-
-
 def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
     """Single-pass SwiGLU: (SiLU(x W1^T) * (x W3^T)) W2^T.
 
@@ -66,12 +56,6 @@ def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
         return gx, gw1, gw3, gw2
 
     return nt.record("swiglu", (x, w1, w3, w2), (out,), bwd)[0]
-
-
-def swiglu_composed(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
-    """Three-step reference: separate matmuls, SiLU, and elementwise product."""
-    wt = lambda w: nt.transpose(w, (1, 0))
-    return nt.matmul(nt.mul(nt.silu(nt.matmul(x, wt(w1))), nt.matmul(x, wt(w3))), wt(w2))
 
 
 @dataclass
@@ -112,7 +96,7 @@ def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
     x_mod_flat = nt.reshape(x_mod, (B * S, d))
     gathered = nt.reshape(nt.gather_rows(x_mod_flat, token_flat), (E, B * cap, d))
     expert_out = nt.reshape(grouped_forward(gathered, bank), (E * B * cap, d))
-    gated = nt.mul(expert_out, nt.reshape(routing["gates"], (-1, 1)))
+    gated = nt.mul(expert_out, routing["gates"])
     combined = nt.scatter_add_rows(gated, token_flat, B * S)   # (B*S, d)
     shared = swiglu(x_mod_flat, bank.shared_w1, bank.shared_w3, bank.shared_w2)
     out = nt.reshape(nt.add(combined, shared), (B, S, d))

@@ -89,8 +89,11 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
     embedding broadcast over tokens; w_r: (2d, E) router weight, whose
     column count is the number of experts. Returns (decisions, routing) where
     decisions is one RouterDecision per sample and routing carries the
-    tape-connected gate tensor plus flat gather/scatter indices in
-    expert-major order.
+    tape-connected gates plus flat gather/scatter indices in expert-major
+    order. A token's gate total is a sum over its dense row of E scores:
+    gates = kept / (sum_E kept + GATE_EPS) with kept = scores * claimed, the
+    constant 0/1 mask of the cells the experts selected. routing["gates"] is
+    one gather of the claimed cells, an (E*B*cap, 1) column.
     """
     B, S, d = x_norm.shape
     if w_r.ndim != 2 or w_r.shape[0] != 2 * d or w_r.shape[1] < 1:
@@ -114,12 +117,10 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
     token_flat = (top_eb + batch_off).reshape(-1)                     # (E*B*cap,)
     expert_ids = np.repeat(np.arange(E, dtype=np.int64), B * capacity)
     cell_flat = token_flat * E + expert_ids
-    gate_raw = nt.gather_rows(nt.reshape(scores, (B * S * E, 1)), cell_flat)
-    gate_raw = nt.reshape(gate_raw, (E * B * capacity,))
-
-    totals = nt.scatter_add_rows(nt.reshape(gate_raw, (-1, 1)), token_flat, B * S)
-    tot_per_slot = nt.reshape(nt.gather_rows(totals, token_flat), (-1,))
-    gates = nt.div(gate_raw, nt.add(tot_per_slot, GATE_EPS))         # (E*B*cap,)
+    claimed = np.bincount(cell_flat, minlength=B * S * E).reshape(B, S, E)  # 0/1
+    kept = nt.mul(scores, Tensor(claimed))
+    dense_gates = nt.div(kept, nt.add(nt.sum(kept, axis=-1, keepdims=True), GATE_EPS))
+    gates = nt.gather_rows(nt.reshape(dense_gates, (B * S * E, 1)), cell_flat)
 
     gates_np = gates.data.reshape(E, B, capacity)
     aff_sel = np.take_along_axis(affinity_np, top, axis=-1)
@@ -131,7 +132,7 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
                  for b in range(B)]
 
     routing = {
-        "gates": gates,                 # tape tensor, expert-major flat order
+        "gates": gates,                 # tape tensor (E*B*cap, 1), expert-major
         "logits": logits,               # tape tensor (B, S, E)
         "token_flat": token_flat,       # flat row index into (B*S, d)
         "capacity": capacity,

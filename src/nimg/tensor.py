@@ -1,13 +1,15 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 Storage is float64, and so is every op and gradient; input data of any
-other numeric dtype is converted on construction. The elementwise binary
-ops (add, sub, mul, div) broadcast by numpy's rules and raise ShapeError
-where numpy cannot broadcast; their pullbacks sum each gradient back to its
-operand's shape, so no operand has to be expanded to full size first. An
-operand that did not require grad when the op was recorded (a constant
-table, a mask, a Python scalar) gets None from the pullback, so its
-gradient is never formed.
+other numeric dtype is converted on construction and keeps its rank, so a
+scalar, a full sum and a mean are 0-d. Ops are module functions (Tensor has
+no operator overloads); matmul takes operands of rank >= 2 only. The
+elementwise binary ops (add, sub, mul, div) broadcast by numpy's rules and
+raise ShapeError where numpy cannot broadcast; their pullbacks sum each
+gradient back to its operand's shape, so no operand has to be expanded to
+full size first. An operand that did not require grad when the op was
+recorded (a constant table, a mask, a Python scalar) gets None from the
+pullback, so its gradient is never formed.
 
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
@@ -50,23 +52,21 @@ class EvalError(RuntimeError):
 class Tensor:
     """Immutable-after-forward dense array, optionally tracked on a tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float64,
-                 name: str = ""):
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
         if np.dtype(dtype) != np.float64:
             raise UnsupportedOp(f"unsupported storage dtype {np.dtype(dtype)}")
         try:
             arr = np.asarray(data)
             if arr.dtype == object:  # None and other objects would become NaN
                 raise TypeError
-            self.data = np.ascontiguousarray(arr, dtype=np.float64)
+            self.data = np.asarray(arr, dtype=np.float64, order="C")
         except (TypeError, ValueError):
             raise UnsupportedOp(f"cannot store {type(data).__name__} data "
                                 "as float64") from None
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,39 +89,8 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 class Node:
@@ -265,25 +234,19 @@ def div(a, b) -> Tensor:
                              _sum_to(-g * da / (db * db), b.shape) if rb else None))[0]
 
 
-def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    return record("neg", (a,), (-a.data,), lambda g: (-g,))[0]
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul of {a.shape} and {b.shape}: rank must be >= 2")
     da, db = a.data, b.data
-    try:  # numpy reports rank, inner and batch dim mismatches as ValueError
+    try:  # numpy reports inner and batch dim mismatches as ValueError
         out = np.matmul(da, db)
     except ValueError as e:
         raise ShapeError(f"matmul of {a.shape} and {b.shape}: {e}") from None
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(db, -1, -2)) if b.ndim > 1 else np.multiply.outer(g, db) if a.ndim > 1 else g * db
-        gb = np.matmul(np.swapaxes(da, -1, -2), g) if a.ndim > 1 and b.ndim > 1 else None
-        if gb is None:
-            gb = np.matmul(da.T, g) if b.ndim > 1 else da * g
-        return _sum_to(ga, a.shape), _sum_to(gb, b.shape)
+        return (_sum_to(np.matmul(g, np.swapaxes(db, -1, -2)), a.shape),
+                _sum_to(np.matmul(np.swapaxes(da, -1, -2), g), b.shape))
 
     return record("matmul", (a, b), (out,), bwd)[0]
 
@@ -399,6 +362,8 @@ def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarr
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis 0; backward scatter-adds into the source."""
     a = as_tensor(a)
+    if a.ndim == 0:
+        raise ShapeError("gather_rows: a 0-d source has no row axis")
     idx = _row_index(indices, a.shape[0], "gather_rows")
     out = np.ascontiguousarray(a.data[idx])
 
@@ -412,8 +377,9 @@ def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
     """Accumulate value rows into a zero buffer of n_rows rows (stable order)."""
     values = as_tensor(values)
     idx = _row_index(indices, n_rows, "scatter_add_rows")
-    if idx.size != values.shape[0]:
-        raise ShapeError("scatter_add_rows: one index per value row required")
+    if values.ndim == 0 or idx.size != values.shape[0]:
+        raise ShapeError("scatter_add_rows: one index per value row required, "
+                         f"got {idx.size} for values of shape {values.shape}")
     out = _scatter_add(np.zeros((n_rows,) + values.shape[1:], dtype=np.float64),
                        idx, values.data)
     return record("scatter_add_rows", (values,), (out,),
@@ -462,9 +428,7 @@ def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
         raise ShapeError(f"sum of {a.shape} over axis {axis}: {e}") from None
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return record("sum", (a,), (out,), bwd)[0]

@@ -142,6 +142,21 @@ def test_forward_is_equivariant_under_batch_permutation():
     assert vel_p.data.tobytes() == vel.data[perm].tobytes()
 
 
+def test_all_empty_prompts_match_no_text_context_bitwise():
+    rng = np.random.default_rng(16)
+    model = MoEDiT(ModelConfig())
+    randomise_modulation(model, rng)
+    z, t = latent(rng), rng.uniform(0.0, 1.0, 2)
+    with nt.no_grad():
+        ctx = model.precompute_text_kv(["", "  "])
+        assert ctx.mask.shape == (2, 0)
+        empty = model.forward(z, t, ctx, StageId.S256)[0]
+        none = model.forward(z, t, None, StageId.S256)[0]
+        text = velocity(model, z, t)
+    assert empty.data.tobytes() == none.data.tobytes()
+    assert not np.allclose(text.data, none.data)
+
+
 def test_zero_d_timestep_is_a_scalar_and_other_shapes_raise():
     rng = np.random.default_rng(6)
     model = MoEDiT(ModelConfig())

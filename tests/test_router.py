@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nimg.router import (DENSE, GATE_EPS, ConfigError, StageId, capacity_for,
-                         capacity_schedule, route)
-from nimg.tensor import Tensor
+                         capacity_schedule, route, route_full)
+from nimg.tensor import Tape, Tensor
 
 
 def make_inputs(rng, B, S, d):
@@ -147,3 +147,28 @@ def test_router_weight_shape_validated():
     x_norm, t_emb = make_inputs(np.random.default_rng(12), 1, 3, d)
     with pytest.raises(ConfigError):  # (d, E) instead of (2d, E)
         route(x_norm, t_emb, Tensor(np.zeros((d, E))), 1.0)
+
+
+def test_route_full_gates_are_one_gather_of_dense_totals():
+    rng = np.random.default_rng(13)
+    B, S, d, E, C = 2, 10, 4, 4, 2.0
+    w_r = Tensor(rng.normal(size=(2 * d, E)), requires_grad=True)
+    x_norm, t_emb = make_inputs(rng, B, S, d)
+    with Tape() as tape:
+        _, routing = route_full(x_norm, t_emb, w_r, C)
+    ops = [n.op for n in tape.nodes]
+    assert ops.count("gather_rows") == 1 and "scatter_add_rows" not in ops
+    cap = capacity_for(S, E, C)
+    gates = routing["gates"].data
+    assert gates.shape == (E * B * cap, 1)
+    # per-slot oracle: the slot's score over the scores of every expert
+    # that claimed the same token
+    scores = np.exp(routing["logits"].data)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    scores = scores.reshape(B * S, E)
+    token = routing["token_flat"]
+    expert = np.repeat(np.arange(E), B * cap)
+    for i in range(token.size):
+        claimers = expert[token == token[i]]
+        expect = scores[token[i], expert[i]] / (scores[token[i], claimers].sum() + GATE_EPS)
+        np.testing.assert_allclose(gates[i, 0], expect, rtol=1e-12)

@@ -77,12 +77,23 @@ def attend(q=(2, 5, 4, 4), kv_img=(2, 5, 2, 4), k_txt=(2, 3, 2, 4), v_txt=(2, 3,
 
 
 M23 = Tensor(np.zeros((2, 3)))
+V3 = Tensor(np.zeros(3))
 BAD_INPUTS = {  # case: (call, error type, message pattern)
     "gather_rows_fractional_index":
         (lambda: nt.gather_rows(M23, [0.5]), ShapeError, "integers"),
     "scatter_add_rows_fractional_index":
         (lambda: nt.scatter_add_rows(Tensor(np.ones((1, 3))), [0.5], 2),
          ShapeError, "integers"),
+    "gather_rows_0d_source":
+        (lambda: nt.gather_rows(Tensor(1.0), [0]), ShapeError, "row axis"),
+    "scatter_add_rows_0d_values":
+        (lambda: nt.scatter_add_rows(Tensor(1.0), [0], 2), ShapeError, "value row"),
+    "matmul_vector_left":
+        (lambda: nt.matmul(V3, Tensor(np.zeros((3, 4)))), ShapeError, "rank"),
+    "matmul_vector_right": (lambda: nt.matmul(M23, V3), ShapeError, "rank"),
+    "matmul_batched_times_vector":
+        (lambda: nt.matmul(Tensor(np.zeros((2, 2, 3))), V3), ShapeError, "rank"),
+    "matmul_vector_vector": (lambda: nt.matmul(V3, V3), ShapeError, "rank"),
     "matmul_batch_axes":
         (lambda: nt.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5)))),
          ShapeError, None),
@@ -135,6 +146,13 @@ def test_integer_and_empty_row_indices_still_work():
                                   [[4.0, 5.0], [0.0, 1.0]])
     assert nt.gather_rows(a, []).shape == (0, 2)
     assert nt.scatter_add_rows(Tensor(np.zeros((0, 2))), [], 3).shape == (3, 2)
+
+
+def test_scalars_sums_and_means_are_0d():
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    for t in (Tensor(1.0), Tensor(np.float32(2.0)), nt.sum(x), nt.mean(x)):
+        assert t.shape == () and t.ndim == 0 and t.size == 1
+    assert nt.mean(x).item() == 2.5
 
 
 def test_inputs_are_stored_as_float64():
@@ -193,7 +211,7 @@ def mean_last_axis(t):
 
 
 UNARY_OPS = [nt.tanh, nt.silu, nt.softmax, nt.layernorm, nt.rmsnorm, nt.sin,
-             nt.cos, nt.neg, mean_last_axis]
+             nt.cos, mean_last_axis]
 
 
 def fd_ok(rep, rtol, atol=1e-9):
@@ -228,7 +246,7 @@ def test_binary_and_shape_op_gradients():
 
     def fn(p):
         y = nt.matmul(nt.div(nt.mul(p, b), 1.7), w)
-        y = nt.concat([y, nt.neg(y)], axis=1)
+        y = nt.concat([y, nt.mul(y, -1.0)], axis=1)
         y = nt.transpose(y, (1, 0))
         y = nt.reshape(y, (2, 6))
         lo, mid, hi = nt.split(y, 3, axis=1)
