@@ -6,8 +6,9 @@ Timestep conditioning enters through zero-initialized modulation, so every
 block is an exact identity at initialization. The fused residual /
 normalization ops are single tape nodes with hand-derived pullbacks and are
 contractually equivalent to their multi-op compositions. Joint attention is
-one such node too: scores, mask and softmax share one buffer, and only the
-attention probabilities are kept for the pullback.
+one such node too: scores, mask and softmax share one buffer, and the node
+keeps only each score row's max and sum; its pullback recomputes the
+probabilities from the inputs and those two statistics.
 
 Text is encoded by a deterministic hash embedder; per-layer text key/value
 tensors are a pure function of the prompt and are precomputed once per
@@ -180,9 +181,11 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
     j * n_rep + r reads kv head j without K/V being repeated.
 
     The scores S = Q Kᵀ are scaled, masked and softmaxed in place in one
-    buffer, so the node retains only the probabilities P and the head-split
-    Q, K, V. With scale = 1/sqrt(d_h) and dO the output gradient, the
-    pullback is
+    buffer. The node keeps only each row's max and sum (two (..., S_i, 1)
+    arrays, as in FlashAttention): the pullback rebuilds the head-split Q,
+    K, V from its inputs and recomputes P with the forward's exact sequence,
+    so the recomputed P is bitwise the forward's. With scale = 1/sqrt(d_h)
+    and dO the output gradient, the pullback is
 
         dP = dO Vᵀ,   dS = P * (dP - rowsum(dP * P)) * scale,
         dQ = dS K,    dK = dSᵀ Q,   dV = Pᵀ dO,
@@ -195,33 +198,48 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
     n_rep = H_q // H_kv
     scale = 1.0 / math.sqrt(d_h)
 
-    inputs = (q, k_img, v_img)
-    k_all, v_all, S_t = k_img.data, v_img.data, 0
+    inputs, S_t = (q, k_img, v_img), 0
     if k_txt is not None and k_txt.shape[1] > 0:
-        inputs += (k_txt, v_txt)
-        k_all = np.concatenate([k_all, k_txt.data], axis=1)
-        v_all = np.concatenate([v_all, v_txt.data], axis=1)
-        S_t = k_txt.shape[1]
+        inputs, S_t = inputs + (k_txt, v_txt), k_txt.shape[1]
     S_kv = S_i + S_t
     if S_kv == 0:
         raise ShapeError("attention over no keys: no image or text tokens")
-
-    qh = np.ascontiguousarray(q.data.reshape(B, S_i, H_kv, n_rep, d_h)
-                              .transpose(0, 2, 3, 1, 4))        # (B, H_kv, n_rep, S_i, d_h)
-    kh = np.ascontiguousarray(k_all.transpose(0, 2, 3, 1)).reshape(B, H_kv, 1, d_h, S_kv)
-    vh = np.ascontiguousarray(v_all.transpose(0, 2, 1, 3)).reshape(B, H_kv, 1, S_kv, d_h)
-    p = np.matmul(qh, kh)                                       # scores, then P
-    p *= scale
+    bias = None
     if S_t > 0 and text_mask is not None:
-        bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)
-        p[..., S_i:] += bias[:, None, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+        bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)[:, None, None, None, :]
+
+    def split_heads():
+        """Q as (B, H_kv, n_rep, S_i, d_h), Kᵀ and V over image then text keys."""
+        qh = np.ascontiguousarray(q.data.reshape(B, S_i, H_kv, n_rep, d_h)
+                                  .transpose(0, 2, 3, 1, 4))
+        kh = np.empty((B, H_kv, 1, d_h, S_kv))
+        vh = np.empty((B, H_kv, 1, S_kv, d_h))
+        for k, v, keys in zip(inputs[1::2], inputs[2::2], (slice(0, S_i), slice(S_i, S_kv))):
+            kh[:, :, 0, :, keys] = k.data.transpose(0, 2, 3, 1)
+            vh[:, :, 0, keys] = v.data.transpose(0, 2, 1, 3)
+        return qh, kh, vh
+
+    def probs(qh, kh, stats=None):
+        """P in the scores' buffer; stats = (row max, row sum), computed if None."""
+        p = np.matmul(qh, kh)
+        p *= scale
+        if bias is not None:
+            p[..., S_i:] += bias
+        row_max = p.max(axis=-1, keepdims=True) if stats is None else stats[0]
+        p -= row_max
+        np.exp(p, out=p)
+        row_sum = p.sum(axis=-1, keepdims=True) if stats is None else stats[1]
+        p /= row_sum
+        return p, (row_max, row_sum)
+
+    qh, kh, vh = split_heads()
+    p, stats = probs(qh, kh)
     out = np.matmul(p, vh).transpose(0, 3, 1, 2, 4)             # (B, S_i, H_kv, n_rep, d_h)
     out = np.ascontiguousarray(out).reshape(B, S_i, H_q * d_h)
 
     def bwd(g):
+        qh, kh, vh = split_heads()
+        p = probs(qh, kh, stats)[0]
         go = np.ascontiguousarray(g.reshape(B, S_i, H_kv, n_rep, d_h)
                                   .transpose(0, 2, 3, 1, 4))
         gs = np.matmul(go, np.swapaxes(vh, -1, -2))             # dP, then dS in place

@@ -20,6 +20,14 @@ from .router import route_full
 from .tensor import ShapeError, Tensor
 
 
+def _sigmoid(h: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-h)) in one new buffer."""
+    s = np.negative(h)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
     """Single-pass SwiGLU: (SiLU(x W1^T) * (x W3^T)) W2^T.
 
@@ -28,8 +36,14 @@ def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
     (no leading axes) and a stack of experts (one leading axis). One tape
     node with a hand-derived pullback; value-identical to the three-step
     composition within float rounding.
+
+    The node keeps only the two up-projections h1 = x W1^T and h3 = x W3^T.
+    The forward forms sigmoid(h1), then SiLU(h1), then SiLU(h1) * h3 in one
+    buffer that is dropped after the down-projection; the pullback
+    recomputes them from h1 and h3 with the same in-place sequence, so they
+    are bitwise the forward's values.
     """
-    lead, d = x.shape[:-2], x.shape[-1]
+    lead, d = x.shape[:-2], (x.shape[-1] if x.ndim else -1)
     h = w1.shape[-2] if w1.ndim >= 2 else -1
     if (x.ndim < 2 or w1.shape != lead + (h, d) or w3.shape != lead + (h, d)
             or w2.shape != lead + (d, h)):
@@ -39,17 +53,26 @@ def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
     xd, w1d, w3d, w2d = x.data, w1.data, w3.data, w2.data
     h1 = xd @ T(w1d)
     h3 = xd @ T(w3d)
-    sig = 1.0 / (1.0 + np.exp(-h1))
-    act = h1 * sig
-    pre = act * h3
-    out = pre @ T(w2d)
+    gated = _sigmoid(h1)        # sigmoid(h1), then SiLU(h1), then SiLU(h1) * h3
+    gated *= h1
+    gated *= h3
+    out = gated @ T(w2d)
 
     def bwd(g):
         gpre = g @ w2d
-        gw2 = T(g) @ pre
-        gact = gpre * h3
-        gh3 = gpre * act
-        gh1 = gact * sig * (1.0 + h1 * (1.0 - sig))
+        buf = _sigmoid(h1)
+        gh1 = gpre * h3
+        gh1 *= buf
+        dsilu = np.subtract(1.0, buf)
+        dsilu *= h1
+        dsilu += 1.0
+        gh1 *= dsilu              # gpre * h3 * sig * (1 + h1 * (1 - sig))
+        del dsilu
+        buf *= h1                 # SiLU(h1)
+        gh3 = gpre * buf
+        buf *= h3                 # SiLU(h1) * h3
+        gw2 = T(g) @ buf
+        del buf
         gx = gh1 @ w1d + gh3 @ w3d
         gw1 = T(gh1) @ xd
         gw3 = T(gh3) @ xd
@@ -87,6 +110,8 @@ def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
     Returns (B, S, d); tokens selected by zero experts receive only the
     shared-expert output.
     """
+    if x_mod.ndim != 3:
+        raise ShapeError(f"expert state has shape {x_mod.shape}; expected (B, S, d)")
     B, S, d = x_mod.shape
     decisions, routing = route_full(x_norm, t_emb, w_r, capacity_factor)
     cap = routing["capacity"]

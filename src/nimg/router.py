@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as nt
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 
 class ConfigError(ValueError):
@@ -95,6 +95,8 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
     constant 0/1 mask of the cells the experts selected. routing["gates"] is
     one gather of the claimed cells, an (E*B*cap, 1) column.
     """
+    if x_norm.ndim != 3:
+        raise ShapeError(f"router state has shape {x_norm.shape}; expected (B, S, d)")
     B, S, d = x_norm.shape
     if w_r.ndim != 2 or w_r.shape[0] != 2 * d or w_r.shape[1] < 1:
         raise ConfigError(f"router weight shape {w_r.shape}, expected ({2 * d}, E >= 1)")

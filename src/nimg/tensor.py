@@ -13,12 +13,16 @@ pullback, so its gradient is never formed.
 
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
-writing into .data in place corrupts later gradients. After backward, a
-leaf's .grad (a tensor no recorded node produced) is exclusively owned and
-may be edited in place; an intermediate's .grad is read-only and may share
-memory with another tensor's .grad, because pullbacks hand out aliased
-arrays (add/sub pass the same upstream gradient to both operands, reshape
-returns a view).
+writing into .data in place corrupts later gradients. A closure need not
+keep everything its pullback reads: it may keep a little and recompute the
+rest from the node's inputs (swiglu keeps its two up-projections,
+joint_attention each score row's max and sum). A pullback must never write
+into what its closure keeps, because backward may run it twice on one tape
+and both runs must see the forward's values. After backward, a leaf's .grad
+(a tensor no recorded node produced) is exclusively owned and may be edited
+in place; an intermediate's .grad is read-only and may share memory with
+another tensor's .grad, because pullbacks hand out aliased arrays (add/sub
+pass the same upstream gradient to both operands, reshape returns a view).
 """
 
 from __future__ import annotations
@@ -477,6 +481,8 @@ def _ln_bwd(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
 def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
     """LayerNorm over the last axis, no affine parameters."""
     a = as_tensor(a)
+    if a.ndim == 0:
+        raise ShapeError("layernorm normalises over the last axis; got a 0-d tensor")
     xhat, inv = _ln_stats(a.data, eps)
     return record("layernorm", (a,), (xhat,), lambda g: (_ln_bwd(xhat, inv, g),))[0]
 
@@ -484,6 +490,8 @@ def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
 def rmsnorm(a: Tensor, eps: float = 1e-6) -> Tensor:
     """RMS normalization over the last axis, no affine parameters."""
     a = as_tensor(a)
+    if a.ndim == 0:
+        raise ShapeError("rmsnorm normalises over the last axis; got a 0-d tensor")
     da = a.data
     ms = (da * da).mean(axis=-1, keepdims=True) + eps
     inv = 1.0 / np.sqrt(ms)

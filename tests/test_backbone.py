@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,3 +353,48 @@ def test_joint_attention_no_grad_is_bitwise_the_taped_output():
         plain = joint_attention(*args)
     assert not plain.requires_grad
     assert plain.data.tobytes() == taped.data.tobytes()
+
+
+def test_taped_joint_attention_keeps_no_score_sized_array():
+    rng = np.random.default_rng(16)
+    B, S_i, S_t, H_kv, n_rep, d_h = 1, 256, 16, 1, 2, 4
+    q = Tensor(rng.standard_normal((B, S_i, H_kv * n_rep, d_h)), requires_grad=True)
+    kv = [Tensor(rng.standard_normal((B, S, H_kv, d_h)), requires_grad=True)
+          for S in (S_i, S_i, S_t, S_t)]
+    mask = np.arange(S_t)[None, :] < 12
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:   # the tape keeps the node, and so its closure, alive
+            out = joint_attention(q, *kv, mask)
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert len(tape.nodes) == 1
+    finally:
+        tracemalloc.stop()
+    row_stats = 2 * B * H_kv * n_rep * S_i * 8   # each row's max and sum
+    assert held - out.data.nbytes < S_i * (S_i + S_t) * 8   # less than one head's P
+    assert held <= out.data.nbytes + row_stats + 16 * 1024, held
+
+
+def test_second_backward_doubles_every_grad_bitwise():
+    """Pullbacks recompute from what their node keeps and never write into
+    it, so a second backward over one tape adds the first pass's gradients
+    again, bit for bit."""
+    rng = np.random.default_rng(17)
+    q, k_img, v_img, k_txt, v_txt, mask = attention_inputs(rng)
+    param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
+    stacked = param(2, 6, 16), param(2, 6, 16), param(2, 16, 6)   # 2 experts, h = 6
+    dense = param(6, 16), param(6, 16), param(16, 6)
+    with Tape() as tape:
+        att = joint_attention(q, k_img, v_img, k_txt, v_txt, mask)   # (2, 5, 16)
+        routed = moe.swiglu(att, *stacked)                           # experts over (2, 5, 16)
+        shared = moe.swiglu(nt.reshape(att, (10, 16)), *dense)
+        loss = nt.add(nt.sum(nt.mul(routed, Tensor(rng.standard_normal(routed.shape)))),
+                      nt.sum(nt.mul(shared, Tensor(rng.standard_normal(shared.shape)))))
+    tensors = [q, k_img, v_img, k_txt, v_txt, *stacked, *dense,
+               *(o for node in tape.nodes for o in node.outputs)]
+    backward(tape, loss)
+    first = [t.grad.copy() for t in tensors]
+    backward(tape, loss)
+    for t, g in zip(tensors, first):
+        assert t.grad.tobytes() == (2.0 * g).tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,25 @@ def test_swiglu_gradients_vs_fd():
     rep = grad_check(lambda p: nt.sum(swiglu(x, p, w3, w2)),
                      Tensor(rng.normal(size=(5, 3))), h=1e-5)
     assert rep.max_rel_err <= 1e-6
+
+
+def test_taped_swiglu_keeps_only_its_output_and_up_projections():
+    rng = np.random.default_rng(20)
+    n, d, h = 512, 8, 64
+    x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    w1, w3 = (Tensor(rng.standard_normal((h, d)), requires_grad=True) for _ in range(2))
+    w2 = Tensor(rng.standard_normal((d, h)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:   # the tape keeps the node, and so its closure, alive
+            out = swiglu(x, w1, w3, w2)
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert len(tape.nodes) == 1
+    finally:
+        tracemalloc.stop()
+    kept = out.data.nbytes + 2 * n * h * 8   # the output, h1 and h3
+    assert kept <= held <= kept + 16 * 1024, (held, kept)
 
 
 def test_swiglu_shape_mismatch():

@@ -6,7 +6,8 @@ import pytest
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual,
                            joint_attention)
-from nimg.router import StageId
+from nimg.moe import ExpertBank, moe_forward, swiglu
+from nimg.router import StageId, route_full
 from nimg.tensor import (NonScalarLoss, ShapeError, Tape, Tensor,
                          UnsupportedOp, backward, grad_check)
 
@@ -76,6 +77,19 @@ def attend(q=(2, 5, 4, 4), kv_img=(2, 5, 2, 4), k_txt=(2, 3, 2, 4), v_txt=(2, 3,
                            None if mask is None else np.ones(mask, bool))
 
 
+def route_on(shape):
+    """route_full on a zero state of the given shape, d = 4, E = 4."""
+    z = lambda *s: Tensor(np.zeros(s))
+    return route_full(z(*shape), z(2, 4), z(8, 4), 2.0)
+
+
+def moe_on(shape):
+    """moe_forward on zero states of the given shape, d = 4, E = 4, h = 8."""
+    z = lambda *s: Tensor(np.zeros(s))
+    bank = ExpertBank(z(4, 8, 4), z(4, 8, 4), z(4, 4, 8), z(8, 4), z(8, 4), z(4, 8))
+    return moe_forward(z(*shape), z(*shape), z(2, 4), 2.0, bank, z(8, 4))
+
+
 M23 = Tensor(np.zeros((2, 3)))
 V3 = Tensor(np.zeros(3))
 BAD_INPUTS = {  # case: (call, error type, message pattern)
@@ -125,6 +139,13 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "attention_3d_q": (lambda: attend(q=(2, 5, 16)), ShapeError, "q"),
     "attention_no_keys":
         (lambda: attend((2, 0, 4, 4), (2, 0, 2, 4), None, None, None), ShapeError, "no keys"),
+    "rmsnorm_0d": (lambda: nt.rmsnorm(Tensor(1.0)), ShapeError, "0-d"),
+    "layernorm_0d": (lambda: nt.layernorm(Tensor(1.0)), ShapeError, "0-d"),
+    "swiglu_0d_x": (lambda: swiglu(Tensor(1.0), M23, M23, M23), ShapeError, "swiglu"),
+    "route_full_2d_state": (lambda: route_on((6, 4)), ShapeError, "router state"),
+    "route_full_4d_state": (lambda: route_on((2, 3, 1, 4)), ShapeError, "router state"),
+    "moe_forward_2d_state": (lambda: moe_on((6, 4)), ShapeError, "expert state"),
+    "moe_forward_4d_state": (lambda: moe_on((2, 3, 1, 4)), ShapeError, "expert state"),
     "forward_3d_latent": (lambda: forward_on((2, 8, 8)), ShapeError, "z_t"),
     "forward_channel_count": (lambda: forward_on((2, 3, 8, 8)), ShapeError, "z_t"),
     "forward_prompt_count":
