@@ -126,6 +126,8 @@ def rotate_pairs(t: Tensor) -> Tensor:
 
 def rope_apply_grid(x: Tensor, pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
     """Apply per-token rotary angles to (B, S, H, d_h) head vectors."""
+    if x.ndim != 4:
+        raise ShapeError(f"rope_apply_grid expects (B, S, H, d_h) heads, got {x.shape}")
     cos, sin = _rope_tables(pos_h, pos_w, x.shape[3])   # (S, d_h)
     # (S, 1, d_h): one table for every sample and head
     c, s = Tensor(cos[:, None, :]), Tensor(sin[:, None, :])
@@ -268,12 +270,14 @@ def sinusoidal_features(t: Tensor, dim: int) -> Tensor:
     """Half sine / half cosine features over log-spaced frequencies.
 
     t: scalar or (B,) tensor of values in [0, 1]; at t = 0 the sine half is
-    exactly 0 and the cosine half exactly 1.
+    exactly 0 and the cosine half exactly 1. NaN is outside the domain.
     """
     if dim % 2 != 0:
         raise ConfigError(f"feature dim {dim} must be even")
     vals = t.data if isinstance(t, Tensor) else np.asarray(t)
-    if np.any(vals < 0.0) or np.any(vals > 1.0):
+    if vals.ndim > 1:
+        raise ShapeError(f"timestep t has shape {vals.shape}; expected () or (B,)")
+    if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise DomainError(f"timestep outside [0, 1]: {vals}")
     t = nt.as_tensor(t)
     half = dim // 2
@@ -359,6 +363,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_kv_heads < 1 or self.patch < 1:
+            raise ConfigError("n_kv_heads and patch must be >= 1")
         if self.n_q_heads % self.n_kv_heads != 0:
             raise ConfigError("n_q_heads must be a multiple of n_kv_heads")
         if self.n_q_heads * self.head_dim != self.d_model:
@@ -463,6 +469,8 @@ class MoEDiT:
 
     def precompute_text_kv(self, prompts: list[str]) -> TextContext:
         """Project encoder output to per-layer text KV, once per prompt set."""
+        if isinstance(prompts, str) or not all(isinstance(p, str) for p in prompts):
+            raise ShapeError("prompts must be a sequence of str, one per sample")
         self._text_kv_recomputes += 1
         cfg = self.cfg
         d = cfg.d_model

@@ -2,10 +2,10 @@
 
 Experts run on the modulated token state while routing decisions come from
 the unmodulated state (see router). Expert-choice routing gives every expert
-exactly B * capacity tokens, so the routed tokens form one (E, B*cap, d)
-block that a single stacked SwiGLU maps against (E, h, d) weights. Tokens
-claimed by several experts get their gated outputs scatter-added in fixed
-expert-major order; a shared expert covers every token so none is left
+exactly B * capacity distinct tokens, so the routed rows form one (E, B*cap)
+block index: one gather feeds a single stacked SwiGLU with (E, h, d) weights,
+the (E, B*cap, 1) gates scale its output, and one scatter_add_rows adds it
+back in expert order. A shared expert covers every token so none is left
 without expert output.
 """
 
@@ -115,14 +115,12 @@ def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
     B, S, d = x_mod.shape
     decisions, routing = route_full(x_norm, t_emb, w_r, capacity_factor)
     cap = routing["capacity"]
-    token_flat = routing["token_flat"]
-    E = w_r.shape[1]
+    blocks = routing["token_flat"].reshape(w_r.shape[1], B * cap)   # (E, B*cap)
 
     x_mod_flat = nt.reshape(x_mod, (B * S, d))
-    gathered = nt.reshape(nt.gather_rows(x_mod_flat, token_flat), (E, B * cap, d))
-    expert_out = nt.reshape(grouped_forward(gathered, bank), (E * B * cap, d))
-    gated = nt.mul(expert_out, routing["gates"])
-    combined = nt.scatter_add_rows(gated, token_flat, B * S)   # (B*S, d)
+    expert_out = grouped_forward(nt.gather_rows(x_mod_flat, blocks), bank)
+    gated = nt.mul(expert_out, routing["gates"])                 # (E, B*cap, d)
+    combined = nt.scatter_add_rows(gated, blocks, B * S)         # (B*S, d)
     shared = swiglu(x_mod_flat, bank.shared_w1, bank.shared_w3, bank.shared_w2)
     out = nt.reshape(nt.add(combined, shared), (B, S, d))
     if return_routing:

@@ -89,11 +89,13 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
     embedding broadcast over tokens; w_r: (2d, E) router weight, whose
     column count is the number of experts. Returns (decisions, routing) where
     decisions is one RouterDecision per sample and routing carries the
-    tape-connected gates plus flat gather/scatter indices in expert-major
-    order. A token's gate total is a sum over its dense row of E scores:
-    gates = kept / (sum_E kept + GATE_EPS) with kept = scores * claimed, the
-    constant 0/1 mask of the cells the experts selected. routing["gates"] is
-    one gather of the claimed cells, an (E*B*cap, 1) column.
+    tape-connected gates plus the flat row index token_flat into (B*S, d),
+    expert-major (e, b, slot); reshaped to (E, B*cap), row e is expert e's
+    block of distinct tokens. A token's gate total is a sum over its dense
+    row of E scores: gates = kept / (sum_E kept + GATE_EPS) with kept =
+    scores * claimed, the constant 0/1 mask of the cells the experts
+    selected. routing["gates"] is one block gather of the claimed cells,
+    shaped (E, B*cap, 1) like the expert outputs it scales.
     """
     if x_norm.ndim != 3:
         raise ShapeError(f"router state has shape {x_norm.shape}; expected (B, S, d)")
@@ -122,7 +124,8 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
     claimed = np.bincount(cell_flat, minlength=B * S * E).reshape(B, S, E)  # 0/1
     kept = nt.mul(scores, Tensor(claimed))
     dense_gates = nt.div(kept, nt.add(nt.sum(kept, axis=-1, keepdims=True), GATE_EPS))
-    gates = nt.gather_rows(nt.reshape(dense_gates, (B * S * E, 1)), cell_flat)
+    gates = nt.gather_rows(nt.reshape(dense_gates, (B * S * E, 1)),
+                           cell_flat.reshape(E, B * capacity))         # (E, B*cap, 1)
 
     gates_np = gates.data.reshape(E, B, capacity)
     aff_sel = np.take_along_axis(affinity_np, top, axis=-1)
@@ -134,18 +137,10 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
                  for b in range(B)]
 
     routing = {
-        "gates": gates,                 # tape tensor (E*B*cap, 1), expert-major
+        "gates": gates,                 # tape tensor (E, B*cap, 1)
         "logits": logits,               # tape tensor (B, S, E)
         "token_flat": token_flat,       # flat row index into (B*S, d)
         "capacity": capacity,
         "shape": (B, S, E),
     }
     return decisions, routing
-
-
-def route(x_norm: Tensor, t_emb: Tensor, w_r: Tensor,
-          capacity_factor: float) -> list[RouterDecision]:
-    """Route a batch; returns one detached RouterDecision per sample."""
-    with nt.no_grad():
-        decisions, _ = route_full(x_norm, t_emb, w_r, capacity_factor)
-    return decisions

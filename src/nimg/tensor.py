@@ -11,6 +11,10 @@ full size first. An operand that did not require grad when the op was
 recorded (a constant table, a mask, a Python scalar) gets None from the
 pullback, so its gradient is never formed.
 
+Row gather and scatter take a 1-d (one block) or 2-d (G, n) block index in
+which no row repeats within a block (ShapeError otherwise), as in
+expert-choice dispatch: each block is then one exact fancy-index add.
+
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
 writing into .data in place corrupts later gradients. A closure need not
@@ -322,72 +326,62 @@ def split(a: Tensor, n: int, axis: int = 0) -> tuple[Tensor, ...]:
 
 
 def _row_index(indices, n_rows: int, op: str) -> np.ndarray:
-    """indices as a flat int64 array of rows in [0, n_rows); ShapeError otherwise."""
+    """indices as a 1-d or 2-d (G, n) int64 block index of rows in [0, n_rows),
+    no row twice in one block; ShapeError otherwise."""
     idx = np.asarray(indices)
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"{op}: row indices must be integers, got {idx.dtype}")
     idx = idx.astype(np.int64, copy=False)
-    if idx.ndim != 1:
-        raise ShapeError(f"{op} expects a flat index array")
+    if idx.ndim not in (1, 2):
+        raise ShapeError(f"{op} expects a 1-d or 2-d (blocks, n) index, got {idx.ndim}-d")
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         raise ShapeError(f"{op} index out of range for {n_rows} rows")
+    s = np.sort(idx, axis=-1)
+    if np.any(s[..., 1:] == s[..., :-1]):
+        raise ShapeError(f"{op}: a row index repeats within one block")
     return idx
 
 
-def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """out[idx[i]] += rows[i] for every i, in place; returns out.
+def _add_blocks(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[idx[k]] += rows[k] for every block k, in place; returns out.
 
-    Bitwise equal to numpy's unbuffered add.at for idx in [0, len(out)):
-    every target row receives its addends one at a time in increasing i.
-    A stable sort of idx groups each target's addends in that order; round
-    r adds every target's r-th addend. Targets are ranked by addend count,
-    so the targets still live in round r are a prefix of one compact
-    accumulator and a round is one gather plus one contiguous in-place add.
-    The number of rounds is the largest multiplicity.
+    No row repeats within a block, so each block is one exact fancy-index
+    add, and every target row receives its addends in flat-index order:
+    bitwise what numpy's add.at gives for idx.ravel().
     """
-    if not idx.size:
-        return out
-    # the smallest dtype lets numpy radix-sort indices that fit in 16 bits
-    order = np.argsort(idx.astype(np.min_scalar_type(idx.max())), kind="stable")
-    sidx = idx[order]
-    starts = np.flatnonzero(np.diff(sidx, prepend=-1))  # first addend of each target
-    counts = np.diff(starts, append=idx.size)
-    most = np.argsort(-counts, kind="stable")
-    starts, counts = starts[most], counts[most]
-    targets = sidx[starts]
-    acc = out[targets]
-    for r in range(counts[0]):
-        n = np.count_nonzero(counts > r)
-        acc[:n] += rows[order[starts[:n] + r]]
-    out[targets] = acc
+    blocks = np.atleast_2d(idx)
+    for i, r in zip(blocks, rows.reshape(blocks.shape + out.shape[1:])):
+        out[i] += r
     return out
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows along axis 0; backward scatter-adds into the source."""
+    """Rows of a by a 1-d or 2-d block index, shaped indices.shape + a.shape[1:].
+
+    A row may repeat across blocks but not within one (ShapeError).
+    """
     a = as_tensor(a)
     if a.ndim == 0:
         raise ShapeError("gather_rows: a 0-d source has no row axis")
     idx = _row_index(indices, a.shape[0], "gather_rows")
-    out = np.ascontiguousarray(a.data[idx])
-
-    def bwd(g):
-        return (_scatter_add(np.zeros(a.shape, dtype=np.float64), idx, g),)
-
-    return record("gather_rows", (a,), (out,), bwd)[0]
+    out = a.data[idx]
+    return record("gather_rows", (a,), (out,),
+                  lambda g: (_add_blocks(np.zeros(a.shape), idx, g),))[0]
 
 
 def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
-    """Accumulate value rows into a zero buffer of n_rows rows (stable order)."""
+    """Add values, shaped indices.shape + row shape, into n_rows zero rows.
+
+    indices is a 1-d or 2-d block index with no row twice in one block
+    (ShapeError); blocks add in order, bitwise as numpy's add.at.
+    """
     values = as_tensor(values)
     idx = _row_index(indices, n_rows, "scatter_add_rows")
-    if values.ndim == 0 or idx.size != values.shape[0]:
+    if values.shape[:idx.ndim] != idx.shape:
         raise ShapeError("scatter_add_rows: one index per value row required, "
-                         f"got {idx.size} for values of shape {values.shape}")
-    out = _scatter_add(np.zeros((n_rows,) + values.shape[1:], dtype=np.float64),
-                       idx, values.data)
-    return record("scatter_add_rows", (values,), (out,),
-                  lambda g: (np.ascontiguousarray(g[idx]),))[0]
+                         f"got {idx.shape} for values of shape {values.shape}")
+    out = _add_blocks(np.zeros((n_rows,) + values.shape[idx.ndim:]), idx, values.data)
+    return record("scatter_add_rows", (values,), (out,), lambda g: (g[idx],))[0]
 
 
 # ---------------------------------------------------------------------------

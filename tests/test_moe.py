@@ -5,7 +5,7 @@ import pytest
 
 from nimg import tensor as nt
 from nimg.moe import ExpertBank, grouped_forward, moe_forward, swiglu
-from nimg.router import GATE_EPS, route
+from nimg.router import GATE_EPS, route_full
 from nimg.tensor import ShapeError, Tape, Tensor, backward, grad_check
 
 
@@ -168,7 +168,8 @@ def moe_setup(rng, B, S, d, E, C, h=4):
 def dense_oracle(x_mod, t_emb, x_norm, w_r, C, bank):
     """Per-token bookkeeping oracle: shared + sum of gated selecting experts."""
     B, S, d = x_mod.shape
-    decs = route(x_norm, t_emb, w_r, C)
+    with nt.no_grad():
+        decs, _ = route_full(x_norm, t_emb, w_r, C)
     out = np.zeros((B, S, d))
     for b in range(B):
         dec = decs[b]
@@ -228,6 +229,26 @@ def test_moe_forward_matches_dense_oracle():
         np.testing.assert_allclose(out.data, oracle, rtol=1e-6, atol=1e-9,
                                    err_msg=f"trial {trial}")
         assert np.all(np.isfinite(out.data))
+
+
+def test_moe_forward_routed_sum_is_add_at_over_token_flat_bitwise():
+    rng = np.random.default_rng(14)
+    B, S, d, E = 2, 9, 4, 4
+    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, B, S, d, E, 2.0)
+    out, _, routing = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r,
+                                  return_routing=True)
+    token_flat = routing["token_flat"]
+    # with three or more addends a row's sum depends on their order
+    assert np.bincount(token_flat).max() >= 3
+    x_flat = x_mod.data.reshape(B * S, d)
+    with nt.no_grad():
+        expert_out = swiglu(Tensor(x_flat[token_flat].reshape(E, -1, d)),
+                            bank.w1, bank.w3, bank.w2).data
+        shared = swiglu(Tensor(x_flat), bank.shared_w1, bank.shared_w3,
+                        bank.shared_w2).data
+    routed = np.zeros((B * S, d))
+    np.add.at(routed, token_flat, (expert_out * routing["gates"].data).reshape(-1, d))
+    assert out.data.tobytes() == (routed + shared).reshape(B, S, d).tobytes()
 
 
 def test_moe_forward_batch_permutation_equivariance():

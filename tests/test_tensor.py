@@ -5,10 +5,10 @@ import pytest
 
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual,
-                           joint_attention)
+                           joint_attention, rope_apply_grid, sinusoidal_features)
 from nimg.moe import ExpertBank, moe_forward, swiglu
-from nimg.router import StageId, route_full
-from nimg.tensor import (NonScalarLoss, ShapeError, Tape, Tensor,
+from nimg.router import ConfigError, StageId, route_full
+from nimg.tensor import (DomainError, NonScalarLoss, ShapeError, Tape, Tensor,
                          UnsupportedOp, backward, grad_check)
 
 
@@ -62,11 +62,16 @@ def test_shape_errors():
         Tensor(np.zeros(2), dtype=np.float32)
 
 
-def forward_on(z_shape, prompts=("a cat", "a dog")):
+def forward_on(z_shape, prompts=("a cat", "a dog"), t=0.5):
     model = MoEDiT(ModelConfig())
     with nt.no_grad():
-        model.forward(Tensor(np.zeros(z_shape)), 0.5,
+        model.forward(Tensor(np.zeros(z_shape)), t,
                       model.precompute_text_kv(list(prompts)), StageId.S256)
+
+
+def text_kv_of(prompts):
+    with nt.no_grad():
+        return MoEDiT(ModelConfig()).precompute_text_kv(prompts)
 
 
 def attend(q=(2, 5, 4, 4), kv_img=(2, 5, 2, 4), k_txt=(2, 3, 2, 4), v_txt=(2, 3, 2, 4),
@@ -102,6 +107,15 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
         (lambda: nt.gather_rows(Tensor(1.0), [0]), ShapeError, "row axis"),
     "scatter_add_rows_0d_values":
         (lambda: nt.scatter_add_rows(Tensor(1.0), [0], 2), ShapeError, "value row"),
+    "gather_rows_repeat_in_block":
+        (lambda: nt.gather_rows(M23, [[0, 1], [1, 1]]), ShapeError, "repeats"),
+    "scatter_add_rows_repeat_in_block":
+        (lambda: nt.scatter_add_rows(M23, [1, 1], 2), ShapeError, "repeats"),
+    "gather_rows_3d_index":
+        (lambda: nt.gather_rows(M23, np.zeros((1, 1, 1), np.int64)), ShapeError, "2-d"),
+    "scatter_add_rows_3d_index":
+        (lambda: nt.scatter_add_rows(Tensor(np.zeros((1, 1, 1, 3))),
+                                     np.zeros((1, 1, 1), np.int64), 2), ShapeError, "2-d"),
     "matmul_vector_left":
         (lambda: nt.matmul(V3, Tensor(np.zeros((3, 4)))), ShapeError, "rank"),
     "matmul_vector_right": (lambda: nt.matmul(M23, V3), ShapeError, "rank"),
@@ -150,6 +164,17 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "forward_channel_count": (lambda: forward_on((2, 3, 8, 8)), ShapeError, "z_t"),
     "forward_prompt_count":
         (lambda: forward_on((2, 4, 8, 8), prompts=("one prompt",)), ShapeError, "ctx"),
+    "forward_nan_timestep":
+        (lambda: forward_on((2, 4, 8, 8), t=float("nan")), DomainError, "timestep"),
+    "sinusoidal_2d_timestep":
+        (lambda: sinusoidal_features(Tensor(np.zeros((2, 1))), 8), ShapeError, "timestep"),
+    "rope_3d_heads":
+        (lambda: rope_apply_grid(Tensor(np.zeros((2, 4, 8))), np.zeros(4), np.zeros(4)),
+         ShapeError, "rope"),
+    "config_zero_kv_heads": (lambda: ModelConfig(n_kv_heads=0), ConfigError, "n_kv_heads"),
+    "config_zero_patch": (lambda: ModelConfig(patch=0), ConfigError, "patch"),
+    "text_kv_none_prompt": (lambda: text_kv_of([None]), ShapeError, "prompts"),
+    "text_kv_bare_string": (lambda: text_kv_of("a cat"), ShapeError, "prompts"),
 }
 
 
@@ -318,11 +343,13 @@ def test_elementwise_pullbacks_skip_constant_operands(op):
 
 
 def test_gather_scatter_gradients():
-    idx = np.array([0, 2, 2, 1])
+    # row 2 is gathered by both blocks, and both blocks add into rows 0 and 1
+    gather_idx = np.array([[0, 2], [2, 1]])
+    scatter_idx = np.array([[1, 0], [0, 1]])
 
     def fn(p):
-        g = nt.gather_rows(p, idx)
-        s = nt.scatter_add_rows(g, np.array([1, 0, 0, 1]), 2)
+        g = nt.gather_rows(p, gather_idx)                    # (2, 2, 2)
+        s = nt.scatter_add_rows(g, scatter_idx, 2)
         return nt.sum(nt.mul(s, s))
 
     rep = grad_check(fn, Tensor(np.random.default_rng(5).normal(size=(3, 2))))
@@ -382,9 +409,13 @@ def test_intermediate_fan_in_through_aliasing_pullbacks():
         assert rep.max_rel_err <= 1e-6, (seed, rep.max_rel_err)
 
 
-SCATTER_INDICES = {
-    "random_with_duplicates": np.random.default_rng(8).integers(0, 5, 40),
-    "all_same": np.full(12, 3),
+_BLOCK_RNG = np.random.default_rng(8)
+SCATTER_INDICES = {  # block indices into 5 rows, no row twice within a block
+    # expert-choice shaped: 10 experts each pick 4 distinct rows, so rows
+    # repeat across blocks
+    "random_with_duplicates": np.stack([_BLOCK_RNG.permutation(5)[:4] for _ in range(10)]),
+    "all_same": np.full((12, 1), 3),   # the same row in every block
+    "single_block": _BLOCK_RNG.permutation(5)[:4],
     "empty": np.zeros(0, dtype=np.int64),
 }
 
@@ -393,16 +424,17 @@ SCATTER_INDICES = {
 def test_scatter_add_rows_and_gather_pullback_match_add_at(kind):
     idx = SCATTER_INDICES[kind]
     rng = np.random.default_rng(9)
-    rows = rng.normal(size=(idx.size, 3))
+    rows = rng.normal(size=idx.shape + (3,))
     ref = np.zeros((5, 3))
-    np.add.at(ref, idx, rows)
+    np.add.at(ref, idx.ravel(), rows.reshape(-1, 3))
 
     out = nt.scatter_add_rows(Tensor(rows, dtype=np.float64), idx, 5)
     assert out.data.tobytes() == ref.tobytes()
 
     src = Tensor(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
     with Tape() as tape:
-        nt.gather_rows(src, idx)
+        gathered = nt.gather_rows(src, idx)
+    assert gathered.data.tobytes() == src.data[idx].tobytes()
     (pulled,) = tape.nodes[-1].bwd(rows)
     assert pulled.tobytes() == ref.tobytes()
 
