@@ -12,7 +12,10 @@ probabilities from the inputs and those two statistics.
 
 Text is encoded by a deterministic hash embedder; per-layer text key/value
 tensors are a pure function of the prompt and are precomputed once per
-prompt set, never per denoising step.
+prompt set, never per denoising step. Text enters only through those K/V,
+and every forward takes a TextContext: "no text" is zero-length text (all
+prompts empty), which is also the null prompt of classifier-free guidance.
+There is no text-free call.
 """
 
 from __future__ import annotations
@@ -56,10 +59,10 @@ def fused_gated_residual(x: Tensor, g: Tensor, r: Tensor) -> Tensor:
     return nt.record("fused_gated_residual", (x, g, r), (out,), bwd)[0]
 
 
-def fused_ln_scale(x: Tensor, s: Tensor, eps: float = 1e-6) -> Tensor:
+def fused_ln_scale(x: Tensor, s: Tensor) -> Tensor:
     """LayerNorm(x) * (1 + s) in one pass; s = 0 reduces to plain LayerNorm."""
     sd = _expand_mod(s.data, x.shape)
-    xhat, inv = nt._ln_stats(x.data, eps)
+    xhat, inv = nt._ln_stats(x.data)
     out = xhat * (1.0 + sd)
 
     def bwd(G):
@@ -68,8 +71,8 @@ def fused_ln_scale(x: Tensor, s: Tensor, eps: float = 1e-6) -> Tensor:
     return nt.record("fused_ln_scale", (x, s), (out,), bwd)[0]
 
 
-def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor, s: Tensor,
-                            eps: float = 1e-6) -> tuple[Tensor, Tensor]:
+def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
+                            s: Tensor) -> tuple[Tensor, Tensor]:
     """Gated residual then LayerNorm-scale, one pass.
 
     Returns (h, m) with h = x + tanh(g) * r (the updated residual stream)
@@ -81,7 +84,7 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor, s: Tensor,
     sd = _expand_mod(s.data, x.shape)
     rd = r.data
     h = x.data + th * rd
-    xhat, inv = nt._ln_stats(h, eps)
+    xhat, inv = nt._ln_stats(h)
     m = xhat * (1.0 + sd)
 
     def bwd(Gh, Gm):
@@ -96,11 +99,15 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor, s: Tensor,
 # rotary positions (two spatial axes)
 
 
-def _rope_tables(pos_h, pos_w, d_h: int, base: float = 10000.0):
+#: Base of the rotary frequencies base ** (-i / quarter) on each axis.
+ROPE_BASE = 10000.0
+
+
+def _rope_tables(pos_h, pos_w, d_h: int):
     if d_h % 4 != 0:
         raise ConfigError(f"head dim {d_h} not divisible by 4")
     quarter = d_h // 4
-    freqs = base ** (-np.arange(quarter, dtype=np.float64) / quarter)
+    freqs = ROPE_BASE ** (-np.arange(quarter, dtype=np.float64) / quarter)
     ang_h = np.multiply.outer(np.asarray(pos_h, dtype=np.float64), freqs)
     ang_w = np.multiply.outer(np.asarray(pos_w, dtype=np.float64), freqs)
     ang = np.concatenate([ang_h, ang_w], axis=-1)       # (..., d_h/2)
@@ -139,8 +146,8 @@ def rope_apply_grid(x: Tensor, pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
 
 
 def _check_attention_shapes(q: Tensor, k_img: Tensor, v_img: Tensor,
-                            k_txt: Tensor | None, v_txt: Tensor | None,
-                            text_mask: np.ndarray | None) -> None:
+                            k_txt: Tensor, v_txt: Tensor,
+                            text_mask: np.ndarray) -> None:
     if q.ndim != 4:
         raise ShapeError(f"attention q has shape {q.shape}; expected (B, S_i, H_q, d_h)")
     B, S_i, H_q, d_h = q.shape
@@ -152,31 +159,30 @@ def _check_attention_shapes(q: Tensor, k_img: Tensor, v_img: Tensor,
     H_kv = k_img.shape[2]
     if H_kv == 0 or H_q % H_kv != 0:
         raise ConfigError(f"query heads {H_q} not a multiple of kv heads {H_kv}")
-    if (k_txt is None) != (v_txt is None):
-        raise ShapeError("attention needs both k_txt and v_txt, or neither")
-    if k_txt is None:
-        if text_mask is not None:
-            raise ShapeError("attention text_mask given without text K/V")
-        return
+    if k_txt is None or v_txt is None or text_mask is None:
+        raise ShapeError("attention needs k_txt and v_txt and a text_mask; "
+                         "without text, pass zero-length ones")
     if k_txt.ndim != 4 or k_txt.shape[0] != B or k_txt.shape[2:] != (H_kv, d_h):
         raise ShapeError(f"attention k_txt has shape {k_txt.shape}; expected "
                          f"({B}, S_t, {H_kv}, {d_h})")
     if v_txt.shape != k_txt.shape:
         raise ShapeError(f"attention v_txt shape {v_txt.shape} != k_txt {k_txt.shape}")
-    if text_mask is not None and np.shape(text_mask) != k_txt.shape[:2]:
+    if np.shape(text_mask) != k_txt.shape[:2]:
         raise ShapeError(f"attention text_mask has shape {np.shape(text_mask)}; "
                          f"expected {k_txt.shape[:2]} (B, S_t)")
 
 
-def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
-                    k_txt: Tensor | None = None, v_txt: Tensor | None = None,
-                    text_mask: np.ndarray | None = None) -> Tensor:
+def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
+                    v_txt: Tensor, text_mask: np.ndarray) -> Tensor:
     """Image queries attend over concatenated image and text KV; one tape node.
 
-    q: (B, S_i, H_q, d_h); k/v img: (B, S_i, H_kv, d_h); text KV optional
+    q: (B, S_i, H_q, d_h); k/v img: (B, S_i, H_kv, d_h); k/v txt
     (B, S_t, H_kv, d_h); text_mask is a boolean (B, S_t) validity mask.
-    Text contributes no queries, so scores are (S_i, S_i + S_t). Returns
-    (B, S_i, H_q * d_h). Mismatched shapes raise ShapeError.
+    All six are required: without text, S_t is 0 (what all-empty prompts
+    give), and the node still has five inputs, each of which gets a
+    gradient. Text contributes no queries, so scores are (S_i, S_i + S_t).
+    Returns (B, S_i, H_q * d_h). Mismatched or missing inputs raise
+    ShapeError.
 
     Grouped-query attention is a batch broadcast: queries are split into
     (H_kv, n_rep) head groups and K/V carry a unit group axis, so query head
@@ -200,15 +206,12 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
     n_rep = H_q // H_kv
     scale = 1.0 / math.sqrt(d_h)
 
-    inputs, S_t = (q, k_img, v_img), 0
-    if k_txt is not None and k_txt.shape[1] > 0:
-        inputs, S_t = inputs + (k_txt, v_txt), k_txt.shape[1]
+    inputs = (q, k_img, v_img, k_txt, v_txt)
+    S_t = k_txt.shape[1]
     S_kv = S_i + S_t
     if S_kv == 0:
         raise ShapeError("attention over no keys: no image or text tokens")
-    bias = None
-    if S_t > 0 and text_mask is not None:
-        bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)[:, None, None, None, :]
+    bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)[:, None, None, None, :]
 
     def split_heads():
         """Q as (B, H_kv, n_rep, S_i, d_h), Kᵀ and V over image then text keys."""
@@ -225,8 +228,7 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
         """P in the scores' buffer; stats = (row max, row sum), computed if None."""
         p = np.matmul(qh, kh)
         p *= scale
-        if bias is not None:
-            p[..., S_i:] += bias
+        p[..., S_i:] += bias
         row_max = p.max(axis=-1, keepdims=True) if stats is None else stats[0]
         p -= row_max
         np.exp(p, out=p)
@@ -254,8 +256,6 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor,
         gq = np.ascontiguousarray(gq.transpose(0, 3, 1, 2, 4)).reshape(q.shape)
         gk = np.ascontiguousarray(gk.transpose(0, 3, 1, 2))     # (B, S_kv, H_kv, d_h)
         gv = np.ascontiguousarray(gv.transpose(0, 2, 1, 3))
-        if not S_t:
-            return gq, gk, gv
         return (gq, np.ascontiguousarray(gk[:, :S_i]), np.ascontiguousarray(gv[:, :S_i]),
                 np.ascontiguousarray(gk[:, S_i:]), np.ascontiguousarray(gv[:, S_i:]))
 
@@ -327,7 +327,8 @@ class TextContext:
 
     Nothing here depends on the diffusion timestep, so a context computed
     once is reused across every denoising step. When every prompt is empty,
-    S_t is 0 and joint_attention attends over the image tokens only.
+    S_t is 0: this zero-length context is how a forward runs without text,
+    and joint_attention then attends over the image tokens only.
     """
 
     k_txt: list[Tensor]          # per layer, (B, S_t, H_kv, d_h)
@@ -363,8 +364,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_kv_heads < 1 or self.patch < 1:
-            raise ConfigError("n_kv_heads and patch must be >= 1")
+        for name in ("n_layers", "d_model", "n_q_heads", "n_kv_heads", "head_dim",
+                     "n_experts", "expert_hidden", "latent_channels", "patch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_q_heads % self.n_kv_heads != 0:
             raise ConfigError("n_q_heads must be a multiple of n_kv_heads")
         if self.n_q_heads * self.head_dim != self.d_model:
@@ -517,19 +522,23 @@ class MoEDiT:
         t = nt.transpose(t, (0, 3, 1, 4, 2, 5))
         return nt.reshape(t, (B, C, H, W))
 
-    def forward(self, z_t: Tensor, t, ctx: TextContext | None,
-                stage: StageId):
+    def forward(self, z_t: Tensor, t, ctx: TextContext, stage: StageId):
         """Predict the velocity for a noisy latent.
 
-        Returns (velocity, aux) where aux carries the tape-connected router
-        logits and the routing decisions of every MoE layer.
+        ctx is required and holds one prompt per sample; to run without
+        text, pass the zero-length context of all-empty prompts. Returns
+        (velocity, aux) where aux carries the tape-connected router logits
+        and the routing decisions of every MoE layer.
         """
         cfg = self.cfg
         if z_t.ndim != 4 or z_t.shape[1] != cfg.latent_channels:
             raise ShapeError(f"latent z_t has shape {z_t.shape}; expected "
                              f"(B, {cfg.latent_channels}, H, W)")
         B = z_t.shape[0]
-        if ctx is not None and ctx.mask.shape[0] != B:
+        if not isinstance(ctx, TextContext):
+            raise ShapeError(f"text context ctx is {type(ctx).__name__}; expected a "
+                             "TextContext (all-empty prompts for no text)")
+        if ctx.mask.shape[0] != B:
             raise ShapeError(f"text context ctx holds {ctx.mask.shape[0]} prompts "
                              f"for a latent batch of {B}")
         tokens, (gh, gw) = self.patchify(z_t)
@@ -562,8 +571,7 @@ class MoEDiT:
                 x_mod = nt.mul(x_norm, nt.add(nt.reshape(ff_scale, (B, 1, -1)), 1.0))
                 cf = capacity_schedule(blk.layer, stage, n_layers=cfg.n_layers)
                 moe_out, decisions, routing = moe_forward(
-                    x_norm, x_mod, t_vec, cf, blk.bank, blk.router_gate,
-                    return_routing=True)
+                    x_norm, x_mod, t_vec, cf, blk.bank, blk.router_gate)
                 aux["router_logits"].append(routing["logits"])
                 aux["decisions"].append((blk.layer, decisions))
                 x = fused_gated_residual(h, ff_gate, moe_out)
@@ -575,7 +583,7 @@ class MoEDiT:
         vel = self.unpatchify(out, (gh, gw), z_t.shape)
         return vel, aux
 
-    def _attention(self, blk: Block, a_in: Tensor, ctx: TextContext | None,
+    def _attention(self, blk: Block, a_in: Tensor, ctx: TextContext,
                    pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
         cfg = self.cfg
         B, S, _ = a_in.shape
@@ -584,9 +592,6 @@ class MoEDiT:
         v = nt.reshape(nt.matmul(a_in, blk.wv), (B, S, cfg.n_kv_heads, cfg.head_dim))
         q = rope_apply_grid(nt.rmsnorm(q), pos_h, pos_w)
         k = rope_apply_grid(nt.rmsnorm(k), pos_h, pos_w)
-        if ctx is None:
-            attn = joint_attention(q, k, v)
-        else:
-            attn = joint_attention(q, k, v, ctx.k_txt[blk.layer],
-                                   ctx.v_txt[blk.layer], ctx.mask)
+        attn = joint_attention(q, k, v, ctx.k_txt[blk.layer],
+                               ctx.v_txt[blk.layer], ctx.mask)
         return nt.matmul(attn, blk.wo)

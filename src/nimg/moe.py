@@ -103,12 +103,12 @@ def grouped_forward(tokens: Tensor, bank: ExpertBank) -> Tensor:
 
 
 def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
-                capacity_factor: float, bank: ExpertBank, w_r: Tensor,
-                return_routing: bool = False):
+                capacity_factor: float, bank: ExpertBank, w_r: Tensor):
     """Full sparse layer: route on x_norm + t_emb, compute experts on x_mod.
 
-    Returns (B, S, d); tokens selected by zero experts receive only the
-    shared-expert output.
+    Returns (out, decisions, routing): out is (B, S, d), and decisions and
+    routing are route_full's. Tokens selected by zero experts receive only
+    the shared-expert output.
     """
     if x_mod.ndim != 3:
         raise ShapeError(f"expert state has shape {x_mod.shape}; expected (B, S, d)")
@@ -123,6 +123,4 @@ def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
     combined = nt.scatter_add_rows(gated, blocks, B * S)         # (B*S, d)
     shared = swiglu(x_mod_flat, bank.shared_w1, bank.shared_w3, bank.shared_w2)
     out = nt.reshape(nt.add(combined, shared), (B, S, d))
-    if return_routing:
-        return out, decisions, routing
-    return out
+    return out, decisions, routing

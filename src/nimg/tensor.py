@@ -11,6 +11,11 @@ full size first. An operand that did not require grad when the op was
 recorded (a constant table, a mask, a Python scalar) gets None from the
 pullback, so its gradient is never formed.
 
+Every normalisation (rmsnorm here, the LayerNorm statistics the fused
+modulation ops in backbone share) uses the one constant NORM_EPS.
+grad_check, the finite-difference check the tests use, lives in
+tests/oracles.py, not in the package.
+
 Row gather and scatter take a 1-d (one block) or 2-d (G, n) block index in
 which no row repeats within a block (ShapeError otherwise), as in
 expert-choice dispatch: each block is then one exact fancy-index add.
@@ -36,6 +41,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+#: Added to the variance (LayerNorm) or mean square (RMSNorm) of every
+#: normalisation before its inverse square root.
+NORM_EPS = 1e-6
+
 
 class ShapeError(ValueError):
     """Operand shapes incompatible for the requested op."""
@@ -51,10 +60,6 @@ class NonScalarLoss(ValueError):
 
 class DomainError(ValueError):
     """Scalar argument outside its documented domain."""
-
-
-class EvalError(RuntimeError):
-    """A checked function produced a non-finite value."""
 
 
 class Tensor:
@@ -400,12 +405,6 @@ def cos(a: Tensor) -> Tensor:
     return record("cos", (a,), (np.cos(da),), lambda g: (-g * np.sin(da),))[0]
 
 
-def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    th = np.tanh(a.data)
-    return record("tanh", (a,), (th,), lambda g: (g * (1.0 - th * th),))[0]
-
-
 def silu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     da = a.data
@@ -456,12 +455,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return record("softmax", (a,), (s,), bwd)[0]
 
 
-def _ln_stats(xd: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _ln_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalised values and inverse std of a LayerNorm over the last axis."""
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     return xc * inv, inv
 
 
@@ -472,22 +471,13 @@ def _ln_bwd(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
     return inv * (g - gm - xhat * gx)
 
 
-def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
-    """LayerNorm over the last axis, no affine parameters."""
-    a = as_tensor(a)
-    if a.ndim == 0:
-        raise ShapeError("layernorm normalises over the last axis; got a 0-d tensor")
-    xhat, inv = _ln_stats(a.data, eps)
-    return record("layernorm", (a,), (xhat,), lambda g: (_ln_bwd(xhat, inv, g),))[0]
-
-
-def rmsnorm(a: Tensor, eps: float = 1e-6) -> Tensor:
+def rmsnorm(a: Tensor) -> Tensor:
     """RMS normalization over the last axis, no affine parameters."""
     a = as_tensor(a)
     if a.ndim == 0:
         raise ShapeError("rmsnorm normalises over the last axis; got a 0-d tensor")
     da = a.data
-    ms = (da * da).mean(axis=-1, keepdims=True) + eps
+    ms = (da * da).mean(axis=-1, keepdims=True) + NORM_EPS
     inv = 1.0 / np.sqrt(ms)
     out = da * inv
     n = a.shape[-1]
@@ -560,68 +550,3 @@ def backward(tape: Tape, loss: Tensor) -> None:
             t.grad = g
         else:
             t.grad = g.copy()
-
-
-class GradCheckReport:
-    """Outcome of an analytic-vs-central-difference comparison."""
-
-    def __init__(self, max_rel_err: float, tol: float,
-                 analytic: np.ndarray, numeric: np.ndarray):
-        self.max_rel_err = max_rel_err
-        self.tol = tol
-        self.analytic = analytic
-        self.numeric = numeric
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err <= self.tol
-
-    def __repr__(self) -> str:
-        return (f"GradCheckReport(max_rel_err={self.max_rel_err:.3e}, "
-                f"tol={self.tol:.1e}, passed={self.passed})")
-
-
-def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
-               h: float = 1e-4, tol: float = 1e-5) -> GradCheckReport:
-    """Compare the taped gradient of a scalar fn against central differences.
-
-    rel err per element is |a - n| / max(1e-8, |a| + |n|).
-    """
-    if h <= 0:
-        raise DomainError("h must be positive")
-    base = point.data.copy()
-
-    def eval_at(arr: np.ndarray) -> float:
-        with no_grad():
-            v = fn(Tensor(arr))
-        if v.size != 1:
-            raise NonScalarLoss("grad_check fn must be scalar-valued")
-        val = float(v.data.reshape(()))
-        if not np.isfinite(val):
-            raise EvalError("fn evaluated to a non-finite value")
-        return val
-
-    p = Tensor(base.copy(), requires_grad=True)
-    with Tape() as tape:
-        out = fn(p)
-    if out.size != 1:
-        raise NonScalarLoss("grad_check fn must be scalar-valued")
-    if not np.all(np.isfinite(out.data)):
-        raise EvalError("fn evaluated to a non-finite value")
-    backward(tape, out)
-    analytic = (p.grad if p.grad is not None else np.zeros_like(base)).reshape(-1)
-
-    flat = base.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + h
-        fp = eval_at(base)
-        flat[i] = keep - h
-        fm = eval_at(base)
-        flat[i] = keep
-        numeric[i] = (fp - fm) / (2.0 * h)
-
-    rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return GradCheckReport(float(rel.max()) if rel.size else 0.0, tol,
-                           analytic.reshape(point.shape), numeric.reshape(point.shape))

@@ -10,7 +10,9 @@ from nimg.backbone import (ModelConfig, MoEDiT, fused_gate_res_ln_scale,
                            fused_gated_residual, fused_ln_scale,
                            joint_attention, rope_apply_grid)
 from nimg.router import StageId
-from nimg.tensor import ShapeError, Tape, Tensor, backward, grad_check
+from nimg.tensor import ShapeError, Tape, Tensor, backward
+from oracles import grad_check, layernorm, tanh
+from reference_model import attention_loop, reference_forward, rope_loop
 
 PROMPTS = ["red cat under the old tree", "a quiet river"]
 
@@ -143,19 +145,40 @@ def test_forward_is_equivariant_under_batch_permutation():
     assert vel_p.data.tobytes() == vel.data[perm].tobytes()
 
 
-def test_all_empty_prompts_match_no_text_context_bitwise():
+@pytest.mark.parametrize("stage", list(StageId), ids=lambda s: s.name)
+@pytest.mark.parametrize("prompts", [PROMPTS, ["", "  "]], ids=["padded", "all_empty"])
+@pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(n_layers=6, n_experts=8)],
+                         ids=["default", "six_layers_eight_experts"])
+def test_forward_matches_reference_model(cfg, prompts, stage):
+    # The default config routes at full capacity at every stage; the second
+    # one makes experts choose (capacity 8 or 4 of 16 tokens) at S512/S1024.
     rng = np.random.default_rng(16)
-    model = MoEDiT(ModelConfig())
+    model = MoEDiT(cfg)
     randomise_modulation(model, rng)
     z, t = latent(rng), rng.uniform(0.0, 1.0, 2)
     with nt.no_grad():
-        ctx = model.precompute_text_kv(["", "  "])
-        assert ctx.mask.shape == (2, 0)
-        empty = model.forward(z, t, ctx, StageId.S256)[0]
-        none = model.forward(z, t, None, StageId.S256)[0]
-        text = velocity(model, z, t)
-    assert empty.data.tobytes() == none.data.tobytes()
-    assert not np.allclose(text.data, none.data)
+        ctx = model.precompute_text_kv(prompts)
+        vel = model.forward(z, t, ctx, stage)[0]
+    assert ctx.mask.shape == (2, 6 if prompts is PROMPTS else 0)
+    np.testing.assert_allclose(vel.data, reference_forward(model, z.data, t, prompts, stage),
+                               rtol=1e-12, atol=0)
+
+
+def test_empty_prompts_under_a_tape_give_zero_text_projection_grads():
+    rng = np.random.default_rng(18)
+    model = MoEDiT(ModelConfig())
+    randomise_modulation(model, rng)
+    z, t, target = latent(rng), rng.uniform(0.0, 1.0, 2), latent(rng)
+    with Tape() as tape:
+        vel = model.forward(z, t, model.precompute_text_kv(["", ""]), StageId.S256)[0]
+        diff = nt.sub(vel, target)
+        loss = nt.mean(nt.mul(diff, diff))
+    backward(tape, loss)
+    for name, p in model.named_parameters().items():
+        assert p.grad is not None and np.isfinite(p.grad).all(), name
+    for blk in model.blocks:
+        for w in (blk.wk_txt, blk.wv_txt):
+            assert w.grad.shape == w.shape and not w.grad.any()
 
 
 def test_zero_d_timestep_is_a_scalar_and_other_shapes_raise():
@@ -178,11 +201,11 @@ def over_tokens(m, like):
 
 
 def gated_residual(x, g, r):
-    return nt.add(x, nt.mul(over_tokens(nt.tanh(g), x), r))
+    return nt.add(x, nt.mul(over_tokens(tanh(g), x), r))
 
 
 def ln_scale(x, s):
-    return nt.mul(nt.layernorm(x), nt.add(over_tokens(s, x), 1.0))
+    return nt.mul(layernorm(x), nt.add(over_tokens(s, x), 1.0))
 
 
 def gate_res_ln_scale(x, g, r, s):
@@ -221,47 +244,24 @@ def test_fused_modulation_op_matches_composition_and_fd(name):
         assert rep.max_rel_err <= 1e-6, (name, i, rep.max_rel_err)
 
 
-def attention_loop(q, k_img, v_img, k_txt=None, v_txt=None, mask=None):
-    """Per (sample, query head) masked softmax attention; head h reads kv
-    head h // n_rep."""
-    B, S_i, H_q, d_h = q.shape
-    n_rep = H_q // k_img.shape[2]
-    k, v = k_img, v_img
-    valid = np.ones((B, S_i), bool)
-    if k_txt is not None:
-        k = np.concatenate([k_img, k_txt], axis=1)
-        v = np.concatenate([v_img, v_txt], axis=1)
-        valid = np.concatenate([valid, mask], axis=1)
-    out = np.zeros((B, S_i, H_q, d_h))
-    for b in range(B):
-        for h in range(H_q):
-            j = h // n_rep
-            s = q[b, :, h] @ k[b, :, j].T / math.sqrt(d_h)
-            s = np.where(valid[b], s, -np.inf)
-            p = np.exp(s - s.max(axis=-1, keepdims=True))
-            out[b, :, h] = (p / p.sum(axis=-1, keepdims=True)) @ v[b, :, j]
-    return out.reshape(B, S_i, H_q * d_h)
-
-
 @pytest.mark.parametrize("with_text", [True, False], ids=["text", "no_text"])
 @pytest.mark.parametrize("n_rep", [1, 2, 4])
 def test_joint_attention_matches_per_head_loop(n_rep, with_text):
     rng = np.random.default_rng(10)
-    B, S_i, S_t, H_kv, d_h = 2, 5, 3, 2, 4
+    B, S_i, H_kv, d_h = 2, 5, 2, 4
+    S_t = 3 if with_text else 0
     arrays = {"q": rng.standard_normal((B, S_i, H_kv * n_rep, d_h)),
               "k_img": rng.standard_normal((B, S_i, H_kv, d_h)),
-              "v_img": rng.standard_normal((B, S_i, H_kv, d_h))}
-    if with_text:
-        arrays["k_txt"] = rng.standard_normal((B, S_t, H_kv, d_h))
-        arrays["v_txt"] = rng.standard_normal((B, S_t, H_kv, d_h))
-    mask = np.array([[True, True, True], [True, False, False]])  # sample 1 padded
-    extra = {"text_mask": mask} if with_text else {}
+              "v_img": rng.standard_normal((B, S_i, H_kv, d_h)),
+              "k_txt": rng.standard_normal((B, S_t, H_kv, d_h)),
+              "v_txt": rng.standard_normal((B, S_t, H_kv, d_h))}
+    mask = np.array([[True, True, True], [True, False, False]])[:, :S_t]  # sample 1 padded
 
     def attend(**over):
         ts = {n: over.get(n, Tensor(a)) for n, a in arrays.items()}
-        return joint_attention(**ts, **extra)
+        return joint_attention(**ts, text_mask=mask)
 
-    expect = attention_loop(*arrays.values(), mask=mask if with_text else None)
+    expect = attention_loop(*arrays.values(), mask)
     np.testing.assert_allclose(attend().data, expect, rtol=1e-12, atol=1e-14)
     w = Tensor(rng.standard_normal(expect.shape))
     for name in ("q", "k_img", "v_txt" if with_text else "v_img"):
@@ -276,16 +276,7 @@ def test_rope_apply_grid_matches_pair_rotation_loop():
     pos_h, pos_w = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
     x = rng.standard_normal((B, pos_h.size, H, d_h))
     out = rope_apply_grid(Tensor(x), pos_h, pos_w).data
-    quarter = d_h // 4
-    expect = np.empty_like(x)
-    for s in range(pos_h.size):
-        for i in range(d_h // 2):  # pair i is dims (2i, 2i + 1)
-            pos = pos_h[s] if i < quarter else pos_w[s]
-            theta = pos * 10000.0 ** (-(i % quarter) / quarter)
-            c, sn = math.cos(theta), math.sin(theta)
-            x0, x1 = x[:, s, :, 2 * i], x[:, s, :, 2 * i + 1]
-            expect[:, s, :, 2 * i] = c * x0 - sn * x1
-            expect[:, s, :, 2 * i + 1] = sn * x0 + c * x1
+    expect = rope_loop(x, pos_h, pos_w)
     np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-15)
     pair_norm = lambda a: np.hypot(a[..., 0::2], a[..., 1::2])
     np.testing.assert_allclose(pair_norm(out), pair_norm(x), rtol=1e-12)

@@ -6,7 +6,8 @@ import pytest
 from nimg import tensor as nt
 from nimg.moe import ExpertBank, grouped_forward, moe_forward, swiglu
 from nimg.router import GATE_EPS, route_full
-from nimg.tensor import ShapeError, Tape, Tensor, backward, grad_check
+from nimg.tensor import ShapeError, Tape, Tensor, backward
+from oracles import grad_check
 
 
 def swiglu_arrays(x: np.ndarray, w1: np.ndarray, w3: np.ndarray,
@@ -191,7 +192,7 @@ def test_moe_forward_zero_experts_gives_shared_only():
     rng = np.random.default_rng(6)
     C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 6, 4, 2, 1.0)
     bank.w2.data[:] = 0.0  # routed experts output zero
-    out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
+    out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)[0]
     shared = swiglu_arrays(x_mod.data.reshape(-1, 4), bank.shared_w1.data,
                            bank.shared_w3.data, bank.shared_w2.data)
     np.testing.assert_array_equal(out.data, shared.reshape(out.shape))
@@ -205,7 +206,7 @@ def test_moe_forward_single_expert_full_capacity():
     x_mod = Tensor(rng.normal(size=(1, S, d)), dtype=np.float64)
     x_norm = Tensor(rng.normal(size=(1, S, d)), dtype=np.float64)
     t_emb = Tensor(rng.normal(size=(1, d)), dtype=np.float64)
-    out = moe_forward(x_norm, x_mod, t_emb, 1.0, bank, w_r)
+    out = moe_forward(x_norm, x_mod, t_emb, 1.0, bank, w_r)[0]
     flat = x_mod.data.reshape(-1, d)
     shared = swiglu_arrays(flat, bank.shared_w1.data, bank.shared_w3.data,
                            bank.shared_w2.data)
@@ -224,7 +225,7 @@ def test_moe_forward_matches_dense_oracle():
         E = int(rng.integers(1, 5))
         C = float(rng.uniform(0.5, 4.0))
         C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, B, S, 4, E, C)
-        out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
+        out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)[0]
         oracle = dense_oracle(x_mod, t_emb, x_norm, w_r, C, bank)
         np.testing.assert_allclose(out.data, oracle, rtol=1e-6, atol=1e-9,
                                    err_msg=f"trial {trial}")
@@ -235,8 +236,7 @@ def test_moe_forward_routed_sum_is_add_at_over_token_flat_bitwise():
     rng = np.random.default_rng(14)
     B, S, d, E = 2, 9, 4, 4
     C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, B, S, d, E, 2.0)
-    out, _, routing = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r,
-                                  return_routing=True)
+    out, _, routing = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
     token_flat = routing["token_flat"]
     # with three or more addends a row's sum depends on their order
     assert np.bincount(token_flat).max() >= 3
@@ -254,23 +254,21 @@ def test_moe_forward_routed_sum_is_add_at_over_token_flat_bitwise():
 def test_moe_forward_batch_permutation_equivariance():
     rng = np.random.default_rng(9)
     C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 3, 5, 4, 2, 1.5)
-    out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r).data
+    out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)[0].data
     perm = np.array([2, 0, 1])
     out_p = moe_forward(
         Tensor(x_norm.data[perm], dtype=np.float64),
         Tensor(x_mod.data[perm], dtype=np.float64),
-        Tensor(t_emb.data[perm], dtype=np.float64), C, bank, w_r).data
+        Tensor(t_emb.data[perm], dtype=np.float64), C, bank, w_r)[0].data
     np.testing.assert_allclose(out_p, out[perm], rtol=1e-12)
 
 
 def test_moe_forward_decoupling_from_modulation_scale():
     rng = np.random.default_rng(10)
     C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 8, 4, 2, 2.0)
-    out1, dec1, _ = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r,
-                                return_routing=True)
+    out1, dec1, _ = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
     x_mod10 = Tensor(10.0 * x_mod.data, dtype=np.float64)
-    out2, dec2, _ = moe_forward(x_norm, x_mod10, t_emb, C, bank, w_r,
-                                return_routing=True)
+    out2, dec2, _ = moe_forward(x_norm, x_mod10, t_emb, C, bank, w_r)
     np.testing.assert_array_equal(dec1[0].top_indices, dec2[0].top_indices)
     np.testing.assert_array_equal(dec1[0].gates, dec2[0].gates)
     assert not np.allclose(out1.data, out2.data)
@@ -281,14 +279,14 @@ def test_moe_forward_gradients_vs_fd():
     C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 5, 3, 2, 1.5)
 
     def loss_wrt_xmod(p):
-        out = moe_forward(x_norm, p, t_emb, C, bank, w_r)
+        out = moe_forward(x_norm, p, t_emb, C, bank, w_r)[0]
         return nt.sum(nt.mul(out, out))
 
     rep = grad_check(loss_wrt_xmod, x_mod, h=1e-5)
     assert rep.max_rel_err <= 1e-5, rep.max_rel_err
 
     def loss_wrt_wr(p):
-        out = moe_forward(x_norm, x_mod, t_emb, C, bank, p)
+        out = moe_forward(x_norm, x_mod, t_emb, C, bank, p)[0]
         return nt.sum(nt.mul(out, out))
 
     rep = grad_check(loss_wrt_wr, w_r, h=1e-5)
@@ -301,7 +299,7 @@ def test_moe_forward_router_weight_receives_grad():
     w_r.requires_grad = True
     x_norm.requires_grad = True
     with Tape() as tape:
-        out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
+        out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)[0]
         loss = nt.sum(nt.mul(out, out))
     backward(tape, loss)
     assert w_r.grad is not None and np.any(w_r.grad != 0.0)

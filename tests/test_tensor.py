@@ -9,7 +9,8 @@ from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual,
 from nimg.moe import ExpertBank, moe_forward, swiglu
 from nimg.router import ConfigError, StageId, route_full
 from nimg.tensor import (DomainError, NonScalarLoss, ShapeError, Tape, Tensor,
-                         UnsupportedOp, backward, grad_check)
+                         UnsupportedOp, backward)
+from oracles import grad_check, layernorm, tanh
 
 
 def test_matmul_identity():
@@ -63,10 +64,11 @@ def test_shape_errors():
 
 
 def forward_on(z_shape, prompts=("a cat", "a dog"), t=0.5):
+    """MoEDiT.forward on a zero latent; prompts=None passes ctx=None."""
     model = MoEDiT(ModelConfig())
     with nt.no_grad():
-        model.forward(Tensor(np.zeros(z_shape)), t,
-                      model.precompute_text_kv(list(prompts)), StageId.S256)
+        ctx = None if prompts is None else model.precompute_text_kv(list(prompts))
+        model.forward(Tensor(np.zeros(z_shape)), t, ctx, StageId.S256)
 
 
 def text_kv_of(prompts):
@@ -92,7 +94,7 @@ def moe_on(shape):
     """moe_forward on zero states of the given shape, d = 4, E = 4, h = 8."""
     z = lambda *s: Tensor(np.zeros(s))
     bank = ExpertBank(z(4, 8, 4), z(4, 8, 4), z(4, 4, 8), z(8, 4), z(8, 4), z(4, 8))
-    return moe_forward(z(*shape), z(*shape), z(2, 4), 2.0, bank, z(8, 4))
+    return moe_forward(z(*shape), z(*shape), z(2, 4), 2.0, bank, z(8, 4))[0]
 
 
 M23 = Tensor(np.zeros((2, 3)))
@@ -152,9 +154,9 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
         (lambda: attend(v_img=(2, 5, 1, 4)), ShapeError, "v_img"),
     "attention_3d_q": (lambda: attend(q=(2, 5, 16)), ShapeError, "q"),
     "attention_no_keys":
-        (lambda: attend((2, 0, 4, 4), (2, 0, 2, 4), None, None, None), ShapeError, "no keys"),
+        (lambda: attend((2, 0, 4, 4), (2, 0, 2, 4), (2, 0, 2, 4), (2, 0, 2, 4), (2, 0)),
+         ShapeError, "no keys"),
     "rmsnorm_0d": (lambda: nt.rmsnorm(Tensor(1.0)), ShapeError, "0-d"),
-    "layernorm_0d": (lambda: nt.layernorm(Tensor(1.0)), ShapeError, "0-d"),
     "swiglu_0d_x": (lambda: swiglu(Tensor(1.0), M23, M23, M23), ShapeError, "swiglu"),
     "route_full_2d_state": (lambda: route_on((6, 4)), ShapeError, "router state"),
     "route_full_4d_state": (lambda: route_on((2, 3, 1, 4)), ShapeError, "router state"),
@@ -164,6 +166,8 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "forward_channel_count": (lambda: forward_on((2, 3, 8, 8)), ShapeError, "z_t"),
     "forward_prompt_count":
         (lambda: forward_on((2, 4, 8, 8), prompts=("one prompt",)), ShapeError, "ctx"),
+    "forward_without_text_context":
+        (lambda: forward_on((2, 4, 8, 8), prompts=None), ShapeError, "ctx"),
     "forward_nan_timestep":
         (lambda: forward_on((2, 4, 8, 8), t=float("nan")), DomainError, "timestep"),
     "sinusoidal_2d_timestep":
@@ -173,6 +177,17 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
          ShapeError, "rope"),
     "config_zero_kv_heads": (lambda: ModelConfig(n_kv_heads=0), ConfigError, "n_kv_heads"),
     "config_zero_patch": (lambda: ModelConfig(patch=0), ConfigError, "patch"),
+    "config_negative_layers": (lambda: ModelConfig(n_layers=-1), ConfigError, "n_layers"),
+    "config_negative_d_model":
+        (lambda: ModelConfig(d_model=-32, n_q_heads=-4), ConfigError, "d_model"),
+    "config_zero_q_heads": (lambda: ModelConfig(n_q_heads=0), ConfigError, "n_q_heads"),
+    "config_zero_head_dim": (lambda: ModelConfig(head_dim=0), ConfigError, "head_dim"),
+    "config_zero_experts": (lambda: ModelConfig(n_experts=0), ConfigError, "n_experts"),
+    "config_zero_expert_hidden":
+        (lambda: ModelConfig(expert_hidden=0), ConfigError, "expert_hidden"),
+    "config_zero_latent_channels":
+        (lambda: ModelConfig(latent_channels=0), ConfigError, "latent_channels"),
+    "config_negative_seed": (lambda: ModelConfig(seed=-1), ConfigError, "seed"),
     "text_kv_none_prompt": (lambda: text_kv_of([None]), ShapeError, "prompts"),
     "text_kv_bare_string": (lambda: text_kv_of("a cat"), ShapeError, "prompts"),
 }
@@ -256,7 +271,7 @@ def mean_last_axis(t):
     return nt.mean(t, axis=-1)
 
 
-UNARY_OPS = [nt.tanh, nt.silu, nt.softmax, nt.layernorm, nt.rmsnorm, nt.sin,
+UNARY_OPS = [tanh, nt.silu, nt.softmax, layernorm, nt.rmsnorm, nt.sin,
              nt.cos, mean_last_axis]
 
 
@@ -394,7 +409,7 @@ def test_intermediate_fan_in_through_aliasing_pullbacks():
 
     def fn(p):
         q = nt.mul(p, w)
-        y = nt.tanh(p)  # three consumers; each pullback hands y an alias of its g
+        y = tanh(p)  # three consumers; each pullback hands y an alias of its g
         flat = nt.reshape(y, (6, 4))
         gated = fused_gated_residual(y, g, r)
         doubled = nt.add(y, y)
