@@ -525,7 +525,8 @@ class MoEDiT:
     def forward(self, z_t: Tensor, t, ctx: TextContext, stage: StageId):
         """Predict the velocity for a noisy latent.
 
-        ctx is required and holds one prompt per sample; to run without
+        ctx is required and holds one prompt per sample and K/V for each of
+        this model's layers (ShapeError otherwise); to run without
         text, pass the zero-length context of all-empty prompts. Returns
         (velocity, aux) where aux carries the tape-connected router logits
         and the routing decisions of every MoE layer.
@@ -541,6 +542,9 @@ class MoEDiT:
         if ctx.mask.shape[0] != B:
             raise ShapeError(f"text context ctx holds {ctx.mask.shape[0]} prompts "
                              f"for a latent batch of {B}")
+        if len(ctx.k_txt) != len(self.blocks) or len(ctx.v_txt) != len(self.blocks):
+            raise ShapeError(f"text context ctx holds K/V for {len(ctx.k_txt)} layers "
+                             f"for a model of {len(self.blocks)}")
         tokens, (gh, gw) = self.patchify(z_t)
         x = nt.add(nt.matmul(tokens, self.patch_w), self.patch_b)
         t_arr = np.asarray(t)

@@ -17,8 +17,11 @@ grad_check, the finite-difference check the tests use, lives in
 tests/oracles.py, not in the package.
 
 Row gather and scatter take a 1-d (one block) or 2-d (G, n) block index in
-which no row repeats within a block (ShapeError otherwise), as in
-expert-choice dispatch: each block is then one exact fancy-index add.
+which no row repeats within a block (ShapeError otherwise), so each block
+is one exact fancy-index add. The model's expert-choice dispatch and combine
+do not go through them: moe.grouped_forward gathers, computes and adds back
+the routed rows in one node, validating its index with the same _row_index
+and adding with the same _add_blocks.
 
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so

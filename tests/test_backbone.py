@@ -311,6 +311,21 @@ def test_forward_records_one_fused_attention_node_per_block():
             assert consumers == ["joint_attention"]
 
 
+def test_forward_records_one_grouped_forward_node_per_moe_layer():
+    """The routed FFN is one node: no combine scatter and no (E, B*cap, d)
+    expert-row array on the tape."""
+    rng = np.random.default_rng(18)
+    model = MoEDiT(ModelConfig())
+    with Tape() as tape:
+        velocity(model, latent(rng), rng.uniform(0.0, 1.0, 2))
+    grouped = [n for n in tape.nodes if n.op == "grouped_forward"]
+    assert len(grouped) == sum(not blk.dense for blk in model.blocks)
+    assert not any(n.op == "scatter_add_rows" for n in tape.nodes)
+    d = model.cfg.d_model
+    expert_rows = {node.inputs[1].shape[:2] + (d,) for node in grouped}  # gates (E, B*cap, 1)
+    assert not any(o.shape in expert_rows for n in tape.nodes for o in n.outputs)
+
+
 def attention_inputs(rng):
     """q, k/v img, k/v txt and a text mask padding sample 1; 2 queries per kv head."""
     q = Tensor(rng.standard_normal((2, 5, 4, 4)), requires_grad=True)
@@ -376,13 +391,17 @@ def test_second_backward_doubles_every_grad_bitwise():
     param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
     stacked = param(2, 6, 16), param(2, 6, 16), param(2, 16, 6)   # 2 experts, h = 6
     dense = param(6, 16), param(6, 16), param(16, 6)
+    gates = param(2, 3, 1)
+    weigh = lambda y: nt.sum(nt.mul(y, Tensor(rng.standard_normal(y.shape))))
     with Tape() as tape:
         att = joint_attention(q, k_img, v_img, k_txt, v_txt, mask)   # (2, 5, 16)
         routed = moe.swiglu(att, *stacked)                           # experts over (2, 5, 16)
-        shared = moe.swiglu(nt.reshape(att, (10, 16)), *dense)
-        loss = nt.add(nt.sum(nt.mul(routed, Tensor(rng.standard_normal(routed.shape)))),
-                      nt.sum(nt.mul(shared, Tensor(rng.standard_normal(shared.shape)))))
-    tensors = [q, k_img, v_img, k_txt, v_txt, *stacked, *dense,
+        flat = nt.reshape(att, (10, 16))
+        shared = moe.swiglu(flat, *dense)
+        grouped = moe.grouped_forward(flat, [[0, 3, 7], [3, 9, 1]], gates,
+                                      moe.ExpertBank(*stacked, *dense))
+        loss = nt.add(nt.add(weigh(routed), weigh(shared)), weigh(grouped))
+    tensors = [q, k_img, v_img, k_txt, v_txt, *stacked, *dense, gates,
                *(o for node in tape.nodes for o in node.outputs)]
     backward(tape, loss)
     first = [t.grad.copy() for t in tensors]

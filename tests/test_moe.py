@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,28 +105,114 @@ def test_swiglu_shape_mismatch():
 
 
 def test_grouped_forward_equal_weights():
+    """Equal weights and gates: a row gives the same output through either expert."""
     rng = np.random.default_rng(3)
     bank = make_bank(rng, 2, 4, 3)
     bank.w1.data[1] = bank.w1.data[0]
     bank.w3.data[1] = bank.w3.data[0]
     bank.w2.data[1] = bank.w2.data[0]
     row = rng.normal(size=(1, 3))
-    tokens = Tensor(np.stack([row, row]), dtype=np.float64)
-    out = grouped_forward(tokens, bank)
+    x = Tensor(np.concatenate([row, row]), dtype=np.float64)
+    gates = Tensor(np.full((2, 1, 1), 0.7))
+    out = grouped_forward(x, [[0], [1]], gates, bank)
     np.testing.assert_array_equal(out.data[0], out.data[1])
+
+
+def grouped_case(rng, E=3, n=4, N=7, h=6, d=5):
+    """Rows, an (E, n) block index and (E, n, 1) gates; row 0 is in every
+    block, row N - 1 in none."""
+    x = Tensor(rng.normal(size=(N, d)), dtype=np.float64)
+    blocks = np.stack([np.concatenate([[0], 1 + rng.permutation(N - 2)[:n - 1]])
+                       for _ in range(E)])
+    gates = Tensor(rng.uniform(0.1, 1.0, size=(E, n, 1)), dtype=np.float64)
+    return x, blocks, gates, make_bank(rng, E, h, d)
+
+
+def grouped_composed(x, blocks, gates, bank):
+    """The four-node composition grouped_forward replaces."""
+    rows = nt.gather_rows(x, blocks)
+    gated = nt.mul(swiglu(rows, bank.w1, bank.w3, bank.w2), gates)
+    return nt.scatter_add_rows(gated, blocks, x.shape[0])
 
 
 def test_grouped_forward_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    E, n, h, d = 3, 4, 6, 5
+    x, blocks, gates, bank = grouped_case(rng)
+    out = grouped_forward(x, blocks, gates, bank)
+    oracle = np.zeros(x.shape)
+    for e in range(blocks.shape[0]):
+        for k, r in enumerate(blocks[e]):
+            y = swiglu_arrays(x.data[r][None, :], bank.w1.data[e],
+                              bank.w3.data[e], bank.w2.data[e])[0]
+            oracle[r] += gates.data[e, k, 0] * y
+    assert out.shape == x.shape
+    assert not out.data[-1].any()          # a row no expert chose gets nothing
+    np.testing.assert_allclose(out.data, oracle, rtol=1e-12, atol=0)
+
+
+def test_grouped_forward_matches_composition():
+    """Forward bitwise, gradients of all five inputs at rtol 1e-12."""
+    rng = np.random.default_rng(15)
+    x, blocks, gates, bank = grouped_case(rng)
+    weight = Tensor(rng.normal(size=x.shape))
+    inputs = (x, gates, bank.w1, bank.w3, bank.w2)
+    for t in inputs:
+        t.requires_grad = True
+    grads = []
+    for fn in (grouped_forward, grouped_composed):
+        for t in inputs:
+            t.grad = None
+        with Tape() as tape:
+            out = fn(x, blocks, gates, bank)
+            loss = nt.sum(nt.mul(out, weight))
+        backward(tape, loss)
+        grads.append((out.data.tobytes(), [t.grad for t in inputs]))
+    (fused, fused_grads), (composed, composed_grads) = grads
+    assert fused == composed
+    for a, b in zip(fused_grads, composed_grads):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def test_grouped_forward_gradients_vs_fd():
+    rng = np.random.default_rng(16)
+    x, blocks, gates, bank = grouped_case(rng, E=2, n=3, N=5, h=4, d=3)
+    weight = Tensor(rng.normal(size=x.shape))
+    loss = lambda out: nt.sum(nt.mul(out, weight))
+    checks = {  # input: (loss as a function of that input, point)
+        "x": (lambda p: loss(grouped_forward(p, blocks, gates, bank)), x),
+        "gates": (lambda p: loss(grouped_forward(x, blocks, p, bank)), gates),
+        "w1": (lambda p: loss(grouped_forward(x, blocks, gates, replace(bank, w1=p))),
+               bank.w1),
+        "w3": (lambda p: loss(grouped_forward(x, blocks, gates, replace(bank, w3=p))),
+               bank.w3),
+        "w2": (lambda p: loss(grouped_forward(x, blocks, gates, replace(bank, w2=p))),
+               bank.w2),
+    }
+    for name, (fn, point) in checks.items():
+        rep = grad_check(fn, point, h=1e-5)
+        assert rep.max_rel_err <= 1e-6, (name, rep.max_rel_err)
+
+
+def test_taped_grouped_forward_keeps_only_its_output_and_up_projections():
+    rng = np.random.default_rng(21)
+    E, n, N, d, h = 4, 128, 512, 8, 64
+    x = Tensor(rng.standard_normal((N, d)), requires_grad=True)
+    blocks = np.stack([rng.permutation(N)[:n] for _ in range(E)])
+    gates = Tensor(rng.uniform(size=(E, n, 1)), requires_grad=True)
     bank = make_bank(rng, E, h, d)
-    tokens_np = rng.normal(size=(E, n, d))
-    out = grouped_forward(Tensor(tokens_np, dtype=np.float64), bank)
-    oracle = np.stack([swiglu_arrays(tokens_np[e], bank.w1.data[e],
-                                     bank.w3.data[e], bank.w2.data[e])
-                       for e in range(E)])
-    assert out.shape == (E, n, d)
-    np.testing.assert_allclose(out.data, oracle, rtol=1e-9, atol=1e-12)
+    for w in (bank.w1, bank.w3, bank.w2):
+        w.requires_grad = True
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:   # the tape keeps the node, and so its closure, alive
+            out = grouped_forward(x, blocks, gates, bank)
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert len(tape.nodes) == 1
+    finally:
+        tracemalloc.stop()
+    kept = out.data.nbytes + 2 * E * n * h * 8   # the output, h1 and h3
+    assert kept <= held <= kept + 16 * 1024, (held, kept)
 
 
 def test_swiglu_stacked_gradients_vs_fd():

@@ -6,7 +6,7 @@ import pytest
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual,
                            joint_attention, rope_apply_grid, sinusoidal_features)
-from nimg.moe import ExpertBank, moe_forward, swiglu
+from nimg.moe import ExpertBank, grouped_forward, moe_forward, swiglu
 from nimg.router import ConfigError, StageId, route_full
 from nimg.tensor import (DomainError, NonScalarLoss, ShapeError, Tape, Tensor,
                          UnsupportedOp, backward)
@@ -63,11 +63,13 @@ def test_shape_errors():
         Tensor(np.zeros(2), dtype=np.float32)
 
 
-def forward_on(z_shape, prompts=("a cat", "a dog"), t=0.5):
-    """MoEDiT.forward on a zero latent; prompts=None passes ctx=None."""
+def forward_on(z_shape, prompts=("a cat", "a dog"), t=0.5, ctx_layers=None):
+    """MoEDiT.forward on a zero latent; prompts=None passes ctx=None, and
+    ctx_layers takes ctx from a model with that many layers."""
     model = MoEDiT(ModelConfig())
+    ctx_model = model if ctx_layers is None else MoEDiT(ModelConfig(n_layers=ctx_layers))
     with nt.no_grad():
-        ctx = None if prompts is None else model.precompute_text_kv(list(prompts))
+        ctx = None if prompts is None else ctx_model.precompute_text_kv(list(prompts))
         model.forward(Tensor(np.zeros(z_shape)), t, ctx, StageId.S256)
 
 
@@ -88,6 +90,13 @@ def route_on(shape):
     """route_full on a zero state of the given shape, d = 4, E = 4."""
     z = lambda *s: Tensor(np.zeros(s))
     return route_full(z(*shape), z(2, 4), z(8, 4), 2.0)
+
+
+def grouped_on(x=(6, 4), blocks=((0, 1), (2, 3)), gates=(2, 2, 1)):
+    """grouped_forward on zeros: E = 2, d = 4, h = 8."""
+    z = lambda *s: Tensor(np.zeros(s))
+    bank = ExpertBank(z(2, 8, 4), z(2, 8, 4), z(2, 4, 8), z(8, 4), z(8, 4), z(4, 8))
+    return grouped_forward(z(*x), np.array(blocks), z(*gates), bank)
 
 
 def moe_on(shape):
@@ -188,6 +197,16 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "config_zero_latent_channels":
         (lambda: ModelConfig(latent_channels=0), ConfigError, "latent_channels"),
     "config_negative_seed": (lambda: ModelConfig(seed=-1), ConfigError, "seed"),
+    "forward_context_from_shallower_model":
+        (lambda: forward_on((2, 4, 8, 8), ctx_layers=2), ShapeError, "ctx"),
+    "forward_context_from_deeper_model":
+        (lambda: forward_on((2, 4, 8, 8), ctx_layers=6), ShapeError, "ctx"),
+    "grouped_forward_1d_x": (lambda: grouped_on(x=(6,)), ShapeError, "grouped_forward"),
+    "grouped_forward_3d_x": (lambda: grouped_on(x=(1, 6, 4)), ShapeError, "grouped_forward"),
+    "grouped_forward_gates_shape":
+        (lambda: grouped_on(gates=(2, 2)), ShapeError, "gates"),
+    "grouped_forward_repeat_in_block":
+        (lambda: grouped_on(blocks=((0, 1), (3, 3))), ShapeError, "repeats"),
     "text_kv_none_prompt": (lambda: text_kv_of([None]), ShapeError, "prompts"),
     "text_kv_bare_string": (lambda: text_kv_of("a cat"), ShapeError, "prompts"),
 }
