@@ -8,7 +8,10 @@ normalization ops are single tape nodes with hand-derived pullbacks and are
 contractually equivalent to their multi-op compositions. Joint attention is
 one such node too: scores, mask and softmax share one buffer, and the node
 keeps only each score row's max and sum; its pullback recomputes the
-probabilities from the inputs and those two statistics.
+probabilities from the inputs and those two statistics. Each query and key
+head's RMS norm and 2-axis rotary rotation is one node, qk_norm_rope, which
+keeps only the inverse RMS and the two angle tables; its pullback is the
+inverse rotation followed by the RMS-norm pullback.
 
 Text is encoded by a deterministic hash embedder; per-layer text key/value
 tensors are a pure function of the prompt and are precomputed once per
@@ -96,49 +99,96 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# rotary positions (two spatial axes)
+# QK-norm and rotary positions (two spatial axes)
 
 
 #: Base of the rotary frequencies base ** (-i / quarter) on each axis.
 ROPE_BASE = 10000.0
 
 
-def _rope_tables(pos_h, pos_w, d_h: int):
+def _rope_tables(pos_h, pos_w, S: int, d_h: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each token's angles as (S, 1, d_h): one table for every
+    sample and head. pos_h and pos_w must each be (S,) (ShapeError)."""
     if d_h % 4 != 0:
         raise ConfigError(f"head dim {d_h} not divisible by 4")
+    if np.shape(pos_h) != (S,) or np.shape(pos_w) != (S,):
+        raise ShapeError(f"rope positions pos_h {np.shape(pos_h)} and pos_w "
+                         f"{np.shape(pos_w)}; expected ({S},) each for {S} tokens")
     quarter = d_h // 4
     freqs = ROPE_BASE ** (-np.arange(quarter, dtype=np.float64) / quarter)
     ang_h = np.multiply.outer(np.asarray(pos_h, dtype=np.float64), freqs)
     ang_w = np.multiply.outer(np.asarray(pos_w, dtype=np.float64), freqs)
-    ang = np.concatenate([ang_h, ang_w], axis=-1)       # (..., d_h/2)
-    ang = np.repeat(ang, 2, axis=-1)                    # pairs share an angle
+    ang = np.concatenate([ang_h, ang_w], axis=-1)       # (S, d_h/2)
+    ang = np.repeat(ang, 2, axis=-1)[:, None, :]        # pairs share an angle
     return np.cos(ang), np.sin(ang)
 
 
-def rotate_pairs(t: Tensor) -> Tensor:
-    """(x0, x1) -> (-x1, x0) within each adjacent dim pair."""
-    x = t.data
+def _rotated(x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """(x0, x1) -> (-x1, x0) within each adjacent pair of the last axis, as a
+    new array; transpose=True applies the transpose, (x0, x1) -> (x1, -x0)."""
     out = np.empty_like(x)
-    out[..., 0::2] = -x[..., 1::2]
-    out[..., 1::2] = x[..., 0::2]
+    even, odd = x[..., 0::2], x[..., 1::2]
+    if transpose:
+        out[..., 0::2], out[..., 1::2] = odd, -even
+    else:
+        out[..., 0::2], out[..., 1::2] = -odd, even
+    return out
+
+
+def rotate_pairs(t: Tensor) -> Tensor:
+    """(x0, x1) -> (-x1, x0) within each adjacent dim pair.
+
+    The model does not record it (qk_norm_rope rotates inside its own node),
+    but perfbench/layertrace.py looks it up in this module's __dict__ to time
+    it, so deleting it makes Tracer.install raise KeyError.
+    """
+    return nt.record("rotate_pairs", (t,), (_rotated(t.data),),
+                     lambda g: (_rotated(g, transpose=True),))[0]
+
+
+def qk_norm_rope(x: Tensor, pos_h, pos_w) -> Tensor:
+    """2-axis RoPE of RMSNorm(x) on (B, S, H, d_h) heads, as one tape node.
+
+    Pair i of each head turns by pos_h * base^(-i/quarter) for i < d_h/4 and
+    by pos_w on the rest. With R the pair rotation (x0, x1) -> (-x1, x0) and
+    cos, sin the (S, 1, d_h) angle tables, the forward is
+
+        inv = 1 / sqrt(mean(x²) + NORM_EPS),   n = x inv,   out = n cos + R(n) sin,
+
+    in the numpy order of the rmsnorm → rotate_pairs → mul → mul → add
+    composition it replaces, so its values are bitwise that composition's.
+    The node keeps only inv (B, S, H, 1) and the two tables; x is its input.
+    With g the output gradient the pullback is the inverse rotation, then
+    the RMS-norm pullback, in one owned buffer:
+
+        gn = g cos + Rᵀ(g sin),   gx = gn inv - x (sum(gn x) inv³ / d_h),
+
+    which sums the same two terms as the engine does for the composition,
+    so gradients are bitwise equal too. pos_h and pos_w must each be (S,)
+    (ShapeError); d_h must be divisible by 4 (ConfigError).
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"qk_norm_rope expects (B, S, H, d_h) heads, got {x.shape}")
+    d_h = x.shape[3]
+    cos, sin = _rope_tables(pos_h, pos_w, x.shape[1], d_h)
+    xd = x.data
+    ms = (xd * xd).mean(axis=-1, keepdims=True) + nt.NORM_EPS
+    inv = 1.0 / np.sqrt(ms)
+    n = xd * inv
+    out = n * cos
+    rn = _rotated(n)
+    rn *= sin
+    out += rn
 
     def bwd(g):
-        gi = np.empty_like(g)
-        gi[..., 1::2] = -g[..., 0::2]
-        gi[..., 0::2] = g[..., 1::2]
-        return (gi,)
+        gx = g * cos
+        gx += _rotated(g * sin, transpose=True)
+        dot = (gx * xd).sum(axis=-1, keepdims=True)
+        gx *= inv
+        gx -= xd * (dot * inv ** 3 / d_h)
+        return (gx,)
 
-    return nt.record("rotate_pairs", (t,), (out,), bwd)[0]
-
-
-def rope_apply_grid(x: Tensor, pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
-    """Apply per-token rotary angles to (B, S, H, d_h) head vectors."""
-    if x.ndim != 4:
-        raise ShapeError(f"rope_apply_grid expects (B, S, H, d_h) heads, got {x.shape}")
-    cos, sin = _rope_tables(pos_h, pos_w, x.shape[3])   # (S, d_h)
-    # (S, 1, d_h): one table for every sample and head
-    c, s = Tensor(cos[:, None, :]), Tensor(sin[:, None, :])
-    return nt.add(nt.mul(x, c), nt.mul(rotate_pairs(x), s))
+    return nt.record("qk_norm_rope", (x,), (out,), bwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +544,7 @@ class MoEDiT:
         for blk in self.blocks:
             k = nt.reshape(nt.matmul(c, blk.wk_txt),
                            (B, s_t, cfg.n_kv_heads, cfg.head_dim))
-            k = rope_apply_grid(nt.rmsnorm(k), pos_h, pos_w)
+            k = qk_norm_rope(k, pos_h, pos_w)
             v = nt.reshape(nt.matmul(c, blk.wv_txt),
                            (B, s_t, cfg.n_kv_heads, cfg.head_dim))
             ks.append(k)
@@ -527,11 +577,15 @@ class MoEDiT:
 
         ctx is required and holds one prompt per sample and K/V for each of
         this model's layers (ShapeError otherwise); to run without
-        text, pass the zero-length context of all-empty prompts. Returns
-        (velocity, aux) where aux carries the tape-connected router logits
-        and the routing decisions of every MoE layer.
+        text, pass the zero-length context of all-empty prompts. t is a
+        scalar or (B,) array or Tensor, and stage a StageId (ConfigError
+        otherwise, checked before anything runs). Returns (velocity, aux)
+        where aux carries the tape-connected router logits and the routing
+        decisions of every MoE layer.
         """
         cfg = self.cfg
+        if not isinstance(stage, StageId):
+            raise ConfigError(f"stage {stage!r} is not a StageId")
         if z_t.ndim != 4 or z_t.shape[1] != cfg.latent_channels:
             raise ShapeError(f"latent z_t has shape {z_t.shape}; expected "
                              f"(B, {cfg.latent_channels}, H, W)")
@@ -547,7 +601,7 @@ class MoEDiT:
                              f"for a model of {len(self.blocks)}")
         tokens, (gh, gw) = self.patchify(z_t)
         x = nt.add(nt.matmul(tokens, self.patch_w), self.patch_b)
-        t_arr = np.asarray(t)
+        t_arr = t.data if isinstance(t, Tensor) else np.asarray(t)
         if t_arr.shape not in ((), (B,)):
             raise ShapeError(f"timestep t has shape {t_arr.shape}; expected () "
                              f"or ({B},) for a batch of {B}")
@@ -594,8 +648,8 @@ class MoEDiT:
         q = nt.reshape(nt.matmul(a_in, blk.wq), (B, S, cfg.n_q_heads, cfg.head_dim))
         k = nt.reshape(nt.matmul(a_in, blk.wk), (B, S, cfg.n_kv_heads, cfg.head_dim))
         v = nt.reshape(nt.matmul(a_in, blk.wv), (B, S, cfg.n_kv_heads, cfg.head_dim))
-        q = rope_apply_grid(nt.rmsnorm(q), pos_h, pos_w)
-        k = rope_apply_grid(nt.rmsnorm(k), pos_h, pos_w)
+        q = qk_norm_rope(q, pos_h, pos_w)
+        k = qk_norm_rope(k, pos_h, pos_w)
         attn = joint_attention(q, k, v, ctx.k_txt[blk.layer],
                                ctx.v_txt[blk.layer], ctx.mask)
         return nt.matmul(attn, blk.wo)

@@ -12,7 +12,8 @@ recorded (a constant table, a mask, a Python scalar) gets None from the
 pullback, so its gradient is never formed.
 
 Every normalisation (rmsnorm here, the LayerNorm statistics the fused
-modulation ops in backbone share) uses the one constant NORM_EPS.
+modulation ops in backbone share, the QK-norm inside backbone.qk_norm_rope)
+uses the one constant NORM_EPS.
 grad_check, the finite-difference check the tests use, lives in
 tests/oracles.py, not in the package.
 
@@ -28,13 +29,16 @@ may be the very array its pullback closure reads (no defensive copies), so
 writing into .data in place corrupts later gradients. A closure need not
 keep everything its pullback reads: it may keep a little and recompute the
 rest from the node's inputs (swiglu keeps its two up-projections,
-joint_attention each score row's max and sum). A pullback must never write
-into what its closure keeps, because backward may run it twice on one tape
-and both runs must see the forward's values. After backward, a leaf's .grad
-(a tensor no recorded node produced) is exclusively owned and may be edited
-in place; an intermediate's .grad is read-only and may share memory with
-another tensor's .grad, because pullbacks hand out aliased arrays (add/sub
-pass the same upstream gradient to both operands, reshape returns a view).
+joint_attention each score row's max and sum, qk_norm_rope the inverse RMS
+of each head and the two (S, 1, d_h) angle tables). A pullback may write
+into a buffer it allocated itself (qk_norm_rope forms its input gradient in
+one such buffer), but never into what its closure keeps, because backward
+may run it twice on one tape and both runs must see the forward's values.
+After backward, a leaf's .grad (a tensor no recorded node produced) is
+exclusively owned and may be edited in place; an intermediate's .grad is
+read-only and may share memory with another tensor's .grad, because
+pullbacks hand out aliased arrays (add/sub pass the same upstream gradient
+to both operands, reshape returns a view).
 """
 
 from __future__ import annotations

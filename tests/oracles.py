@@ -3,7 +3,8 @@
 tanh and layernorm are not part of the model; the fused modulation ops in
 nimg.backbone are checked against compositions built from them. They are
 recorded through nt.record like any package op, so the tape and backward
-treat them the same way.
+treat them the same way. rope_apply_grid is the rotate_pairs/mul/add
+composition that backbone.qk_norm_rope fuses (after an rmsnorm).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from nimg import backbone
 from nimg import tensor as nt
 from nimg.tensor import DomainError, NonScalarLoss, Tape, Tensor, backward
 
@@ -32,6 +34,12 @@ def layernorm(a: Tensor) -> Tensor:
     xhat, inv = nt._ln_stats(a.data)
     return nt.record("layernorm", (a,), (xhat,),
                      lambda g: (nt._ln_bwd(xhat, inv, g),))[0]
+
+
+def rope_apply_grid(x: Tensor, pos_h, pos_w) -> Tensor:
+    """2-axis RoPE on (B, S, H, d_h) heads as x cos + rotate_pairs(x) sin."""
+    cos, sin = backbone._rope_tables(pos_h, pos_w, x.shape[1], x.shape[3])
+    return nt.add(nt.mul(x, Tensor(cos)), nt.mul(backbone.rotate_pairs(x), Tensor(sin)))
 
 
 class GradCheckReport:

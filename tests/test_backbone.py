@@ -8,11 +8,11 @@ from nimg import moe
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gate_res_ln_scale,
                            fused_gated_residual, fused_ln_scale,
-                           joint_attention, rope_apply_grid)
+                           joint_attention, qk_norm_rope)
 from nimg.router import StageId
 from nimg.tensor import ShapeError, Tape, Tensor, backward
-from oracles import grad_check, layernorm, tanh
-from reference_model import attention_loop, reference_forward, rope_loop
+from oracles import grad_check, layernorm, rope_apply_grid, tanh
+from reference_model import attention_loop, reference_forward, rms_norm, rope_loop
 
 PROMPTS = ["red cat under the old tree", "a quiet river"]
 
@@ -181,6 +181,17 @@ def test_empty_prompts_under_a_tape_give_zero_text_projection_grads():
             assert w.grad.shape == w.shape and not w.grad.any()
 
 
+def test_tensor_timestep_gives_the_plain_array_velocity():
+    rng = np.random.default_rng(24)
+    model = MoEDiT(ModelConfig())
+    randomise_modulation(model, rng)
+    z, t = latent(rng), rng.uniform(0.0, 1.0, 2)
+    with nt.no_grad():
+        for plain in (t, 0.5):
+            want = velocity(model, z, plain).data.tobytes()
+            assert velocity(model, z, Tensor(plain)).data.tobytes() == want
+
+
 def test_zero_d_timestep_is_a_scalar_and_other_shapes_raise():
     rng = np.random.default_rng(6)
     model = MoEDiT(ModelConfig())
@@ -280,6 +291,90 @@ def test_rope_apply_grid_matches_pair_rotation_loop():
     np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-15)
     pair_norm = lambda a: np.hypot(a[..., 0::2], a[..., 1::2])
     np.testing.assert_allclose(pair_norm(out), pair_norm(x), rtol=1e-12)
+
+
+# image grid positions (3 x 4 tokens) and text positions (height 0, width = index)
+ROPE_POSITIONS = {"grid": (np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)),
+                  "text": (np.zeros(12), np.arange(12))}
+
+
+@pytest.mark.parametrize("where", ROPE_POSITIONS)
+def test_qk_norm_rope_is_bitwise_the_composition(where):
+    pos_h, pos_w = ROPE_POSITIONS[where]
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((2, pos_h.size, 3, 8))
+    w = Tensor(rng.standard_normal(x.shape))
+    results = []
+    for op in (qk_norm_rope, lambda t, *p: rope_apply_grid(nt.rmsnorm(t), *p)):
+        leaf = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = op(leaf, pos_h, pos_w)
+            loss = nt.sum(nt.mul(out, w))
+        backward(tape, loss)
+        results.append((out.data.tobytes(), leaf.grad.tobytes()))
+    (out, grad), (out_composed, grad_composed) = results
+    assert out == out_composed
+    assert grad == grad_composed
+
+
+def test_qk_norm_rope_matches_per_head_norm_and_pair_rotation_loop():
+    rng = np.random.default_rng(20)
+    pos_h, pos_w = ROPE_POSITIONS["grid"]
+    x = rng.standard_normal((2, pos_h.size, 3, 8))
+    normed = np.apply_along_axis(rms_norm, -1, x)
+    out = qk_norm_rope(Tensor(x), pos_h, pos_w).data
+    np.testing.assert_allclose(out, rope_loop(normed, pos_h, pos_w), rtol=1e-12, atol=1e-15)
+    pair_norm = lambda a: np.hypot(a[..., 0::2], a[..., 1::2])
+    np.testing.assert_allclose(pair_norm(out), pair_norm(normed), rtol=1e-12)
+
+
+def test_qk_norm_rope_gradient_vs_fd():
+    rng = np.random.default_rng(21)
+    pos_h, pos_w = np.repeat(np.arange(2), 3), np.tile(np.arange(3), 2)
+    x = Tensor(rng.standard_normal((2, pos_h.size, 2, 8)))
+    w = Tensor(rng.standard_normal(x.shape))
+    rep = grad_check(lambda p: nt.sum(nt.mul(qk_norm_rope(p, pos_h, pos_w), w)), x, h=1e-5)
+    assert rep.max_rel_err <= 1e-6, rep.max_rel_err
+
+
+def test_taped_qk_norm_rope_keeps_only_inverse_rms_and_tables():
+    rng = np.random.default_rng(22)
+    B, H, d_h = 2, 4, 32
+    pos_h, pos_w = np.repeat(np.arange(16), 16), np.tile(np.arange(16), 16)
+    S = pos_h.size
+    x = Tensor(rng.standard_normal((B, S, H, d_h)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:   # the tape keeps the node, and so its closure, alive
+            out = qk_norm_rope(x, pos_h, pos_w)
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert len(tape.nodes) == 1
+    finally:
+        tracemalloc.stop()
+    kept = out.data.nbytes + B * S * H * 8 + 2 * S * d_h * 8   # output, inv, cos and sin
+    assert held <= kept + 16 * 1024, (held, kept)
+
+
+def test_forward_records_qk_norm_rope_for_queries_keys_and_text_keys():
+    rng = np.random.default_rng(23)
+    model = MoEDiT(ModelConfig())
+    with Tape() as text_tape:
+        ctx = model.precompute_text_kv(PROMPTS)
+    with Tape() as tape:
+        model.forward(latent(rng), rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)
+    text_ops = [n.op for n in text_tape.nodes]
+    ops = [n.op for n in tape.nodes]
+    assert text_ops.count("qk_norm_rope") == len(model.blocks)
+    assert ops.count("qk_norm_rope") == 2 * len(model.blocks)
+    assert "rotate_pairs" not in text_ops + ops
+    # the MoE layers' router-input norms are the only rmsnorm nodes left
+    assert text_ops.count("rmsnorm") == 0
+    assert ops.count("rmsnorm") == sum(not blk.dense for blk in model.blocks)
+    made_by = {id(o): n.op for n in text_tape.nodes + tape.nodes for o in n.outputs}
+    for node in (n for n in tape.nodes if n.op == "joint_attention"):
+        q, k_img, _, k_txt, _ = node.inputs
+        assert [made_by[id(t)] for t in (q, k_img, k_txt)] == ["qk_norm_rope"] * 3
 
 
 def test_only_the_router_materialises_a_broadcast():
@@ -392,6 +487,7 @@ def test_second_backward_doubles_every_grad_bitwise():
     stacked = param(2, 6, 16), param(2, 6, 16), param(2, 16, 6)   # 2 experts, h = 6
     dense = param(6, 16), param(6, 16), param(16, 6)
     gates = param(2, 3, 1)
+    pos_h, pos_w = np.arange(5), np.arange(5)[::-1]
     weigh = lambda y: nt.sum(nt.mul(y, Tensor(rng.standard_normal(y.shape))))
     with Tape() as tape:
         att = joint_attention(q, k_img, v_img, k_txt, v_txt, mask)   # (2, 5, 16)
@@ -400,7 +496,9 @@ def test_second_backward_doubles_every_grad_bitwise():
         shared = moe.swiglu(flat, *dense)
         grouped = moe.grouped_forward(flat, [[0, 3, 7], [3, 9, 1]], gates,
                                       moe.ExpertBank(*stacked, *dense))
-        loss = nt.add(nt.add(weigh(routed), weigh(shared)), weigh(grouped))
+        roped = qk_norm_rope(q, pos_h, pos_w)                          # q also feeds attention
+        loss = nt.add(nt.add(nt.add(weigh(routed), weigh(shared)), weigh(grouped)),
+                      weigh(roped))
     tensors = [q, k_img, v_img, k_txt, v_txt, *stacked, *dense, gates,
                *(o for node in tape.nodes for o in node.outputs)]
     backward(tape, loss)

@@ -5,7 +5,7 @@ import pytest
 
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual,
-                           joint_attention, rope_apply_grid, sinusoidal_features)
+                           joint_attention, qk_norm_rope, sinusoidal_features)
 from nimg.moe import ExpertBank, grouped_forward, moe_forward, swiglu
 from nimg.router import ConfigError, StageId, route_full
 from nimg.tensor import (DomainError, NonScalarLoss, ShapeError, Tape, Tensor,
@@ -63,14 +63,21 @@ def test_shape_errors():
         Tensor(np.zeros(2), dtype=np.float32)
 
 
-def forward_on(z_shape, prompts=("a cat", "a dog"), t=0.5, ctx_layers=None):
-    """MoEDiT.forward on a zero latent; prompts=None passes ctx=None, and
-    ctx_layers takes ctx from a model with that many layers."""
-    model = MoEDiT(ModelConfig())
+def forward_on(z_shape, prompts=("a cat", "a dog"), t=0.5, ctx_layers=None,
+               n_layers=4, stage=StageId.S256):
+    """MoEDiT.forward of an n_layers model on a zero latent; prompts=None
+    passes ctx=None, and ctx_layers takes ctx from a model with that many
+    layers."""
+    model = MoEDiT(ModelConfig(n_layers=n_layers))
     ctx_model = model if ctx_layers is None else MoEDiT(ModelConfig(n_layers=ctx_layers))
     with nt.no_grad():
         ctx = None if prompts is None else ctx_model.precompute_text_kv(list(prompts))
-        model.forward(Tensor(np.zeros(z_shape)), t, ctx, StageId.S256)
+        model.forward(Tensor(np.zeros(z_shape)), t, ctx, stage)
+
+
+def rope_on(pos_h, pos_w):
+    """qk_norm_rope of zero (2, 4, 1, 8) heads: S = 4 tokens."""
+    return qk_norm_rope(Tensor(np.zeros((2, 4, 1, 8))), pos_h, pos_w)
 
 
 def text_kv_of(prompts):
@@ -177,13 +184,21 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
         (lambda: forward_on((2, 4, 8, 8), prompts=("one prompt",)), ShapeError, "ctx"),
     "forward_without_text_context":
         (lambda: forward_on((2, 4, 8, 8), prompts=None), ShapeError, "ctx"),
+    "forward_stage_not_a_stage_id":
+        (lambda: forward_on((2, 4, 8, 8), n_layers=3, stage="bogus"), ConfigError, "stage"),
     "forward_nan_timestep":
         (lambda: forward_on((2, 4, 8, 8), t=float("nan")), DomainError, "timestep"),
     "sinusoidal_2d_timestep":
         (lambda: sinusoidal_features(Tensor(np.zeros((2, 1))), 8), ShapeError, "timestep"),
     "rope_3d_heads":
-        (lambda: rope_apply_grid(Tensor(np.zeros((2, 4, 8))), np.zeros(4), np.zeros(4)),
+        (lambda: qk_norm_rope(Tensor(np.zeros((2, 4, 8))), np.zeros(4), np.zeros(4)),
          ShapeError, "rope"),
+    "rope_positions_of_different_lengths":
+        (lambda: rope_on(np.zeros(4), np.zeros(3)), ShapeError, "pos_w"),
+    "rope_positions_not_one_per_token":
+        (lambda: rope_on(np.zeros(3), np.zeros(3)), ShapeError, "positions"),
+    "rope_2d_positions":
+        (lambda: rope_on(np.zeros((4, 1)), np.zeros((4, 1))), ShapeError, "positions"),
     "config_zero_kv_heads": (lambda: ModelConfig(n_kv_heads=0), ConfigError, "n_kv_heads"),
     "config_zero_patch": (lambda: ModelConfig(patch=0), ConfigError, "patch"),
     "config_negative_layers": (lambda: ModelConfig(n_layers=-1), ConfigError, "n_layers"),
