@@ -10,8 +10,9 @@ one such node too: scores, mask and softmax share one buffer, and the node
 keeps only each score row's max and sum; its pullback recomputes the
 probabilities from the inputs and those two statistics. Each query and key
 head's RMS norm and 2-axis rotary rotation is one node, qk_norm_rope, which
-keeps only the inverse RMS and the two angle tables; its pullback is the
-inverse rotation followed by the RMS-norm pullback.
+keeps only the inverse RMS and the two angle tables (built once per forward
+and shared by every layer); its pullback is the inverse rotation followed
+by the RMS-norm pullback.
 
 Text is encoded by a deterministic hash embedder; per-layer text key/value
 tensors are a pure function of the prompt and are precomputed once per
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from . import tensor as nt
 from .moe import ExpertBank, moe_forward, swiglu
 from .router import DENSE_LAYERS, ConfigError, StageId, capacity_schedule
-from .tensor import DomainError, ShapeError, Tensor
+from .tensor import DomainError, ShapeError, Tensor, UnsupportedOp
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +108,12 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
 ROPE_BASE = 10000.0
 
 
-def _rope_tables(pos_h, pos_w, S: int, d_h: int) -> tuple[np.ndarray, np.ndarray]:
+def rope_tables(pos_h, pos_w, S: int, d_h: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of each token's angles as (S, 1, d_h): one table for every
-    sample and head. pos_h and pos_w must each be (S,) (ShapeError)."""
+    sample, head and layer. Pair i of each head turns by
+    pos_h * base^(-i/quarter) for i < d_h/4 and by pos_w on the rest.
+    pos_h and pos_w must each be (S,) (ShapeError); d_h must be divisible
+    by 4 (ConfigError)."""
     if d_h % 4 != 0:
         raise ConfigError(f"head dim {d_h} not divisible by 4")
     if np.shape(pos_h) != (S,) or np.shape(pos_w) != (S,):
@@ -146,31 +151,35 @@ def rotate_pairs(t: Tensor) -> Tensor:
                      lambda g: (_rotated(g, transpose=True),))[0]
 
 
-def qk_norm_rope(x: Tensor, pos_h, pos_w) -> Tensor:
+def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """2-axis RoPE of RMSNorm(x) on (B, S, H, d_h) heads, as one tape node.
 
-    Pair i of each head turns by pos_h * base^(-i/quarter) for i < d_h/4 and
-    by pos_w on the rest. With R the pair rotation (x0, x1) -> (-x1, x0) and
-    cos, sin the (S, 1, d_h) angle tables, the forward is
+    cos and sin are the (S, 1, d_h) angle tables of rope_tables, built once
+    per forward and shared by every call. With R the pair rotation
+    (x0, x1) -> (-x1, x0), the forward is
 
         inv = 1 / sqrt(mean(x²) + NORM_EPS),   n = x inv,   out = n cos + R(n) sin,
 
     in the numpy order of the rmsnorm → rotate_pairs → mul → mul → add
     composition it replaces, so its values are bitwise that composition's.
-    The node keeps only inv (B, S, H, 1) and the two tables; x is its input.
+    The node keeps only inv (B, S, H, 1) and the caller's two tables; x is
+    its input.
     With g the output gradient the pullback is the inverse rotation, then
     the RMS-norm pullback, in one owned buffer:
 
         gn = g cos + Rᵀ(g sin),   gx = gn inv - x (sum(gn x) inv³ / d_h),
 
     which sums the same two terms as the engine does for the composition,
-    so gradients are bitwise equal too. pos_h and pos_w must each be (S,)
-    (ShapeError); d_h must be divisible by 4 (ConfigError).
+    so gradients are bitwise equal too. Tables of another shape raise
+    ShapeError.
     """
     if x.ndim != 4:
         raise ShapeError(f"qk_norm_rope expects (B, S, H, d_h) heads, got {x.shape}")
     d_h = x.shape[3]
-    cos, sin = _rope_tables(pos_h, pos_w, x.shape[1], d_h)
+    want = (x.shape[1], 1, d_h)
+    if np.shape(cos) != want or np.shape(sin) != want:
+        raise ShapeError(f"rope tables cos {np.shape(cos)} and sin {np.shape(sin)}; "
+                         f"expected {want} for heads {x.shape}")
     xd = x.data
     ms = (xd * xd).mean(axis=-1, keepdims=True) + nt.NORM_EPS
     inv = 1.0 / np.sqrt(ms)
@@ -316,24 +325,40 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
 # timestep embedding
 
 
-def sinusoidal_features(t: Tensor, dim: int) -> Tensor:
+def _timestep_values(t) -> np.ndarray:
+    """A timestep as an array. The timestep is data: a Tensor t that requires
+    grad, whose gradient nothing would form, and values that are not real
+    numbers raise UnsupportedOp."""
+    if isinstance(t, Tensor):
+        if t.requires_grad:
+            raise UnsupportedOp("timestep t requires grad; it is data, and no "
+                                "gradient flows to it")
+        t = t.data
+    vals = np.asarray(t)
+    if vals.dtype.kind not in "iuf":
+        raise UnsupportedOp(f"timestep t has dtype {vals.dtype}; expected real numbers")
+    return vals
+
+
+def sinusoidal_features(t, dim: int) -> Tensor:
     """Half sine / half cosine features over log-spaced frequencies.
 
-    t: scalar or (B,) tensor of values in [0, 1]; at t = 0 the sine half is
-    exactly 0 and the cosine half exactly 1. NaN is outside the domain.
+    t: scalar or (B,) array, or Tensor that does not require grad, of real
+    values in [0, 1]. Returns the (B, dim) features as a constant Tensor; at
+    t = 0 the sine half is exactly 0 and the cosine half exactly 1. NaN is
+    outside the domain.
     """
     if dim % 2 != 0:
         raise ConfigError(f"feature dim {dim} must be even")
-    vals = t.data if isinstance(t, Tensor) else np.asarray(t)
+    vals = _timestep_values(t)
     if vals.ndim > 1:
         raise ShapeError(f"timestep t has shape {vals.shape}; expected () or (B,)")
     if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise DomainError(f"timestep outside [0, 1]: {vals}")
-    t = nt.as_tensor(t)
     half = dim // 2
     freqs = np.exp(np.linspace(0.0, math.log(10000.0), half))
-    args = nt.mul(nt.reshape(t, (t.size, 1)), Tensor(freqs))   # (B, half)
-    return nt.concat([nt.sin(args), nt.cos(args)], axis=-1)
+    args = vals.astype(np.float64).reshape(-1, 1) * freqs       # (B, half)
+    return Tensor(np.concatenate([np.sin(args), np.cos(args)], axis=-1))
 
 
 class TimestepEmbed:
@@ -384,6 +409,9 @@ class TextContext:
     k_txt: list[Tensor]          # per layer, (B, S_t, H_kv, d_h)
     v_txt: list[Tensor]
     mask: np.ndarray             # (B, S_t) validity for padded positions
+    # the model whose text projections made it; weak, so a context kept
+    # across set-ups does not keep a dropped model's weights alive
+    model: weakref.ref
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +567,16 @@ class MoEDiT:
             cmat[b, :e.shape[0]] = e
         c = Tensor(cmat)
         ks, vs = [], []
-        pos_w = np.arange(s_t)
-        pos_h = np.zeros(s_t)
+        rope = rope_tables(np.zeros(s_t), np.arange(s_t), s_t, cfg.head_dim)
         for blk in self.blocks:
             k = nt.reshape(nt.matmul(c, blk.wk_txt),
                            (B, s_t, cfg.n_kv_heads, cfg.head_dim))
-            k = qk_norm_rope(k, pos_h, pos_w)
+            k = qk_norm_rope(k, *rope)
             v = nt.reshape(nt.matmul(c, blk.wv_txt),
                            (B, s_t, cfg.n_kv_heads, cfg.head_dim))
             ks.append(k)
             vs.append(v)
-        return TextContext(k_txt=ks, v_txt=vs, mask=mask)
+        return TextContext(k_txt=ks, v_txt=vs, mask=mask, model=weakref.ref(self))
 
     # -- forward ----------------------------------------------------------
 
@@ -575,11 +602,12 @@ class MoEDiT:
     def forward(self, z_t: Tensor, t, ctx: TextContext, stage: StageId):
         """Predict the velocity for a noisy latent.
 
-        ctx is required and holds one prompt per sample and K/V for each of
-        this model's layers (ShapeError otherwise); to run without
-        text, pass the zero-length context of all-empty prompts. t is a
-        scalar or (B,) array or Tensor, and stage a StageId (ConfigError
-        otherwise, checked before anything runs). Returns (velocity, aux)
+        ctx is required: this model's precompute_text_kv output, holding one
+        prompt per sample (ShapeError otherwise); to run without text, pass
+        the zero-length context of all-empty prompts. t is a scalar or (B,)
+        array, or a Tensor that does not require grad, of real values (see
+        sinusoidal_features), and stage a StageId (ConfigError otherwise,
+        checked before anything runs). Returns (velocity, aux)
         where aux carries the tape-connected router logits and the routing
         decisions of every MoE layer.
         """
@@ -599,15 +627,18 @@ class MoEDiT:
         if len(ctx.k_txt) != len(self.blocks) or len(ctx.v_txt) != len(self.blocks):
             raise ShapeError(f"text context ctx holds K/V for {len(ctx.k_txt)} layers "
                              f"for a model of {len(self.blocks)}")
+        if ctx.model() is not self:
+            raise ShapeError("text context ctx was built by another model; its K/V "
+                             "come from that model's text projections")
         tokens, (gh, gw) = self.patchify(z_t)
         x = nt.add(nt.matmul(tokens, self.patch_w), self.patch_b)
-        t_arr = t.data if isinstance(t, Tensor) else np.asarray(t)
+        t_arr = _timestep_values(t)
         if t_arr.shape not in ((), (B,)):
             raise ShapeError(f"timestep t has shape {t_arr.shape}; expected () "
                              f"or ({B},) for a batch of {B}")
-        t_vec = self.time_embed(Tensor(np.broadcast_to(t_arr, (B,))))
-        pos_h = np.repeat(np.arange(gh), gw)
-        pos_w = np.tile(np.arange(gw), gh)
+        t_vec = self.time_embed(np.broadcast_to(t_arr, (B,)))
+        rope = rope_tables(np.repeat(np.arange(gh), gw), np.tile(np.arange(gw), gh),
+                           gh * gw, cfg.head_dim)
 
         aux = {"router_logits": [], "decisions": []}
         for blk in self.blocks:
@@ -615,7 +646,7 @@ class MoEDiT:
             sa_shift, sa_scale, sa_gate, ff_scale, ff_gate = _chunks(mod, 5)
 
             a_in = nt.add(fused_ln_scale(x, sa_scale), nt.reshape(sa_shift, (B, 1, -1)))
-            r_attn = self._attention(blk, a_in, ctx, pos_h, pos_w)
+            r_attn = self._attention(blk, a_in, ctx, rope)
 
             if blk.dense:
                 h, f_in = fused_gate_res_ln_scale(x, sa_gate, r_attn, ff_scale)
@@ -642,14 +673,14 @@ class MoEDiT:
         return vel, aux
 
     def _attention(self, blk: Block, a_in: Tensor, ctx: TextContext,
-                   pos_h: np.ndarray, pos_w: np.ndarray) -> Tensor:
+                   rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
         cfg = self.cfg
         B, S, _ = a_in.shape
         q = nt.reshape(nt.matmul(a_in, blk.wq), (B, S, cfg.n_q_heads, cfg.head_dim))
         k = nt.reshape(nt.matmul(a_in, blk.wk), (B, S, cfg.n_kv_heads, cfg.head_dim))
         v = nt.reshape(nt.matmul(a_in, blk.wv), (B, S, cfg.n_kv_heads, cfg.head_dim))
-        q = qk_norm_rope(q, pos_h, pos_w)
-        k = qk_norm_rope(k, pos_h, pos_w)
+        q = qk_norm_rope(q, *rope)
+        k = qk_norm_rope(k, *rope)
         attn = joint_attention(q, k, v, ctx.k_txt[blk.layer],
                                ctx.v_txt[blk.layer], ctx.mask)
         return nt.matmul(attn, blk.wo)

@@ -4,24 +4,24 @@ Experts run on the modulated token state while routing decisions come from
 the unmodulated state (see router). Expert-choice routing gives every expert
 exactly B * capacity distinct tokens, so the routed rows form one (E, n)
 block index, n = B * capacity, and grouped_forward runs the whole routed
-FFN as one node: it gathers each expert's rows, runs a stacked SwiGLU with
-(E, h, d) weights, scales each output row by its (E, n, 1) gate and adds the
-rows back in expert order. A shared expert, a plain swiglu, covers every
-token so none is left without expert output.
+FFN as one node that loops over the experts: it gathers expert e's rows,
+runs its SwiGLU, scales each output row by its gate and adds the rows back.
+A shared expert, a plain swiglu, covers every token so none is left without
+expert output. Both run one SwiGLU on (n, d) rows and 2-D weights, through
+the helpers _ffn and _ffn_pullback.
 
-With x the (N, d) token rows, X = x[blocks], h1 = X W1^T, h3 = X W3^T,
-a = SiLU(h1) * h3 and y = gates * (a W2^T) added into zero rows by block,
-the pullback of the upstream gradient G is, with Gr = G[blocks]:
+For expert e with X = x[blocks[e]], h1 = X W1^T, h3 = X W3^T,
+a = SiLU(h1) * h3 and y = gates[e] * (a W2^T) added into rows blocks[e],
+the pullback of the upstream gradient G is, with Gr = G[blocks[e]]:
 
     u = Gr W2             dgates = sum_h u * a      gpre = gates * u
     dh1 = gpre * h3 * SiLU'(h1)                     dh3 = gpre * SiLU(h1)
     dW2 = (gates * Gr)^T a    dW1 = dh1^T X    dW3 = dh3^T X
-    dx  = dh1 W1 + dh3 W3, scatter-added into zero rows by block.
+    dx  = dh1 W1 + dh3 W3, added into rows blocks[e].
 
-The node keeps only h1, h3 and the block index. The pullback re-gathers X
-from the input and recomputes SiLU(h1) and a from h1 and h3, so no
-(E, n, d) array (gathered rows, expert outputs, gated outputs) outlives the
-forward.
+The node keeps only each expert's h1 and h3 and the block index. The
+pullback re-gathers X from the input and recomputes SiLU(h1) and a from h1
+and h3, so no gathered rows or expert outputs outlive the forward.
 """
 
 from __future__ import annotations
@@ -43,76 +43,66 @@ def _sigmoid(h: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def _swiglu_act(h1: np.ndarray, h3: np.ndarray) -> np.ndarray:
-    """SiLU(h1) * h3 in one new buffer: sigmoid(h1), then SiLU(h1), then
-    the product, always in this order so a recomputation is bitwise."""
+def _ffn(x: np.ndarray, w1: np.ndarray, w3: np.ndarray, w2: np.ndarray):
+    """SwiGLU of (n, d) rows x: (h1, h3, out) with h1 = x W1^T, h3 = x W3^T
+    and out = (SiLU(h1) * h3) W2^T. SiLU(h1) * h3 is formed in one buffer
+    that is dropped after the down-projection."""
+    h1 = x @ w1.T
+    h3 = x @ w3.T
     a = _sigmoid(h1)
     a *= h1
     a *= h3
-    return a
+    return h1, h3, a @ w2.T
 
 
-def _swiglu_pullback(gpre: np.ndarray, h1: np.ndarray, h3: np.ndarray):
-    """Gradients at h1 and h3 from gpre, the gradient at SiLU(h1) * h3, and
-    the recomputed SiLU(h1) * h3 itself: (gh1, gh3, act)."""
-    buf = _sigmoid(h1)
+def _ffn_pullback(gpre: np.ndarray, x: np.ndarray, h1: np.ndarray, h3: np.ndarray,
+                  w1: np.ndarray, w3: np.ndarray):
+    """From gpre, the gradient at SiLU(h1) * h3, to (gx, gw1, gw3, act): the
+    gradients of _ffn's rows and up-projection weights, and SiLU(h1) * h3
+    recomputed in _ffn's order, so bitwise its value, for the caller's gw2."""
+    act = _sigmoid(h1)
     gh1 = gpre * h3
-    gh1 *= buf
-    dsilu = np.subtract(1.0, buf)
+    gh1 *= act
+    dsilu = np.subtract(1.0, act)
     dsilu *= h1
     dsilu += 1.0
     gh1 *= dsilu              # gpre * h3 * sig * (1 + h1 * (1 - sig))
     del dsilu
-    buf *= h1                 # SiLU(h1)
-    gh3 = gpre * buf
-    buf *= h3                 # SiLU(h1) * h3
-    return gh1, gh3, buf
+    act *= h1                 # SiLU(h1)
+    gh3 = gpre * act
+    act *= h3                 # SiLU(h1) * h3
+    return gh1 @ w1 + gh3 @ w3, gh1.T @ x, gh3.T @ x, act
 
 
-def _check_weights(x_shape: tuple[int, ...], w1: Tensor, w3: Tensor, w2: Tensor,
-                   op: str) -> None:
-    """ShapeError unless the weights are (..., h, d), (..., h, d), (..., d, h)
-    with the leading axes of rows shaped x_shape = (..., n, d)."""
-    lead, d = x_shape[:-2], (x_shape[-1] if x_shape else -1)
-    h = w1.shape[-2] if w1.ndim >= 2 else -1
-    if (len(x_shape) < 2 or w1.shape != lead + (h, d) or w3.shape != lead + (h, d)
-            or w2.shape != lead + (d, h)):
-        raise ShapeError(f"{op} weight shapes w1={w1.shape} w3={w3.shape} "
-                         f"w2={w2.shape} inconsistent with x={x_shape}")
-
-
-def _T(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+def _check_shapes(x_shape: tuple[int, ...], w1: tuple[int, ...], w3: tuple[int, ...],
+                  w2: tuple[int, ...], op: str) -> None:
+    """ShapeError unless rows are (n, d) and the weights (h, d), (h, d), (d, h)."""
+    if len(x_shape) != 2:
+        raise ShapeError(f"{op} rows x have shape {x_shape}; expected (N, d)")
+    d, h = x_shape[1], (w1[0] if len(w1) == 2 else -1)
+    if w1 != (h, d) or w3 != (h, d) or w2 != (d, h):
+        raise ShapeError(f"{op} weight shapes w1={w1} w3={w3} w2={w2} "
+                         f"inconsistent with x={x_shape}")
 
 
 def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
     """Single-pass SwiGLU: (SiLU(x W1^T) * (x W3^T)) W2^T.
 
-    x is (..., n, d) and the weights are (..., h, d), (..., h, d) and
-    (..., d, h) with the same leading axes, so one call covers a dense FFN
-    (no leading axes) and a stack of experts (one leading axis). One tape
-    node with a hand-derived pullback; value-identical to the three-step
-    composition within float rounding.
+    x is (N, d) rows and the weights are (h, d), (h, d) and (d, h)
+    (ShapeError otherwise). One tape node with a hand-derived pullback;
+    value-identical to the three-step composition within float rounding.
 
-    The node keeps only the two up-projections h1 = x W1^T and h3 = x W3^T.
-    The forward forms SiLU(h1) * h3 in one buffer that is dropped after the
-    down-projection; the pullback recomputes it from h1 and h3 with the
-    same in-place sequence, so it is bitwise the forward's value.
+    The node keeps only the two up-projections h1 = x W1^T and h3 = x W3^T;
+    the pullback recomputes SiLU(h1) * h3 from them, bitwise the forward's
+    value.
     """
-    _check_weights(x.shape, w1, w3, w2, "swiglu")
+    _check_shapes(x.shape, w1.shape, w3.shape, w2.shape, "swiglu")
     xd, w1d, w3d, w2d = x.data, w1.data, w3.data, w2.data
-    h1 = xd @ _T(w1d)
-    h3 = xd @ _T(w3d)
-    out = _swiglu_act(h1, h3) @ _T(w2d)
+    h1, h3, out = _ffn(xd, w1d, w3d, w2d)
 
     def bwd(g):
-        gh1, gh3, act = _swiglu_pullback(g @ w2d, h1, h3)
-        gw2 = _T(g) @ act
-        del act
-        gx = gh1 @ w1d + gh3 @ w3d
-        gw1 = _T(gh1) @ xd
-        gw3 = _T(gh3) @ xd
-        return gx, gw1, gw3, gw2
+        gx, gw1, gw3, act = _ffn_pullback(g @ w2d, xd, h1, h3, w1d, w3d)
+        return gx, gw1, gw3, g.T @ act
 
     return nt.record("swiglu", (x, w1, w3, w2), (out,), bwd)[0]
 
@@ -138,46 +128,50 @@ def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tenso
     expert e on row blocks[e, k] of x, added into that row; returns (N, d).
 
     x is (N, d) token rows, blocks an (E, n) block index of rows with no row
-    twice in one block (ShapeError), and gates (E, n, 1). Rows are added in
-    flat block order, bitwise as numpy's add.at over blocks.ravel(). The
+    twice in one block (ShapeError), gates (E, n, 1) and the bank's routed
+    weights (E, h, d), (E, h, d), (E, d, h). Expert e's rows are added after
+    expert e - 1's, bitwise as numpy's add.at over blocks.ravel(). The
     pullback equations are in the module docstring.
     """
     if x.ndim != 2:
         raise ShapeError(f"grouped_forward rows x have shape {x.shape}; expected (N, d)")
     idx = nt._row_index(blocks, x.shape[0], "grouped_forward")
-    if gates.shape != idx.shape + (1,):
-        raise ShapeError(f"grouped_forward gates have shape {gates.shape}; expected "
-                         f"{idx.shape + (1,)} for blocks of shape {idx.shape}")
-    _check_weights(idx.shape + x.shape[1:], bank.w1, bank.w3, bank.w2, "grouped_forward")
+    if idx.ndim != 2 or gates.shape != idx.shape + (1,):
+        raise ShapeError(f"grouped_forward gates have shape {gates.shape} for blocks of "
+                         f"shape {idx.shape}; expected (E, n, 1) for (E, n) blocks")
+    weights = (bank.w1, bank.w3, bank.w2)
+    if any(w.shape[:1] != idx.shape[:1] for w in weights):
+        raise ShapeError(f"grouped_forward expert weights w1={bank.w1.shape} "
+                         f"w3={bank.w3.shape} w2={bank.w2.shape}; expected "
+                         f"{idx.shape[0]} experts, one per block")
+    _check_shapes(x.shape, *(w.shape[1:] for w in weights), "grouped_forward")
     xd, gd = x.data, gates.data
-    w1d, w3d, w2d = bank.w1.data, bank.w3.data, bank.w2.data
-    rows = xd[idx]
-    h1 = rows @ _T(w1d)
-    h3 = rows @ _T(w3d)
-    del rows
-    y = _swiglu_act(h1, h3) @ _T(w2d)
-    y *= gd
-    out = nt._add_blocks(np.zeros(x.shape), idx, y)
+    w1d, w3d, w2d = (w.data for w in weights)
+    out = np.zeros(x.shape)
+    kept = []
+    for e, rows in enumerate(idx):
+        h1, h3, y = _ffn(xd[rows], w1d[e], w3d[e], w2d[e])
+        y *= gd[e]
+        out[rows] += y
+        kept.append((h1, h3))
 
     def bwd(g):
-        gr = g[idx]
-        u = gr @ w2d
-        gh1, gh3, act = _swiglu_pullback(u * gd, h1, h3)
-        gr *= gd
-        gw2 = _T(gr) @ act
-        del gr
-        u *= act
-        del act
-        dgates = u.sum(axis=-1, keepdims=True)
-        del u
-        gx = nt._add_blocks(np.zeros(x.shape), idx, gh1 @ w1d + gh3 @ w3d)
-        rows = xd[idx]
-        gw1 = _T(gh1) @ rows
-        gw3 = _T(gh3) @ rows
+        gx = np.zeros(x.shape)
+        dgates = np.empty(gates.shape)
+        gw1, gw3, gw2 = np.empty(w1d.shape), np.empty(w3d.shape), np.empty(w2d.shape)
+        for e, (rows, (h1, h3)) in enumerate(zip(idx, kept)):
+            gr = g[rows]
+            u = gr @ w2d[e]
+            gxe, gw1[e], gw3[e], act = _ffn_pullback(u * gd[e], xd[rows], h1, h3,
+                                                     w1d[e], w3d[e])
+            gx[rows] += gxe
+            gr *= gd[e]
+            gw2[e] = gr.T @ act
+            u *= act
+            dgates[e] = u.sum(axis=-1, keepdims=True)
         return gx, dgates, gw1, gw3, gw2
 
-    return nt.record("grouped_forward", (x, gates, bank.w1, bank.w3, bank.w2),
-                     (out,), bwd)[0]
+    return nt.record("grouped_forward", (x, gates, *weights), (out,), bwd)[0]
 
 
 def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,

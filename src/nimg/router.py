@@ -1,10 +1,10 @@
 """Expert-choice routing on decoupled inputs.
 
-The router scores the unmodulated token state concatenated with the
-timestep embedding; each expert then claims its top-capacity tokens, which
-makes per-expert load exactly uniform by construction. Gates are the raw
-per-token softmax scores renormalized over the experts that claimed the
-token.
+The router scores the unmodulated token state plus a per-sample timestep
+term, x_norm W_x + t_emb W_t; each expert then claims its top-capacity
+tokens, which makes per-expert load exactly uniform by construction. Gates
+are the raw per-token softmax scores renormalized over the experts that
+claimed the token.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class RouterDecision:
 
 def capacity_for(S: int, E: int, C: float) -> int:
     """Per-expert token budget ceil(C*S/E), clamped to at most S."""
-    if S < 1 or E < 1 or C <= 0:
+    if S < 1 or E < 1 or not 0 < C < math.inf:
         raise ConfigError(f"invalid capacity arguments S={S} E={E} C={C}")
     return min(math.ceil(C * S / E), S)
 
@@ -86,8 +86,9 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
     """Routing pass keeping gates and logits on the tape.
 
     x_norm: (B, S, d) unmodulated token state; t_emb: (B, d) timestep
-    embedding broadcast over tokens; w_r: (2d, E) router weight, whose
-    column count is the number of experts. Returns (decisions, routing) where
+    embedding; w_r: (2d, E) router weight, whose column count is the number
+    of experts; its token half W_x and timestep half W_t give the logits
+    x_norm W_x + t_emb W_t. Returns (decisions, routing) where
     decisions is one RouterDecision per sample and routing carries the
     tape-connected gates plus the flat row index token_flat into (B*S, d),
     expert-major (e, b, slot); reshaped to (E, B*cap), row e is expert e's
@@ -105,9 +106,9 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
     E = w_r.shape[1]
     capacity = capacity_for(S, E, capacity_factor)
 
-    t_full = nt.broadcast_to(nt.reshape(t_emb, (B, 1, d)), (B, S, d))
-    router_in = nt.concat([x_norm, t_full], axis=-1)          # (B, S, 2d)
-    logits = nt.matmul(router_in, w_r)                        # (B, S, E)
+    w_x, w_t = nt.split(w_r, 2, axis=0)                       # (d, E) each
+    t_term = nt.reshape(nt.matmul(t_emb, w_t), (B, 1, E))     # once per sample
+    logits = nt.add(nt.matmul(x_norm, w_x), t_term)           # (B, S, E)
     scores = nt.softmax(logits, axis=-1)
 
     # Selection is index arithmetic off-tape; gate values flow on-tape.

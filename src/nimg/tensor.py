@@ -20,9 +20,9 @@ tests/oracles.py, not in the package.
 Row gather and scatter take a 1-d (one block) or 2-d (G, n) block index in
 which no row repeats within a block (ShapeError otherwise), so each block
 is one exact fancy-index add. The model's expert-choice dispatch and combine
-do not go through them: moe.grouped_forward gathers, computes and adds back
-the routed rows in one node, validating its index with the same _row_index
-and adding with the same _add_blocks.
+do not go through them: moe.grouped_forward validates its (E, n) index with
+the same _row_index, then gathers, computes and adds back one expert's
+block of rows at a time, each block one fancy-index add as in _add_blocks.
 
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
@@ -30,10 +30,11 @@ writing into .data in place corrupts later gradients. A closure need not
 keep everything its pullback reads: it may keep a little and recompute the
 rest from the node's inputs (swiglu keeps its two up-projections,
 joint_attention each score row's max and sum, qk_norm_rope the inverse RMS
-of each head and the two (S, 1, d_h) angle tables). A pullback may write
-into a buffer it allocated itself (qk_norm_rope forms its input gradient in
-one such buffer), but never into what its closure keeps, because backward
-may run it twice on one tape and both runs must see the forward's values.
+of each head and the two (S, 1, d_h) angle tables its caller built). A
+pullback may write into a buffer it allocated itself (qk_norm_rope forms its
+input gradient in one such buffer), but never into what its closure keeps,
+because backward may run it twice on one tape and both runs must see the
+forward's values.
 After backward, a leaf's .grad (a tensor no recorded node produced) is
 exclusively owned and may be edited in place; an intermediate's .grad is
 read-only and may share memory with another tensor's .grad, because
@@ -79,12 +80,14 @@ class Tensor:
             raise UnsupportedOp(f"unsupported storage dtype {np.dtype(dtype)}")
         try:
             arr = np.asarray(data)
-            if arr.dtype == object:  # None and other objects would become NaN
-                raise TypeError
-            self.data = np.asarray(arr, dtype=np.float64, order="C")
-        except (TypeError, ValueError):
-            raise UnsupportedOp(f"cannot store {type(data).__name__} data "
-                                "as float64") from None
+        except (TypeError, ValueError):  # ragged nesting
+            arr = np.empty(0, dtype=object)
+        # None and other objects would become NaN, complex values would lose
+        # their imaginary part and strings would be parsed
+        if arr.dtype.kind not in "biuf":
+            raise UnsupportedOp(f"cannot store {type(data).__name__} data of dtype "
+                                f"{arr.dtype} as float64")
+        self.data = np.asarray(arr, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -300,8 +303,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 def broadcast_to(a: Tensor, shape) -> Tensor:
     """A materialised full-size copy of a broadcast.
 
-    Elementwise ops broadcast without it; use it only where an op needs the
-    copy itself, e.g. before concat.
+    Elementwise ops broadcast without it, and the model records none;
+    perfbench/layertrace.py times it by name, so it stays.
     """
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
@@ -398,18 +401,6 @@ def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
-
-
-def sin(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    da = a.data
-    return record("sin", (a,), (np.sin(da),), lambda g: (g * np.cos(da),))[0]
-
-
-def cos(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    da = a.data
-    return record("cos", (a,), (np.cos(da),), lambda g: (-g * np.sin(da),))[0]
 
 
 def silu(a: Tensor) -> Tensor:
@@ -514,6 +505,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
     and read-only); a leaf gets a copy unless its buffer is engine-owned, so
     a leaf's .grad never shares memory with another tensor's.
     """
+    if not isinstance(tape, Tape) or not isinstance(loss, Tensor):
+        raise ShapeError(f"backward takes a Tape and a Tensor loss, got "
+                         f"{type(tape).__name__} and {type(loss).__name__}")
     if loss.size != 1:
         raise NonScalarLoss(f"loss must be scalar, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=np.float64)}

@@ -38,7 +38,7 @@ def layernorm(a: Tensor) -> Tensor:
 
 def rope_apply_grid(x: Tensor, pos_h, pos_w) -> Tensor:
     """2-axis RoPE on (B, S, H, d_h) heads as x cos + rotate_pairs(x) sin."""
-    cos, sin = backbone._rope_tables(pos_h, pos_w, x.shape[1], x.shape[3])
+    cos, sin = backbone.rope_tables(pos_h, pos_w, x.shape[1], x.shape[3])
     return nt.add(nt.mul(x, Tensor(cos)), nt.mul(backbone.rotate_pairs(x), Tensor(sin)))
 
 

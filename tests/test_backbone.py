@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from nimg import moe
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gate_res_ln_scale,
                            fused_gated_residual, fused_ln_scale,
-                           joint_attention, qk_norm_rope)
+                           joint_attention, qk_norm_rope, rope_tables)
 from nimg.router import StageId
 from nimg.tensor import ShapeError, Tape, Tensor, backward
 from oracles import grad_check, layernorm, rope_apply_grid, tanh
@@ -192,6 +194,18 @@ def test_tensor_timestep_gives_the_plain_array_velocity():
             assert velocity(model, z, Tensor(plain)).data.tobytes() == want
 
 
+def test_text_context_does_not_keep_its_model_alive():
+    model = MoEDiT(ModelConfig())
+    ctx = model.precompute_text_kv(PROMPTS)
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None
+    with pytest.raises(ShapeError, match="ctx"), nt.no_grad():  # a new model is another one
+        MoEDiT(ModelConfig()).forward(latent(np.random.default_rng(25)), 0.5, ctx,
+                                      StageId.S256)
+
+
 def test_zero_d_timestep_is_a_scalar_and_other_shapes_raise():
     rng = np.random.default_rng(6)
     model = MoEDiT(ModelConfig())
@@ -298,6 +312,11 @@ ROPE_POSITIONS = {"grid": (np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3))
                   "text": (np.zeros(12), np.arange(12))}
 
 
+def rope_of(pos_h, pos_w, d_h=8):
+    """The angle tables qk_norm_rope takes, for (S,) positions."""
+    return rope_tables(pos_h, pos_w, len(pos_h), d_h)
+
+
 @pytest.mark.parametrize("where", ROPE_POSITIONS)
 def test_qk_norm_rope_is_bitwise_the_composition(where):
     pos_h, pos_w = ROPE_POSITIONS[where]
@@ -305,7 +324,8 @@ def test_qk_norm_rope_is_bitwise_the_composition(where):
     x = rng.standard_normal((2, pos_h.size, 3, 8))
     w = Tensor(rng.standard_normal(x.shape))
     results = []
-    for op in (qk_norm_rope, lambda t, *p: rope_apply_grid(nt.rmsnorm(t), *p)):
+    for op in (lambda t, *p: qk_norm_rope(t, *rope_of(*p)),
+               lambda t, *p: rope_apply_grid(nt.rmsnorm(t), *p)):
         leaf = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = op(leaf, pos_h, pos_w)
@@ -322,7 +342,7 @@ def test_qk_norm_rope_matches_per_head_norm_and_pair_rotation_loop():
     pos_h, pos_w = ROPE_POSITIONS["grid"]
     x = rng.standard_normal((2, pos_h.size, 3, 8))
     normed = np.apply_along_axis(rms_norm, -1, x)
-    out = qk_norm_rope(Tensor(x), pos_h, pos_w).data
+    out = qk_norm_rope(Tensor(x), *rope_of(pos_h, pos_w)).data
     np.testing.assert_allclose(out, rope_loop(normed, pos_h, pos_w), rtol=1e-12, atol=1e-15)
     pair_norm = lambda a: np.hypot(a[..., 0::2], a[..., 1::2])
     np.testing.assert_allclose(pair_norm(out), pair_norm(normed), rtol=1e-12)
@@ -333,7 +353,8 @@ def test_qk_norm_rope_gradient_vs_fd():
     pos_h, pos_w = np.repeat(np.arange(2), 3), np.tile(np.arange(3), 2)
     x = Tensor(rng.standard_normal((2, pos_h.size, 2, 8)))
     w = Tensor(rng.standard_normal(x.shape))
-    rep = grad_check(lambda p: nt.sum(nt.mul(qk_norm_rope(p, pos_h, pos_w), w)), x, h=1e-5)
+    rope = rope_of(pos_h, pos_w)
+    rep = grad_check(lambda p: nt.sum(nt.mul(qk_norm_rope(p, *rope), w)), x, h=1e-5)
     assert rep.max_rel_err <= 1e-6, rep.max_rel_err
 
 
@@ -343,16 +364,17 @@ def test_taped_qk_norm_rope_keeps_only_inverse_rms_and_tables():
     pos_h, pos_w = np.repeat(np.arange(16), 16), np.tile(np.arange(16), 16)
     S = pos_h.size
     x = Tensor(rng.standard_normal((B, S, H, d_h)), requires_grad=True)
+    rope = rope_of(pos_h, pos_w, d_h)   # built once per forward, outside the node
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:   # the tape keeps the node, and so its closure, alive
-            out = qk_norm_rope(x, pos_h, pos_w)
+            out = qk_norm_rope(x, *rope)
         held = tracemalloc.get_traced_memory()[0] - before
         assert len(tape.nodes) == 1
     finally:
         tracemalloc.stop()
-    kept = out.data.nbytes + B * S * H * 8 + 2 * S * d_h * 8   # output, inv, cos and sin
+    kept = out.data.nbytes + B * S * H * 8   # output and inv; the tables are the caller's
     assert held <= kept + 16 * 1024, (held, kept)
 
 
@@ -377,16 +399,22 @@ def test_forward_records_qk_norm_rope_for_queries_keys_and_text_keys():
         assert [made_by[id(t)] for t in (q, k_img, k_txt)] == ["qk_norm_rope"] * 3
 
 
-def test_only_the_router_materialises_a_broadcast():
+def test_no_taped_forward_records_a_broadcast_or_concat():
+    """The router adds its per-sample timestep term to the token logits by
+    broadcasting, and the timestep features are data, so no op materialises
+    a broadcast or joins tensors."""
     rng = np.random.default_rng(12)
-    model = MoEDiT(ModelConfig())
+    model = MoEDiT(ModelConfig(n_layers=6))
+    with Tape() as text_tape:
+        ctx = model.precompute_text_kv(PROMPTS)
     with Tape() as tape:
-        velocity(model, latent(rng), rng.uniform(0.0, 1.0, 2))
-    copies = [n for n in tape.nodes if n.op == "broadcast_to"]
-    assert len(copies) == sum(not blk.dense for blk in model.blocks) == 1
-    for node in copies:  # the router's t_full, whose one consumer is a concat
-        t_full = node.outputs[0]
-        assert [m.op for m in tape.nodes if any(i is t_full for i in m.inputs)] == ["concat"]
+        model.forward(latent(rng), rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)
+    ops = [n.op for n in text_tape.nodes + tape.nodes]
+    assert "broadcast_to" not in ops and "concat" not in ops
+    # one SwiGLU path: a routed-expert node per MoE layer, and swiglu nodes
+    # only for the dense FFNs and the shared experts
+    assert ops.count("grouped_forward") == sum(not blk.dense for blk in model.blocks) == 3
+    assert ops.count("swiglu") == len(model.blocks)
 
 
 def test_forward_records_one_fused_attention_node_per_block():
@@ -486,17 +514,19 @@ def test_second_backward_doubles_every_grad_bitwise():
     param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
     stacked = param(2, 6, 16), param(2, 6, 16), param(2, 16, 6)   # 2 experts, h = 6
     dense = param(6, 16), param(6, 16), param(16, 6)
+    per_expert = lambda t: [nt.reshape(s, t.shape[1:]) for s in nt.split(t, 2, axis=0)]
     gates = param(2, 3, 1)
-    pos_h, pos_w = np.arange(5), np.arange(5)[::-1]
+    rope = rope_tables(np.arange(5), np.arange(5)[::-1], 5, 4)
     weigh = lambda y: nt.sum(nt.mul(y, Tensor(rng.standard_normal(y.shape))))
     with Tape() as tape:
         att = joint_attention(q, k_img, v_img, k_txt, v_txt, mask)   # (2, 5, 16)
-        routed = moe.swiglu(att, *stacked)                           # experts over (2, 5, 16)
+        routed = nt.concat([moe.swiglu(a, *w) for a, *w in   # expert e on sample e
+                            zip(per_expert(att), *map(per_expert, stacked))])
         flat = nt.reshape(att, (10, 16))
         shared = moe.swiglu(flat, *dense)
         grouped = moe.grouped_forward(flat, [[0, 3, 7], [3, 9, 1]], gates,
                                       moe.ExpertBank(*stacked, *dense))
-        roped = qk_norm_rope(q, pos_h, pos_w)                          # q also feeds attention
+        roped = qk_norm_rope(q, *rope)                                 # q also feeds attention
         loss = nt.add(nt.add(nt.add(weigh(routed), weigh(shared)), weigh(grouped)),
                       weigh(roped))
     tensors = [q, k_img, v_img, k_txt, v_txt, *stacked, *dense, gates,
