@@ -6,9 +6,13 @@ Timestep conditioning enters through zero-initialized modulation, so every
 block is an exact identity at initialization. The fused residual /
 normalization ops are single tape nodes with hand-derived pullbacks and are
 contractually equivalent to their multi-op compositions. Joint attention is
-one such node too: scores, mask and softmax share one buffer, and the node
-keeps only each score row's max and sum; its pullback recomputes the
-probabilities from the inputs and those two statistics. Each query and key
+one such node too. It runs one tile at a time, one sample and up to
+ATTENTION_TILE query rows: a tile's scores, mask and softmax share one
+buffer that stays in cache, and the node keeps only each score row's max
+and sum. Its pullback recomputes each tile's probabilities from the inputs
+and those two statistics, and sums the key and value gradients over the
+tiles in row order, so they are not bitwise those of one untiled pass
+(1.1e-15 relative at most in the desk-model checks). Each query and key
 head's RMS norm and 2-axis rotary rotation is one node, qk_norm_rope, which
 keeps only the inverse RMS and the two angle tables (built once per forward
 and shared by every layer); its pullback is the inverse rotation followed
@@ -231,6 +235,12 @@ def _check_attention_shapes(q: Tensor, k_img: Tensor, v_img: Tensor,
                          f"expected {k_txt.shape[:2]} (B, S_t)")
 
 
+#: Query rows per tile of joint_attention: a tile's scores at the desk shapes
+#: (4 query heads per kv head, 264 keys) are 0.5 MB, so the softmax and
+#: pullback passes over them stay in a 2 MB per-core L2 cache.
+ATTENTION_TILE = 64
+
+
 def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
                     v_txt: Tensor, text_mask: np.ndarray) -> Tensor:
     """Image queries attend over concatenated image and text KV; one tape node.
@@ -243,21 +253,31 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
     Returns (B, S_i, H_q * d_h). Mismatched or missing inputs raise
     ShapeError.
 
-    Grouped-query attention is a batch broadcast: queries are split into
-    (H_kv, n_rep) head groups and K/V carry a unit group axis, so query head
-    j * n_rep + r reads kv head j without K/V being repeated.
+    Grouped-query attention without repeating K/V: query head j * n_rep + r
+    reads kv head j, and within one kv head the n_rep query heads' rows are
+    stacked into one (n_rep * T, d_h) matrix.
 
-    The scores S = Q Kᵀ are scaled, masked and softmaxed in place in one
+    Forward and pullback run one tile at a time: one sample and a block of
+    ATTENTION_TILE query rows (the last block of a sample may be shorter),
+    as in FlashAttention (Dao et al. 2022). A tile's scores S = Q Kᵀ over
+    all S_i + S_t keys are scaled, masked and softmaxed in place in one
     buffer. The node keeps only each row's max and sum (two (..., S_i, 1)
-    arrays, as in FlashAttention): the pullback rebuilds the head-split Q,
-    K, V from its inputs and recomputes P with the forward's exact sequence,
-    so the recomputed P is bitwise the forward's. With scale = 1/sqrt(d_h)
-    and dO the output gradient, the pullback is
+    arrays): the pullback rebuilds the tile's Q from its input and
+    recomputes P with the forward's exact sequence, so the recomputed P is
+    bitwise the forward's. With scale = 1/sqrt(d_h) and dO the output
+    gradient, each tile's pullback is
 
         dP = dO Vᵀ,   dS = P * (dP - rowsum(dP * P)) * scale,
-        dQ = dS K,    dK = dSᵀ Q,   dV = Pᵀ dO,
+        dQ = dS K,    dK += dSᵀ Q,   dV += Pᵀ dO,
 
-    with dK and dV summed over the n_rep query heads that share a kv head.
+    where dK and dV of a sample accumulate over its tiles in row order, and
+    each tile's GEMM sums over its n_rep query heads and rows at once.
+    Gradients are therefore not bitwise those of one untiled pass. At the
+    desk shapes (256 image and 8 text tokens, 4 query heads per kv head, one
+    OpenBLAS thread) the output and dQ were bitwise the untiled node's, and
+    dK and dV moved by up to 1.1e-15 relative; so did the desk model's
+    parameter gradients. The per-head loop oracle in the tests holds values
+    and gradients to rtol 1e-12.
     """
     _check_attention_shapes(q, k_img, v_img, k_txt, v_txt, text_mask)
     B, S_i, H_q, d_h = q.shape
@@ -266,55 +286,67 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
     scale = 1.0 / math.sqrt(d_h)
 
     inputs = (q, k_img, v_img, k_txt, v_txt)
-    S_t = k_txt.shape[1]
-    S_kv = S_i + S_t
+    S_kv = S_i + k_txt.shape[1]
     if S_kv == 0:
         raise ShapeError("attention over no keys: no image or text tokens")
-    bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)[:, None, None, None, :]
+    bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)     # (B, S_t)
+    tiles = [(b, slice(r, min(r + ATTENTION_TILE, S_i)))
+             for b in range(B) for r in range(0, S_i, ATTENTION_TILE)]
 
-    def split_heads():
-        """Q as (B, H_kv, n_rep, S_i, d_h), Kᵀ and V over image then text keys."""
-        qh = np.ascontiguousarray(q.data.reshape(B, S_i, H_kv, n_rep, d_h)
-                                  .transpose(0, 2, 3, 1, 4))
-        kh = np.empty((B, H_kv, 1, d_h, S_kv))
-        vh = np.empty((B, H_kv, 1, S_kv, d_h))
-        for k, v, keys in zip(inputs[1::2], inputs[2::2], (slice(0, S_i), slice(S_i, S_kv))):
-            kh[:, :, 0, :, keys] = k.data.transpose(0, 2, 3, 1)
-            vh[:, :, 0, keys] = v.data.transpose(0, 2, 1, 3)
-        return qh, kh, vh
+    def heads_of(a: np.ndarray, b: int, rows: slice) -> np.ndarray:
+        """Rows of sample b of a (B, S_i, H_q * d_h)-sized array as
+        (H_kv, n_rep * T, d_h): kv head, then query head and row."""
+        t = a.reshape(B, S_i, H_kv, n_rep, d_h)[b, rows].transpose(1, 2, 0, 3)
+        return t.reshape(H_kv, -1, d_h)
 
-    def probs(qh, kh, stats=None):
-        """P in the scores' buffer; stats = (row max, row sum), computed if None."""
-        p = np.matmul(qh, kh)
+    def put_heads(dst: np.ndarray, b: int, rows: slice, t: np.ndarray) -> None:
+        """Inverse of heads_of: write t into rows of sample b of dst."""
+        dst.reshape(B, S_i, H_kv, n_rep, d_h)[b, rows] = (
+            t.reshape(H_kv, n_rep, -1, d_h).transpose(2, 0, 1, 3))
+
+    def kv_heads(img: Tensor, txt: Tensor) -> np.ndarray:
+        """(B, H_kv, S_kv, d_h): image keys (or values), then text."""
+        return np.concatenate([img.data, txt.data], axis=1).transpose(0, 2, 1, 3).copy()
+
+    def probs(b, rows, qt, kh, stats, fill):
+        """P of one tile in its scores' buffer, (H_kv, n_rep * T, S_kv). With
+        fill, the row max and sum are computed and stored into stats; else
+        they are read from them."""
+        p = np.matmul(qt, np.swapaxes(kh[b], -1, -2))
         p *= scale
-        p[..., S_i:] += bias
-        row_max = p.max(axis=-1, keepdims=True) if stats is None else stats[0]
-        p -= row_max
+        p[..., S_i:] += bias[b]
+        row_max, row_sum = (s[b, :, :, rows] for s in stats)
+        if fill:
+            row_max[...] = p.max(axis=-1).reshape(row_max.shape)
+        p -= row_max.reshape(H_kv, -1, 1)
         np.exp(p, out=p)
-        row_sum = p.sum(axis=-1, keepdims=True) if stats is None else stats[1]
-        p /= row_sum
-        return p, (row_max, row_sum)
+        if fill:
+            row_sum[...] = p.sum(axis=-1).reshape(row_sum.shape)
+        p /= row_sum.reshape(H_kv, -1, 1)
+        return p
 
-    qh, kh, vh = split_heads()
-    p, stats = probs(qh, kh)
-    out = np.matmul(p, vh).transpose(0, 3, 1, 2, 4)             # (B, S_i, H_kv, n_rep, d_h)
-    out = np.ascontiguousarray(out).reshape(B, S_i, H_q * d_h)
+    stats = (np.empty((B, H_kv, n_rep, S_i, 1)), np.empty((B, H_kv, n_rep, S_i, 1)))
+    kh, vh = kv_heads(k_img, k_txt), kv_heads(v_img, v_txt)
+    out = np.empty((B, S_i, H_q * d_h))
+    for b, rows in tiles:
+        p = probs(b, rows, heads_of(q.data, b, rows), kh, stats, fill=True)
+        put_heads(out, b, rows, np.matmul(p, vh[b]))
 
     def bwd(g):
-        qh, kh, vh = split_heads()
-        p = probs(qh, kh, stats)[0]
-        go = np.ascontiguousarray(g.reshape(B, S_i, H_kv, n_rep, d_h)
-                                  .transpose(0, 2, 3, 1, 4))
-        gs = np.matmul(go, np.swapaxes(vh, -1, -2))             # dP, then dS in place
-        gv = np.matmul(np.swapaxes(p, -1, -2), go).sum(axis=2)  # (B, H_kv, S_kv, d_h)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        gq = np.matmul(gs, np.swapaxes(kh, -1, -2))
-        gk = np.matmul(np.swapaxes(qh, -1, -2), gs).sum(axis=2)  # (B, H_kv, d_h, S_kv)
-        gq = np.ascontiguousarray(gq.transpose(0, 3, 1, 2, 4)).reshape(q.shape)
-        gk = np.ascontiguousarray(gk.transpose(0, 3, 1, 2))     # (B, S_kv, H_kv, d_h)
-        gv = np.ascontiguousarray(gv.transpose(0, 2, 1, 3))
+        kh, vh = kv_heads(k_img, k_txt), kv_heads(v_img, v_txt)
+        gq = np.empty(q.shape)
+        gk, gv = np.zeros(kh.shape), np.zeros(vh.shape)          # (B, H_kv, S_kv, d_h)
+        for b, rows in tiles:
+            qt, go = heads_of(q.data, b, rows), heads_of(g, b, rows)
+            p = probs(b, rows, qt, kh, stats, fill=False)
+            gs = np.matmul(go, np.swapaxes(vh[b], -1, -2))      # dP, then dS in place
+            gv[b] += np.matmul(np.swapaxes(p, -1, -2), go)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            put_heads(gq, b, rows, np.matmul(gs, kh[b]))
+            gk[b] += np.matmul(np.swapaxes(gs, -1, -2), qt)
+        gk, gv = gk.transpose(0, 2, 1, 3), gv.transpose(0, 2, 1, 3)  # (B, S_kv, H_kv, d_h)
         return (gq, np.ascontiguousarray(gk[:, :S_i]), np.ascontiguousarray(gv[:, :S_i]),
                 np.ascontiguousarray(gk[:, S_i:]), np.ascontiguousarray(gv[:, S_i:]))
 
@@ -328,13 +360,17 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
 def _timestep_values(t) -> np.ndarray:
     """A timestep as an array. The timestep is data: a Tensor t that requires
     grad, whose gradient nothing would form, and values that are not real
-    numbers raise UnsupportedOp."""
+    numbers, or ragged nesting that is no array at all, raise UnsupportedOp."""
     if isinstance(t, Tensor):
         if t.requires_grad:
             raise UnsupportedOp("timestep t requires grad; it is data, and no "
                                 "gradient flows to it")
         t = t.data
-    vals = np.asarray(t)
+    try:
+        vals = np.asarray(t)
+    except ValueError:  # inhomogeneous nesting such as [[0.1], [0.2, 0.3]]
+        raise UnsupportedOp("timestep t is ragged; expected a scalar or (B,) "
+                            "real values") from None
     if vals.dtype.kind not in "iuf":
         raise UnsupportedOp(f"timestep t has dtype {vals.dtype}; expected real numbers")
     return vals

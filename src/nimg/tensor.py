@@ -35,11 +35,17 @@ pullback may write into a buffer it allocated itself (qk_norm_rope forms its
 input gradient in one such buffer), but never into what its closure keeps,
 because backward may run it twice on one tape and both runs must see the
 forward's values.
+A pullback returns either arrays it allocates or its incoming gradients
+(and views of them), never an array its closure keeps.
 After backward, a leaf's .grad (a tensor no recorded node produced) is
 exclusively owned and may be edited in place; an intermediate's .grad is
 read-only and may share memory with another tensor's .grad, because
 pullbacks hand out aliased arrays (add/sub pass the same upstream gradient
-to both operands, reshape returns a view).
+to both operands, reshape returns a view). A leaf's gradient is copied only
+when the engine cannot prove that nothing else holds it: the array a
+pullback allocated for that leaf alone, or the sum buffer the engine
+allocated for it, becomes its .grad as is, so parameter gradients are not
+held twice at the end of backward.
 """
 
 from __future__ import annotations
@@ -180,7 +186,10 @@ def record(op: str, inputs: Sequence[Tensor], out_arrays: Sequence[np.ndarray],
 
     Neither side is copied: an output array may be one the closure reads,
     and bwd may return its incoming grad, a view of it, or the same array
-    for several inputs. bwd must not write into the arrays it receives.
+    for several inputs. bwd must not write into the arrays it receives, and
+    must never return an array its closure keeps, or a view of one: backward
+    hands a returned array that nothing else holds to a leaf as its .grad,
+    which the caller may then edit in place.
     """
     tape = active_tape()
     track = _GRAD_ENABLED.get() and tape is not None and any(t.requires_grad for t in inputs)
@@ -495,21 +504,29 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate dLoss/dT into .grad of every requires_grad tensor T reached.
 
     Nodes are visited in exact reverse insertion order. Calling twice
-    without resetting .grad accumulates.
+    without resetting .grad accumulates. loss must be a scalar output of a
+    node on tape (NonScalarLoss, ShapeError otherwise).
 
     Nothing is copied on the way: a tensor's first gradient contribution is
     kept as the pullback returned it, which may alias another tensor's
     gradient. The second contribution allocates one sum buffer that the
     engine owns; later ones are added into it in place. Only owned buffers
     are ever written. Intermediates get their gradient array as is (shared
-    and read-only); a leaf gets a copy unless its buffer is engine-owned, so
-    a leaf's .grad never shares memory with another tensor's.
+    and read-only). A leaf adopts its gradient array when nothing else can
+    hold it: the array is not a view, and no other gradient the engine holds
+    is that array or a view of it (record's contract rules out the
+    closures). Otherwise the leaf gets a copy, so a leaf's .grad never
+    shares memory with another tensor's.
     """
     if not isinstance(tape, Tape) or not isinstance(loss, Tensor):
         raise ShapeError(f"backward takes a Tape and a Tensor loss, got "
                          f"{type(tape).__name__} and {type(loss).__name__}")
     if loss.size != 1:
         raise NonScalarLoss(f"loss must be scalar, got shape {loss.shape}")
+    produced = {id(o) for node in tape.nodes for o in node.outputs}
+    if id(loss) not in produced:
+        raise ShapeError("loss was not produced by a node on this tape; "
+                         "record it inside `with tape:`")
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=np.float64)}
     owners: dict[int, Tensor] = {id(loss): loss}
     owned: set[int] = set()
@@ -540,14 +557,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
             else:
                 grads[key] = np.asarray(g)
                 owners[key] = t
-    produced = {id(o) for node in tape.nodes for o in node.outputs}
+    holders: dict[int, int] = {}   # buffer -> gradients that are it or a view of it
+    for g in grads.values():
+        root = id(g if g.base is None else g.base)
+        holders[root] = holders.get(root, 0) + 1
     for key, t in owners.items():
         if not t.requires_grad:
             continue
         g = grads[key]
         if t.grad is not None:
             t.grad = t.grad + g
-        elif key in owned or key in produced:
+        elif key in produced or (g.base is None and holders[id(g)] == 1):
             t.grad = g
         else:
             t.grad = g.copy()

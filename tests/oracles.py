@@ -62,10 +62,13 @@ class GradCheckReport:
 
 
 def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
-               h: float = 1e-4, tol: float = 1e-5) -> GradCheckReport:
+               h: float = 1e-4, tol: float = 1e-5,
+               where: np.ndarray | None = None) -> GradCheckReport:
     """Compare the taped gradient of a scalar fn against central differences.
 
-    rel err per element is |a - n| / max(1e-8, |a| + |n|).
+    rel err per element is |a - n| / max(1e-8, |a| + |n|). where, a boolean
+    array that broadcasts to point's shape, restricts the differences (and
+    the errors) to the elements it marks; numeric is 0 elsewhere.
     """
     if h <= 0:
         raise DomainError("h must be positive")
@@ -93,7 +96,9 @@ def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
 
     flat = base.reshape(-1)
     numeric = np.zeros_like(flat)
-    for i in range(flat.size):
+    checked = (np.arange(flat.size) if where is None
+               else np.flatnonzero(np.broadcast_to(where, base.shape)))
+    for i in checked:
         keep = flat[i]
         flat[i] = keep + h
         fp = eval_at(base)
@@ -102,6 +107,7 @@ def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
         flat[i] = keep
         numeric[i] = (fp - fm) / (2.0 * h)
 
-    rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    a, n = analytic[checked], numeric[checked]
+    rel = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))
     return GradCheckReport(float(rel.max()) if rel.size else 0.0, tol,
                            analytic.reshape(point.shape), numeric.reshape(point.shape))

@@ -8,7 +8,7 @@ import pytest
 
 from nimg import moe
 from nimg import tensor as nt
-from nimg.backbone import (ModelConfig, MoEDiT, fused_gate_res_ln_scale,
+from nimg.backbone import (ATTENTION_TILE, ModelConfig, MoEDiT, fused_gate_res_ln_scale,
                            fused_gated_residual, fused_ln_scale,
                            joint_attention, qk_norm_rope, rope_tables)
 from nimg.router import StageId
@@ -292,6 +292,37 @@ def test_joint_attention_matches_per_head_loop(n_rep, with_text):
     for name in ("q", "k_img", "v_txt" if with_text else "v_img"):
         rep = grad_check(lambda p, name=name: nt.sum(nt.mul(attend(**{name: p}), w)),
                          Tensor(arrays[name]), h=1e-5)
+        assert rep.max_rel_err <= 1e-6, (name, rep.max_rel_err)
+
+
+@pytest.mark.parametrize("n_rep", [1, 4])
+def test_joint_attention_across_query_tiles_matches_per_head_loop(n_rep):
+    """Two full query tiles and a ragged third per sample, padded text.
+    Differences cover every text value row, and the query and image key rows
+    on either side of each tile boundary: a query row's gradient comes from
+    its own tile, and every key row's sums over all tiles."""
+    rng = np.random.default_rng(18)
+    B, S_i, S_t, H_kv, d_h = 2, 2 * ATTENTION_TILE + 3, 3, 1, 4
+    arrays = {"q": rng.standard_normal((B, S_i, H_kv * n_rep, d_h)),
+              "k_img": rng.standard_normal((B, S_i, H_kv, d_h)),
+              "v_img": rng.standard_normal((B, S_i, H_kv, d_h)),
+              "k_txt": rng.standard_normal((B, S_t, H_kv, d_h)),
+              "v_txt": rng.standard_normal((B, S_t, H_kv, d_h))}
+    mask = np.array([[True, False, True], [True, True, False]])
+
+    def attend(**over):
+        ts = {n: over.get(n, Tensor(a)) for n, a in arrays.items()}
+        return joint_attention(**ts, text_mask=mask)
+
+    expect = attention_loop(*arrays.values(), mask)
+    np.testing.assert_allclose(attend().data, expect, rtol=1e-12, atol=1e-14)
+    w = Tensor(rng.standard_normal(expect.shape))
+    edges = np.zeros((1, S_i, 1, 1), bool)
+    edges[:, [ATTENTION_TILE - 1, ATTENTION_TILE, 2 * ATTENTION_TILE - 1,
+              2 * ATTENTION_TILE, S_i - 1]] = True
+    for name, where in (("q", edges), ("k_img", edges), ("v_txt", None)):
+        rep = grad_check(lambda p, name=name: nt.sum(nt.mul(attend(**{name: p}), w)),
+                         Tensor(arrays[name]), h=1e-5, where=where)
         assert rep.max_rel_err <= 1e-6, (name, rep.max_rel_err)
 
 

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,13 @@ def backward_without_tape():
     with Tape():
         loss = nt.sum(x)
     backward(None, loss)
+
+
+def backward_off_tape():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with Tape():
+        loss = nt.sum(nt.mul(x, x))
+    backward(Tape(), loss)
 
 
 def text_kv_of(prompts):
@@ -254,6 +262,9 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
         (forward_with_foreign_context, ShapeError, "ctx"),
     "text_kv_none_prompt": (lambda: text_kv_of([None]), ShapeError, "prompts"),
     "text_kv_bare_string": (lambda: text_kv_of("a cat"), ShapeError, "prompts"),
+    "backward_loss_from_another_tape": (backward_off_tape, ShapeError, "produced"),
+    "forward_ragged_timestep":
+        (lambda: forward_on((2, 4, 8, 8), t=[[0.1], [0.2, 0.3]]), UnsupportedOp, "ragged"),
 }
 
 
@@ -462,6 +473,63 @@ def test_leaf_grads_of_add_do_not_share_memory():
     assert not np.shares_memory(a.grad, b.grad)
     a.grad[0, 0] = 7.0
     np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
+LEAF_GRAPHS = {  # two (2, 3) leaves to a (3, 2) output
+    "reshape": lambda a, b: nt.mul(nt.reshape(a, (3, 2)), nt.reshape(b, (3, 2))),
+    "add": lambda a, b: nt.reshape(nt.mul(nt.add(a, b), b), (3, 2)),
+    "add_and_reshape": lambda a, b: nt.add(nt.reshape(nt.add(a, b), (3, 2)),
+                                           nt.reshape(a, (3, 2))),
+}
+
+
+@pytest.mark.parametrize("graph", LEAF_GRAPHS)
+def test_each_leaf_grad_can_be_edited_alone(graph):
+    # reshape pullbacks return views and add hands one array to both
+    # operands, so these leaves' gradient arrays are shared or views
+    rng = np.random.default_rng(20)
+    a, b = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(2))
+    with Tape() as tape:
+        loss = nt.sum(nt.mul(LEAF_GRAPHS[graph](a, b), Tensor(rng.normal(size=(3, 2)))))
+    backward(tape, loss)
+    tensors = [a, b, *(o for n in tape.nodes for o in n.outputs)]
+    for leaf in (a, b):
+        before = [t.grad.copy() for t in tensors]
+        leaf.grad += 1.0
+        for t, g in zip(tensors, before):
+            np.testing.assert_array_equal(t.grad, g + 1.0 if t is leaf else g)
+
+
+def test_no_parameter_grad_shares_memory_with_another_grad():
+    model = MoEDiT(ModelConfig())
+    with Tape() as tape:
+        ctx = model.precompute_text_kv(["a cat", "a dog"])
+        vel, _ = model.forward(Tensor(np.random.default_rng(21).normal(size=(2, 4, 8, 8))),
+                               [0.3, 0.7], ctx, StageId.S256)
+        loss = nt.sum(nt.mul(vel, vel))
+    backward(tape, loss)
+    params = list(model.named_parameters().values())
+    intermediate = [o.grad for n in tape.nodes for o in n.outputs if o.grad is not None]
+    assert all(p.grad is not None for p in params)
+    for i, p in enumerate(params):
+        for g in [q.grad for q in params[i + 1:]] + intermediate:
+            assert not np.shares_memory(p.grad, g)
+
+
+def test_backward_adopts_a_fresh_leaf_grad_without_copying_it():
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(4, 256)))
+    w = Tensor(rng.normal(size=(256, 1024)), requires_grad=True)   # 2 MiB
+    with Tape() as tape:
+        loss = nt.sum(nt.matmul(x, w))
+    tracemalloc.start()
+    try:
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(w.grad, np.broadcast_to(x.data.sum(axis=0)[:, None], w.shape))
+    assert peak < 2 * w.data.nbytes, peak   # the pullback's dW, and no copy of it
 
 
 def test_intermediate_fan_in_through_aliasing_pullbacks():
