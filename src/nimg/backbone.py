@@ -5,18 +5,23 @@ image and text KV) with either a dense SwiGLU FFN or a sparse MoE layer.
 Timestep conditioning enters through zero-initialized modulation, so every
 block is an exact identity at initialization. The fused residual /
 normalization ops are single tape nodes with hand-derived pullbacks and are
-contractually equivalent to their multi-op compositions. Joint attention is
-one such node too. It runs one tile at a time, one sample and up to
-ATTENTION_TILE query rows: a tile's scores, mask and softmax share one
-buffer that stays in cache, and the node keeps only each score row's max
-and sum. Its pullback recomputes each tile's probabilities from the inputs
-and those two statistics, and sums the key and value gradients over the
-tiles in row order, so they are not bitwise those of one untiled pass
-(1.1e-15 relative at most in the desk-model checks). Each query and key
-head's RMS norm and 2-axis rotary rotation is one node, qk_norm_rope, which
-keeps only the inverse RMS and the two angle tables (built once per forward
-and shared by every layer); its pullback is the inverse rotation followed
-by the RMS-norm pullback.
+contractually equivalent to their multi-op compositions, and each block's
+glue is folded into the node that reads it. fused_ln_scale is the whole
+adaLN modulate, LN(x) (1 + scale) + shift; fused_rms_modulate gives the MoE
+layer's router input and its modulated expert input at once. These nodes
+keep per-row statistics, not (B, S, d) arrays, and recompute the rest.
+Joint attention is one node too. It norms and rotates the image queries and
+keys itself (keeping only their inverse RMS) and runs one tile at a time,
+one sample and up to ATTENTION_TILE query rows: a tile's scores, mask and
+softmax share one buffer that stays in cache, and the node also keeps each
+score row's max and sum. Its pullback recomputes the rotated heads once and
+each tile's probabilities from the inputs and those statistics, sums the
+key and value gradients over the tiles in row order, so they are not
+bitwise those of one untiled pass (1.1e-15 relative at most in the
+desk-model checks), and ends with the QK-norm/RoPE pullback. The text keys'
+RMS norm and rotary rotation is one node, qk_norm_rope, recorded once per
+prompt set, which keeps only the inverse RMS; the two angle tables are built
+once per forward and shared by every layer.
 
 Text is encoded by a deterministic hash embedder; per-layer text key/value
 tensors are a pure function of the prompt and are precomputed once per
@@ -68,16 +73,26 @@ def fused_gated_residual(x: Tensor, g: Tensor, r: Tensor) -> Tensor:
     return nt.record("fused_gated_residual", (x, g, r), (out,), bwd)[0]
 
 
-def fused_ln_scale(x: Tensor, s: Tensor) -> Tensor:
-    """LayerNorm(x) * (1 + s) in one pass; s = 0 reduces to plain LayerNorm."""
-    sd = _expand_mod(s.data, x.shape)
-    xhat, inv = nt._ln_stats(x.data)
-    out = xhat * (1.0 + sd)
+def fused_ln_scale(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """LayerNorm(x) * (1 + scale) + shift in one pass: DiT's adaLN modulate.
+
+    scale and shift are (B, d), broadcast over the tokens of x (ShapeError
+    otherwise); scale = shift = 0 is plain LayerNorm. The node keeps only
+    each row's mean and inverse std, (B, S, 1) each; its pullback recomputes
+    x̂ from x with _ln_stats' ops, so bitwise the forward's.
+    """
+    sd = _expand_mod(scale.data, x.shape)
+    bd = _expand_mod(shift.data, x.shape)
+    xd = x.data
+    out, mu, inv = nt._ln_stats(xd)
+    out *= 1.0 + sd
+    out += bd
 
     def bwd(G):
-        return nt._ln_bwd(xhat, inv, G * (1.0 + sd)), (G * xhat).sum(axis=1)
+        xhat = nt._ln_xhat(xd, mu, inv)
+        return nt._ln_bwd(xhat, inv, G * (1.0 + sd)), (G * xhat).sum(axis=1), G.sum(axis=1)
 
-    return nt.record("fused_ln_scale", (x, s), (out,), bwd)[0]
+    return nt.record("fused_ln_scale", (x, scale, shift), (out,), bwd)[0]
 
 
 def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
@@ -85,7 +100,9 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
     """Gated residual then LayerNorm-scale, one pass.
 
     Returns (h, m) with h = x + tanh(g) * r (the updated residual stream)
-    and m = LayerNorm(h) * (1 + s).
+    and m = LayerNorm(h) * (1 + s). The node keeps tanh(g) and each row's
+    mean and inverse std of h; its pullback recomputes x̂ from h, its own
+    first output.
     """
     if r.shape != x.shape:
         raise ShapeError(f"residual shape {r.shape} != {x.shape}")
@@ -93,15 +110,52 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
     sd = _expand_mod(s.data, x.shape)
     rd = r.data
     h = x.data + th * rd
-    xhat, inv = nt._ln_stats(h)
-    m = xhat * (1.0 + sd)
+    m, mu, inv = nt._ln_stats(h)
+    m *= 1.0 + sd
 
     def bwd(Gh, Gm):
+        xhat = nt._ln_xhat(h, mu, inv)
         dh = Gh + nt._ln_bwd(xhat, inv, Gm * (1.0 + sd))
         dg = (dh * rd * (1.0 - th * th)).sum(axis=1)
         return dh, dg, dh * th, (Gm * xhat).sum(axis=1)
 
     return nt.record("fused_gate_res_ln_scale", (x, g, r, s), (h, m), bwd)
+
+
+def fused_rms_modulate(h: Tensor, ff_scale: Tensor, c: float) -> tuple[Tensor, Tensor]:
+    """The MoE layer's two inputs in one pass: (n, n * (1 + ff_scale)) with
+    n = RMSNorm(h) * c.
+
+    h is (B, S, d) and ff_scale (B, d), broadcast over tokens (ShapeError
+    otherwise); c is a constant. n is what the router scores, and the
+    modulated n what the experts run on. The values are bitwise those of the
+    rmsnorm → mul → reshape → add → mul chain this node replaces. It keeps
+    only the inverse RMS, (B, S, 1). With Gn and Gm the gradients of its two
+    outputs, the pullback is
+
+        gn = (Gm (1 + ff_scale) + Gn) c,
+        dh = gn inv - h (sum(gn h) inv³ / d),   dff_scale = sum over tokens of Gm n,
+
+    which sums the same terms in the same order as the engine did for the
+    chain, so gradients are bitwise equal too.
+    """
+    sd = _expand_mod(ff_scale.data, h.shape)
+    hd = h.data
+    inv = nt._rms_inv(hd)
+    n = hd * inv
+    n *= c
+    m = n * (1.0 + sd)
+
+    def bwd(Gn, Gm):
+        gn = Gm * (1.0 + sd)
+        gn += Gn
+        gn *= c
+        dot = (gn * hd).sum(axis=-1, keepdims=True)
+        gh = gn * inv
+        gh -= hd * (dot * inv ** 3 / hd.shape[-1])
+        return gh, (Gm * n).sum(axis=1)
+
+    return nt.record("fused_rms_modulate", (h, ff_scale), (n, m), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +201,57 @@ def _rotated(x: np.ndarray, transpose: bool = False) -> np.ndarray:
 def rotate_pairs(t: Tensor) -> Tensor:
     """(x0, x1) -> (-x1, x0) within each adjacent dim pair.
 
-    The model does not record it (qk_norm_rope rotates inside its own node),
-    but perfbench/layertrace.py looks it up in this module's __dict__ to time
-    it, so deleting it makes Tracer.install raise KeyError.
+    The model does not record it (qk_norm_rope and joint_attention rotate
+    inside their own nodes), but perfbench/layertrace.py looks it up in this
+    module's __dict__ to time it, so deleting it makes Tracer.install raise
+    KeyError.
     """
     return nt.record("rotate_pairs", (t,), (_rotated(t.data),),
                      lambda g: (_rotated(g, transpose=True),))[0]
 
 
+def _check_tables(cos: np.ndarray, sin: np.ndarray, heads: tuple[int, ...],
+                  name: str) -> None:
+    """ShapeError unless cos and sin are the (S, 1, d_h) tables of rope_tables
+    for (B, S, H, d_h) heads."""
+    want = (heads[1], 1, heads[3])
+    if np.shape(cos) != want or np.shape(sin) != want:
+        raise ShapeError(f"rope tables cos {np.shape(cos)} and sin {np.shape(sin)}; "
+                         f"expected {want} for {name} {heads}")
+
+
+def _norm_rope(xd: np.ndarray, inv: np.ndarray, cos: np.ndarray,
+               sin: np.ndarray) -> np.ndarray:
+    """n cos + R(n) sin with n = xd inv, in a new buffer: qk_norm_rope's
+    forward given the inverse RMS, so the same call recomputes it bitwise."""
+    n = xd * inv
+    out = n * cos
+    rn = _rotated(n)
+    rn *= sin
+    out += rn
+    return out
+
+
+def _norm_rope_pullback(g: np.ndarray, xd: np.ndarray, inv: np.ndarray,
+                        cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The gradient at xd from g, the gradient at _norm_rope's output: the
+    inverse rotation, then the RMS-norm pullback, in one new buffer."""
+    gx = g * cos
+    gx += _rotated(g * sin, transpose=True)
+    dot = (gx * xd).sum(axis=-1, keepdims=True)
+    gx *= inv
+    gx -= xd * (dot * inv ** 3 / xd.shape[-1])
+    return gx
+
+
 def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """2-axis RoPE of RMSNorm(x) on (B, S, H, d_h) heads, as one tape node.
 
-    cos and sin are the (S, 1, d_h) angle tables of rope_tables, built once
-    per forward and shared by every call. With R the pair rotation
-    (x0, x1) -> (-x1, x0), the forward is
+    The model records it for the text keys only, in precompute_text_kv;
+    joint_attention norms and rotates the image queries and keys inside its
+    own node with the same array helpers. cos and sin are the (S, 1, d_h)
+    angle tables of rope_tables, built once per forward and shared by every
+    call. With R the pair rotation (x0, x1) -> (-x1, x0), the forward is
 
         inv = 1 / sqrt(mean(x²) + NORM_EPS),   n = x inv,   out = n cos + R(n) sin,
 
@@ -179,29 +270,11 @@ def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """
     if x.ndim != 4:
         raise ShapeError(f"qk_norm_rope expects (B, S, H, d_h) heads, got {x.shape}")
-    d_h = x.shape[3]
-    want = (x.shape[1], 1, d_h)
-    if np.shape(cos) != want or np.shape(sin) != want:
-        raise ShapeError(f"rope tables cos {np.shape(cos)} and sin {np.shape(sin)}; "
-                         f"expected {want} for heads {x.shape}")
+    _check_tables(cos, sin, x.shape, "heads")
     xd = x.data
-    ms = (xd * xd).mean(axis=-1, keepdims=True) + nt.NORM_EPS
-    inv = 1.0 / np.sqrt(ms)
-    n = xd * inv
-    out = n * cos
-    rn = _rotated(n)
-    rn *= sin
-    out += rn
-
-    def bwd(g):
-        gx = g * cos
-        gx += _rotated(g * sin, transpose=True)
-        dot = (gx * xd).sum(axis=-1, keepdims=True)
-        gx *= inv
-        gx -= xd * (dot * inv ** 3 / d_h)
-        return (gx,)
-
-    return nt.record("qk_norm_rope", (x,), (out,), bwd)[0]
+    inv = nt._rms_inv(xd)
+    return nt.record("qk_norm_rope", (x,), (_norm_rope(xd, inv, cos, sin),),
+                     lambda g: (_norm_rope_pullback(g, xd, inv, cos, sin),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +315,26 @@ ATTENTION_TILE = 64
 
 
 def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
-                    v_txt: Tensor, text_mask: np.ndarray) -> Tensor:
+                    v_txt: Tensor, text_mask: np.ndarray, cos: np.ndarray,
+                    sin: np.ndarray) -> Tensor:
     """Image queries attend over concatenated image and text KV; one tape node.
 
-    q: (B, S_i, H_q, d_h); k/v img: (B, S_i, H_kv, d_h); k/v txt
-    (B, S_t, H_kv, d_h); text_mask is a boolean (B, S_t) validity mask.
-    All six are required: without text, S_t is 0 (what all-empty prompts
-    give), and the node still has five inputs, each of which gets a
+    q: (B, S_i, H_q, d_h) raw image queries; k/v img: (B, S_i, H_kv, d_h),
+    k_img raw; k/v txt (B, S_t, H_kv, d_h), k_txt already normed and rotated
+    (precompute_text_kv's qk_norm_rope); text_mask is a boolean (B, S_t)
+    validity mask; cos and sin are the (S_i, 1, d_h) image angle tables of
+    rope_tables. All are required: without text, S_t is 0 (what all-empty
+    prompts give), and the node still has five inputs, each of which gets a
     gradient. Text contributes no queries, so scores are (S_i, S_i + S_t).
     Returns (B, S_i, H_q * d_h). Mismatched or missing inputs raise
     ShapeError.
+
+    The node applies QK-norm and 2-axis RoPE to q and k_img itself, with the
+    array helpers of qk_norm_rope, so its values are bitwise those of
+    qk_norm_rope-ed inputs. It keeps both inverse RMS arrays, (B, S_i, H, 1),
+    not the rotated heads: the pullback recomputes the rotated q and k once,
+    runs the attention pullback on them, then chains qk_norm_rope's pullback
+    to reach the raw q and k_img.
 
     Grouped-query attention without repeating K/V: query head j * n_rep + r
     reads kv head j, and within one kv head the n_rep query heads' rows are
@@ -261,10 +344,10 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
     ATTENTION_TILE query rows (the last block of a sample may be shorter),
     as in FlashAttention (Dao et al. 2022). A tile's scores S = Q Kᵀ over
     all S_i + S_t keys are scaled, masked and softmaxed in place in one
-    buffer. The node keeps only each row's max and sum (two (..., S_i, 1)
-    arrays): the pullback rebuilds the tile's Q from its input and
-    recomputes P with the forward's exact sequence, so the recomputed P is
-    bitwise the forward's. With scale = 1/sqrt(d_h) and dO the output
+    buffer. The node keeps each row's max and sum (two (..., S_i, 1)
+    arrays): the pullback rebuilds the tile's Q from the recomputed heads
+    and recomputes P with the forward's exact sequence, so the recomputed P
+    is bitwise the forward's. With scale = 1/sqrt(d_h) and dO the output
     gradient, each tile's pullback is
 
         dP = dO Vᵀ,   dS = P * (dP - rowsum(dP * P)) * scale,
@@ -280,6 +363,7 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
     and gradients to rtol 1e-12.
     """
     _check_attention_shapes(q, k_img, v_img, k_txt, v_txt, text_mask)
+    _check_tables(cos, sin, q.shape, "attention q")
     B, S_i, H_q, d_h = q.shape
     H_kv = k_img.shape[2]
     n_rep = H_q // H_kv
@@ -292,6 +376,8 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
     bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)     # (B, S_t)
     tiles = [(b, slice(r, min(r + ATTENTION_TILE, S_i)))
              for b in range(B) for r in range(0, S_i, ATTENTION_TILE)]
+    qd, kd = q.data, k_img.data
+    inv_q, inv_k = nt._rms_inv(qd), nt._rms_inv(kd)
 
     def heads_of(a: np.ndarray, b: int, rows: slice) -> np.ndarray:
         """Rows of sample b of a (B, S_i, H_q * d_h)-sized array as
@@ -304,9 +390,15 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
         dst.reshape(B, S_i, H_kv, n_rep, d_h)[b, rows] = (
             t.reshape(H_kv, n_rep, -1, d_h).transpose(2, 0, 1, 3))
 
-    def kv_heads(img: Tensor, txt: Tensor) -> np.ndarray:
+    def kv_heads(img: np.ndarray, txt: np.ndarray) -> np.ndarray:
         """(B, H_kv, S_kv, d_h): image keys (or values), then text."""
-        return np.concatenate([img.data, txt.data], axis=1).transpose(0, 2, 1, 3).copy()
+        return np.concatenate([img, txt], axis=1).transpose(0, 2, 1, 3).copy()
+
+    def rotated_heads():
+        """The normed and rotated q, and the key and value heads."""
+        kh = kv_heads(_norm_rope(kd, inv_k, cos, sin), k_txt.data)
+        return (_norm_rope(qd, inv_q, cos, sin), kh,
+                kv_heads(v_img.data, v_txt.data))
 
     def probs(b, rows, qt, kh, stats, fill):
         """P of one tile in its scores' buffer, (H_kv, n_rep * T, S_kv). With
@@ -326,18 +418,18 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
         return p
 
     stats = (np.empty((B, H_kv, n_rep, S_i, 1)), np.empty((B, H_kv, n_rep, S_i, 1)))
-    kh, vh = kv_heads(k_img, k_txt), kv_heads(v_img, v_txt)
+    qn, kh, vh = rotated_heads()
     out = np.empty((B, S_i, H_q * d_h))
     for b, rows in tiles:
-        p = probs(b, rows, heads_of(q.data, b, rows), kh, stats, fill=True)
+        p = probs(b, rows, heads_of(qn, b, rows), kh, stats, fill=True)
         put_heads(out, b, rows, np.matmul(p, vh[b]))
 
     def bwd(g):
-        kh, vh = kv_heads(k_img, k_txt), kv_heads(v_img, v_txt)
+        qn, kh, vh = rotated_heads()
         gq = np.empty(q.shape)
         gk, gv = np.zeros(kh.shape), np.zeros(vh.shape)          # (B, H_kv, S_kv, d_h)
         for b, rows in tiles:
-            qt, go = heads_of(q.data, b, rows), heads_of(g, b, rows)
+            qt, go = heads_of(qn, b, rows), heads_of(g, b, rows)
             p = probs(b, rows, qt, kh, stats, fill=False)
             gs = np.matmul(go, np.swapaxes(vh[b], -1, -2))      # dP, then dS in place
             gv[b] += np.matmul(np.swapaxes(p, -1, -2), go)
@@ -346,8 +438,11 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
             gs *= scale
             put_heads(gq, b, rows, np.matmul(gs, kh[b]))
             gk[b] += np.matmul(np.swapaxes(gs, -1, -2), qt)
+        del qn, kh, vh
         gk, gv = gk.transpose(0, 2, 1, 3), gv.transpose(0, 2, 1, 3)  # (B, S_kv, H_kv, d_h)
-        return (gq, np.ascontiguousarray(gk[:, :S_i]), np.ascontiguousarray(gv[:, :S_i]),
+        return (_norm_rope_pullback(gq, qd, inv_q, cos, sin),
+                _norm_rope_pullback(np.ascontiguousarray(gk[:, :S_i]), kd, inv_k, cos, sin),
+                np.ascontiguousarray(gv[:, :S_i]),
                 np.ascontiguousarray(gk[:, S_i:]), np.ascontiguousarray(gv[:, S_i:]))
 
     return nt.record("joint_attention", inputs, (out,), bwd)[0]
@@ -455,12 +550,18 @@ class TextContext:
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) resampled until inside +-2 std."""
-    out = rng.standard_normal(shape) * std
-    bad = np.abs(out) > 2.0 * std
-    while np.any(bad):
-        out[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(out) > 2.0 * std
+    """Normal(0, std) resampled until inside +-2 std.
+
+    Each round redraws only the entries still outside, in flat order, so the
+    draws land where a redraw of the whole mask would put them.
+    """
+    out = np.asarray(rng.standard_normal(shape) * std)   # 0-d too, so flat is a view
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redrawn = rng.standard_normal(bad.size) * std
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > 2.0 * std]
     return out
 
 
@@ -643,16 +744,18 @@ class MoEDiT:
         the zero-length context of all-empty prompts. t is a scalar or (B,)
         array, or a Tensor that does not require grad, of real values (see
         sinusoidal_features), and stage a StageId (ConfigError otherwise,
-        checked before anything runs). Returns (velocity, aux)
+        checked before anything runs). z_t is (B, C, H, W) with B, H and W
+        at least 1 (ShapeError, checked first). Returns (velocity, aux)
         where aux carries the tape-connected router logits and the routing
         decisions of every MoE layer.
         """
         cfg = self.cfg
+        if (z_t.ndim != 4 or z_t.shape[1] != cfg.latent_channels
+                or 0 in (z_t.shape[0], *z_t.shape[2:])):
+            raise ShapeError(f"latent z_t has shape {z_t.shape}; expected "
+                             f"(B, {cfg.latent_channels}, H, W) with B, H, W >= 1")
         if not isinstance(stage, StageId):
             raise ConfigError(f"stage {stage!r} is not a StageId")
-        if z_t.ndim != 4 or z_t.shape[1] != cfg.latent_channels:
-            raise ShapeError(f"latent z_t has shape {z_t.shape}; expected "
-                             f"(B, {cfg.latent_channels}, H, W)")
         B = z_t.shape[0]
         if not isinstance(ctx, TextContext):
             raise ShapeError(f"text context ctx is {type(ctx).__name__}; expected a "
@@ -681,7 +784,7 @@ class MoEDiT:
             mod = nt.add(nt.matmul(t_vec, blk.mod_w), blk.mod_b)
             sa_shift, sa_scale, sa_gate, ff_scale, ff_gate = _chunks(mod, 5)
 
-            a_in = nt.add(fused_ln_scale(x, sa_scale), nt.reshape(sa_shift, (B, 1, -1)))
+            a_in = fused_ln_scale(x, sa_scale, sa_shift)
             r_attn = self._attention(blk, a_in, ctx, rope)
 
             if blk.dense:
@@ -691,9 +794,7 @@ class MoEDiT:
                 x = fused_gated_residual(h, ff_gate, nt.reshape(f_out, x.shape))
             else:
                 h = fused_gated_residual(x, sa_gate, r_attn)
-                scale = 1.0 / math.sqrt(blk.layer + 1)
-                x_norm = nt.mul(nt.rmsnorm(h), scale)
-                x_mod = nt.mul(x_norm, nt.add(nt.reshape(ff_scale, (B, 1, -1)), 1.0))
+                x_norm, x_mod = fused_rms_modulate(h, ff_scale, 1.0 / math.sqrt(blk.layer + 1))
                 cf = capacity_schedule(blk.layer, stage, n_layers=cfg.n_layers)
                 moe_out, decisions, routing = moe_forward(
                     x_norm, x_mod, t_vec, cf, blk.bank, blk.router_gate)
@@ -703,7 +804,7 @@ class MoEDiT:
 
         fmod = nt.add(nt.matmul(t_vec, self.final_mod_w), self.final_mod_b)
         f_shift, f_scale = _chunks(fmod, 2)
-        y = nt.add(fused_ln_scale(x, f_scale), nt.reshape(f_shift, (B, 1, -1)))
+        y = fused_ln_scale(x, f_scale, f_shift)
         out = nt.add(nt.matmul(y, self.final_proj_w), self.final_proj_b)
         vel = self.unpatchify(out, (gh, gw), z_t.shape)
         return vel, aux
@@ -715,8 +816,6 @@ class MoEDiT:
         q = nt.reshape(nt.matmul(a_in, blk.wq), (B, S, cfg.n_q_heads, cfg.head_dim))
         k = nt.reshape(nt.matmul(a_in, blk.wk), (B, S, cfg.n_kv_heads, cfg.head_dim))
         v = nt.reshape(nt.matmul(a_in, blk.wv), (B, S, cfg.n_kv_heads, cfg.head_dim))
-        q = qk_norm_rope(q, *rope)
-        k = qk_norm_rope(k, *rope)
         attn = joint_attention(q, k, v, ctx.k_txt[blk.layer],
-                               ctx.v_txt[blk.layer], ctx.mask)
+                               ctx.v_txt[blk.layer], ctx.mask, *rope)
         return nt.matmul(attn, blk.wo)

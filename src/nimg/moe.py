@@ -1,14 +1,15 @@
-"""Sparse expert computation: the routed experts run as one tape node.
+"""Sparse expert computation: the routed and shared experts run as one tape node.
 
 Experts run on the modulated token state while routing decisions come from
 the unmodulated state (see router). Expert-choice routing gives every expert
 exactly B * capacity distinct tokens, so the routed rows form one (E, n)
-block index, n = B * capacity, and grouped_forward runs the whole routed
-FFN as one node that loops over the experts: it gathers expert e's rows,
+block index, n = B * capacity, and grouped_forward runs the whole expert
+FFN as one node. It loops over the experts: it gathers expert e's rows,
 runs its SwiGLU, scales each output row by its gate and adds the rows back.
-A shared expert, a plain swiglu, covers every token so none is left without
-expert output. Both run one SwiGLU on (n, d) rows and 2-D weights, through
-the helpers _ffn and _ffn_pullback.
+Then it runs the shared expert, which covers every token so none is left
+without expert output, on all rows and adds it last. Every expert, and the
+dense blocks' swiglu node, runs one SwiGLU on (n, d) rows and 2-D weights,
+through the helpers _ffn and _ffn_pullback.
 
 For expert e with X = x[blocks[e]], h1 = X W1^T, h3 = X W3^T,
 a = SiLU(h1) * h3 and y = gates[e] * (a W2^T) added into rows blocks[e],
@@ -19,9 +20,12 @@ the pullback of the upstream gradient G is, with Gr = G[blocks[e]]:
     dW2 = (gates * Gr)^T a    dW1 = dh1^T X    dW3 = dh3^T X
     dx  = dh1 W1 + dh3 W3, added into rows blocks[e].
 
-The node keeps only each expert's h1 and h3 and the block index. The
-pullback re-gathers X from the input and recomputes SiLU(h1) and a from h1
-and h3, so no gathered rows or expert outputs outlive the forward.
+The shared expert's is the same with X = x, every row, and no gate.
+The node keeps only each expert's h1 and h3, the shared expert's and the
+block index. The pullback re-gathers X from the input and recomputes
+SiLU(h1) and a from h1 and h3, so no gathered rows or expert outputs
+outlive the forward. Without a tape it keeps nothing: each expert's h1 and
+h3 are dropped within its own step.
 """
 
 from __future__ import annotations
@@ -124,14 +128,24 @@ class ExpertBank:
 
 
 def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tensor:
-    """The routed experts as one node: sum over e, k of gates[e, k] times
-    expert e on row blocks[e, k] of x, added into that row; returns (N, d).
+    """The whole expert FFN as one node: the routed experts, then the shared
+    expert; returns (N, d).
 
-    x is (N, d) token rows, blocks an (E, n) block index of rows with no row
-    twice in one block (ShapeError), gates (E, n, 1) and the bank's routed
-    weights (E, h, d), (E, h, d), (E, d, h). Expert e's rows are added after
-    expert e - 1's, bitwise as numpy's add.at over blocks.ravel(). The
-    pullback equations are in the module docstring.
+    Row i of the output is sum over e, k with blocks[e, k] = i of gates[e, k]
+    times expert e on row i, plus the shared expert on row i. x is (N, d)
+    token rows, blocks an (E, n) block index of rows with no row twice in
+    one block (ShapeError), gates (E, n, 1), the bank's routed weights (E,
+    h, d), (E, h, d), (E, d, h) and its shared ones (h_s, d), (h_s, d), (d,
+    h_s). The routed rows are added into a zero buffer, expert e's after
+    expert e - 1's, bitwise as numpy's add.at over blocks.ravel(); the shared
+    SwiGLU of all N rows is added last, so the value is bitwise routed +
+    shared. The pullback equations are in the module docstring; the shared
+    expert's are swiglu's.
+
+    Under a tape the node keeps each expert's h1 and h3, the shared expert's
+    and the block index. When no node will be recorded (nt.tracking), each
+    expert's h1 and h3 are dropped within its own step, so a no-grad call
+    holds at most one expert's at a time.
     """
     if x.ndim != 2:
         raise ShapeError(f"grouped_forward rows x have shape {x.shape}; expected (N, d)")
@@ -139,21 +153,30 @@ def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tenso
     if idx.ndim != 2 or gates.shape != idx.shape + (1,):
         raise ShapeError(f"grouped_forward gates have shape {gates.shape} for blocks of "
                          f"shape {idx.shape}; expected (E, n, 1) for (E, n) blocks")
-    weights = (bank.w1, bank.w3, bank.w2)
-    if any(w.shape[:1] != idx.shape[:1] for w in weights):
+    routed = (bank.w1, bank.w3, bank.w2)
+    shared = (bank.shared_w1, bank.shared_w3, bank.shared_w2)
+    if any(w.shape[:1] != idx.shape[:1] for w in routed):
         raise ShapeError(f"grouped_forward expert weights w1={bank.w1.shape} "
                          f"w3={bank.w3.shape} w2={bank.w2.shape}; expected "
                          f"{idx.shape[0]} experts, one per block")
-    _check_shapes(x.shape, *(w.shape[1:] for w in weights), "grouped_forward")
+    _check_shapes(x.shape, *(w.shape[1:] for w in routed), "grouped_forward")
+    _check_shapes(x.shape, *(w.shape for w in shared), "grouped_forward shared")
+    inputs = (x, gates, *routed, *shared)
+    keep = nt.tracking(inputs)
     xd, gd = x.data, gates.data
-    w1d, w3d, w2d = (w.data for w in weights)
+    w1d, w3d, w2d, s1d, s3d, s2d = (w.data for w in routed + shared)
+    kept = []   # each routed expert's (h1, h3) in block order, then the shared one's
+
+    def ffn(xr: np.ndarray, w1: np.ndarray, w3: np.ndarray, w2: np.ndarray):
+        h1, h3, y = _ffn(xr, w1, w3, w2)
+        if keep:
+            kept.append((h1, h3))
+        return y
+
     out = np.zeros(x.shape)
-    kept = []
     for e, rows in enumerate(idx):
-        h1, h3, y = _ffn(xd[rows], w1d[e], w3d[e], w2d[e])
-        y *= gd[e]
-        out[rows] += y
-        kept.append((h1, h3))
+        out[rows] += ffn(xd[rows], w1d[e], w3d[e], w2d[e]) * gd[e]
+    out += ffn(xd, s1d, s3d, s2d)
 
     def bwd(g):
         gx = np.zeros(x.shape)
@@ -169,30 +192,28 @@ def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tenso
             gw2[e] = gr.T @ act
             u *= act
             dgates[e] = u.sum(axis=-1, keepdims=True)
-        return gx, dgates, gw1, gw3, gw2
+        gxs, gs1, gs3, act = _ffn_pullback(g @ s2d, xd, *kept[-1], s1d, s3d)
+        gx += gxs
+        return gx, dgates, gw1, gw3, gw2, gs1, gs3, g.T @ act
 
-    return nt.record("grouped_forward", (x, gates, *weights), (out,), bwd)[0]
+    return nt.record("grouped_forward", inputs, (out,), bwd)[0]
 
 
 def moe_forward(x_norm: Tensor, x_mod: Tensor, t_emb: Tensor,
                 capacity_factor: float, bank: ExpertBank, w_r: Tensor):
     """Full sparse layer: route on x_norm + t_emb, compute experts on x_mod.
 
-    Three steps: route_full picks each expert's B * capacity tokens and
-    their gates; one grouped_forward node runs the routed experts on those
-    rows of x_mod and adds their gated outputs back per token; the shared
-    swiglu runs on every token and is added. Returns (out, decisions,
-    routing): out is (B, S, d), and decisions and routing are route_full's.
-    Tokens selected by zero experts receive only the shared-expert output.
+    route_full picks each expert's B * capacity tokens and their gates, and
+    one grouped_forward node runs the routed experts on those rows of x_mod,
+    adds their gated outputs back per token and adds the shared expert on
+    every token. Returns (out, decisions, routing): out is (B, S, d), and
+    decisions and routing are route_full's. Tokens selected by zero experts
+    receive only the shared-expert output.
     """
     if x_mod.ndim != 3:
         raise ShapeError(f"expert state has shape {x_mod.shape}; expected (B, S, d)")
     B, S, d = x_mod.shape
     decisions, routing = route_full(x_norm, t_emb, w_r, capacity_factor)
     blocks = routing["token_flat"].reshape(w_r.shape[1], B * routing["capacity"])
-
-    x_mod_flat = nt.reshape(x_mod, (B * S, d))
-    routed = grouped_forward(x_mod_flat, blocks, routing["gates"], bank)
-    shared = swiglu(x_mod_flat, bank.shared_w1, bank.shared_w3, bank.shared_w2)
-    out = nt.reshape(nt.add(routed, shared), (B, S, d))
-    return out, decisions, routing
+    out = grouped_forward(nt.reshape(x_mod, (B * S, d)), blocks, routing["gates"], bank)
+    return nt.reshape(out, (B, S, d)), decisions, routing

@@ -12,8 +12,9 @@ recorded (a constant table, a mask, a Python scalar) gets None from the
 pullback, so its gradient is never formed.
 
 Every normalisation (rmsnorm here, the LayerNorm statistics the fused
-modulation ops in backbone share, the QK-norm inside backbone.qk_norm_rope)
-uses the one constant NORM_EPS.
+modulation ops in backbone share, the RMS norm inside
+backbone.fused_rms_modulate, and the QK-norm inside backbone.qk_norm_rope
+and backbone.joint_attention) uses the one constant NORM_EPS.
 grad_check, the finite-difference check the tests use, lives in
 tests/oracles.py, not in the package.
 
@@ -28,13 +29,20 @@ Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
 writing into .data in place corrupts later gradients. A closure need not
 keep everything its pullback reads: it may keep a little and recompute the
-rest from the node's inputs (swiglu keeps its two up-projections,
-joint_attention each score row's max and sum, qk_norm_rope the inverse RMS
-of each head and the two (S, 1, d_h) angle tables its caller built). A
-pullback may write into a buffer it allocated itself (qk_norm_rope forms its
-input gradient in one such buffer), but never into what its closure keeps,
-because backward may run it twice on one tape and both runs must see the
-forward's values.
+rest from the node's inputs and outputs. swiglu keeps its two
+up-projections, and grouped_forward every expert's. joint_attention keeps
+each score row's max and sum and the inverse RMS of every image query and
+key head, not the normed and rotated heads. qk_norm_rope keeps the inverse
+RMS of each head, and it and joint_attention share the two (S, 1, d_h)
+angle tables their caller built. The normalising modulation nodes keep
+only per-row statistics: fused_ln_scale and fused_gate_res_ln_scale each
+row's mean and inverse std (x̂ is recomputed from x, or from h, the node's
+own first output), fused_rms_modulate each row's inverse RMS. A fused op
+that asks tracking() before its forward keeps nothing when no node will be
+recorded. A pullback may write into a buffer it allocated itself
+(qk_norm_rope forms its input gradient in one such buffer), but never into
+what its closure keeps, because backward may run it twice on one tape and
+both runs must see the forward's values.
 A pullback returns either arrays it allocates or its incoming gradients
 (and views of them), never an array its closure keeps.
 After backward, a leaf's .grad (a tensor no recorded node produced) is
@@ -191,12 +199,20 @@ def record(op: str, inputs: Sequence[Tensor], out_arrays: Sequence[np.ndarray],
     hands a returned array that nothing else holds to a leaf as its .grad,
     which the caller may then edit in place.
     """
-    tape = active_tape()
-    track = _GRAD_ENABLED.get() and tape is not None and any(t.requires_grad for t in inputs)
+    track = tracking(inputs)
     outs = tuple(Tensor(a, requires_grad=track) for a in out_arrays)
     if track:
-        tape.nodes.append(Node(op, tuple(inputs), outs, bwd))
+        active_tape().nodes.append(Node(op, tuple(inputs), outs, bwd))
     return outs
+
+
+def tracking(inputs: Sequence[Tensor]) -> bool:
+    """Whether record would append a node for an op on these inputs: grad is
+    enabled, a tape is active and some input requires grad. A fused op asks
+    before its forward, so that it keeps nothing for a pullback that will
+    never run."""
+    return (_GRAD_ENABLED.get() and active_tape() is not None
+            and any(t.requires_grad for t in inputs))
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -462,13 +478,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return record("softmax", (a,), (s,), bwd)[0]
 
 
-def _ln_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised values and inverse std of a LayerNorm over the last axis."""
+def _ln_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalised values (a new buffer), row mean and inverse std of a
+    LayerNorm over the last axis."""
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    return xc * inv, inv
+    xc *= inv
+    return xc, mu, inv
+
+
+def _ln_xhat(xd: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The normalised values of _ln_stats again, in a new buffer, from its
+    input and row statistics by the same ops, so bitwise equal."""
+    xc = xd - mu
+    xc *= inv
+    return xc
 
 
 def _ln_bwd(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -478,14 +504,24 @@ def _ln_bwd(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
     return inv * (g - gm - xhat * gx)
 
 
+def _rms_inv(xd: np.ndarray) -> np.ndarray:
+    """1 / sqrt(mean(x²) + NORM_EPS) over the last axis, keepdims."""
+    ms = (xd * xd).mean(axis=-1, keepdims=True) + NORM_EPS
+    return 1.0 / np.sqrt(ms)
+
+
 def rmsnorm(a: Tensor) -> Tensor:
-    """RMS normalization over the last axis, no affine parameters."""
+    """RMS normalization over the last axis, no affine parameters.
+
+    The model records none (backbone's fused nodes normalise inside
+    themselves); the tests' compositions use it, and perfbench/layertrace.py
+    times it by name, so it stays.
+    """
     a = as_tensor(a)
     if a.ndim == 0:
         raise ShapeError("rmsnorm normalises over the last axis; got a 0-d tensor")
     da = a.data
-    ms = (da * da).mean(axis=-1, keepdims=True) + NORM_EPS
-    inv = 1.0 / np.sqrt(ms)
+    inv = _rms_inv(da)
     out = da * inv
     n = a.shape[-1]
 

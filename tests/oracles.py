@@ -5,6 +5,8 @@ nimg.backbone are checked against compositions built from them. They are
 recorded through nt.record like any package op, so the tape and backward
 treat them the same way. rope_apply_grid is the rotate_pairs/mul/add
 composition that backbone.qk_norm_rope fuses (after an rmsnorm).
+trunc_normal_loop is the whole-mask resampling loop backbone.trunc_normal
+must reproduce draw for draw.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def tanh(a: Tensor) -> Tensor:
 def layernorm(a: Tensor) -> Tensor:
     """LayerNorm over the last axis, no affine parameters, eps nt.NORM_EPS."""
     a = nt.as_tensor(a)
-    xhat, inv = nt._ln_stats(a.data)
+    xhat, _, inv = nt._ln_stats(a.data)
     return nt.record("layernorm", (a,), (xhat,),
                      lambda g: (nt._ln_bwd(xhat, inv, g),))[0]
 
@@ -40,6 +42,18 @@ def rope_apply_grid(x: Tensor, pos_h, pos_w) -> Tensor:
     """2-axis RoPE on (B, S, H, d_h) heads as x cos + rotate_pairs(x) sin."""
     cos, sin = backbone.rope_tables(pos_h, pos_w, x.shape[1], x.shape[3])
     return nt.add(nt.mul(x, Tensor(cos)), nt.mul(backbone.rotate_pairs(x), Tensor(sin)))
+
+
+def trunc_normal_loop(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+    """Normal(0, std) resampled until inside +-2 std by redrawing the whole
+    mask of outside entries each round: the reference backbone.trunc_normal,
+    which redraws only the entries still outside, must equal bitwise."""
+    out = np.asarray(rng.standard_normal(shape) * std)
+    bad = np.abs(out) > 2.0 * std
+    while np.any(bad):
+        out[bad] = rng.standard_normal(int(bad.sum())) * std
+        bad = np.abs(out) > 2.0 * std
+    return out
 
 
 class GradCheckReport:

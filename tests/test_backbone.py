@@ -9,11 +9,11 @@ import pytest
 from nimg import moe
 from nimg import tensor as nt
 from nimg.backbone import (ATTENTION_TILE, ModelConfig, MoEDiT, fused_gate_res_ln_scale,
-                           fused_gated_residual, fused_ln_scale,
-                           joint_attention, qk_norm_rope, rope_tables)
+                           fused_gated_residual, fused_ln_scale, fused_rms_modulate,
+                           joint_attention, qk_norm_rope, rope_tables, trunc_normal)
 from nimg.router import StageId
 from nimg.tensor import ShapeError, Tape, Tensor, backward
-from oracles import grad_check, layernorm, rope_apply_grid, tanh
+from oracles import grad_check, layernorm, rope_apply_grid, tanh, trunc_normal_loop
 from reference_model import attention_loop, reference_forward, rms_norm, rope_loop
 
 PROMPTS = ["red cat under the old tree", "a quiet river"]
@@ -233,19 +233,32 @@ def ln_scale(x, s):
     return nt.mul(layernorm(x), nt.add(over_tokens(s, x), 1.0))
 
 
+def ln_modulate(x, s, shift):
+    return nt.add(ln_scale(x, s), over_tokens(shift, x))
+
+
 def gate_res_ln_scale(x, g, r, s):
     h = gated_residual(x, g, r)
     return h, ln_scale(h, s)
 
 
+def rms_modulate_chain(h, s, c):
+    """The chain fused_rms_modulate replaces, as the model recorded it."""
+    n = nt.mul(nt.rmsnorm(h), c)
+    return n, nt.mul(n, nt.add(nt.reshape(s, (s.shape[0], 1, -1)), 1.0))
+
+
+RMS_C = 1.0 / math.sqrt(4.0)
 X, M = (2, 3, 4), (2, 4)
 FUSED_OPS = {  # fused op, its composition from tensor ops, input shapes
     "fused_gated_residual": (lambda *a: (fused_gated_residual(*a),),
                              lambda *a: (gated_residual(*a),), (X, M, X)),
     "fused_ln_scale": (lambda *a: (fused_ln_scale(*a),),
-                       lambda *a: (ln_scale(*a),), (X, M)),
+                       lambda *a: (ln_modulate(*a),), (X, M, M)),
     "fused_gate_res_ln_scale": (fused_gate_res_ln_scale, gate_res_ln_scale,
                                 (X, M, X, M)),
+    "fused_rms_modulate": (lambda h, s: fused_rms_modulate(h, s, RMS_C),
+                           lambda h, s: rms_modulate_chain(h, s, RMS_C), (X, M)),
 }
 
 
@@ -269,29 +282,67 @@ def test_fused_modulation_op_matches_composition_and_fd(name):
         assert rep.max_rel_err <= 1e-6, (name, i, rep.max_rel_err)
 
 
-@pytest.mark.parametrize("with_text", [True, False], ids=["text", "no_text"])
-@pytest.mark.parametrize("n_rep", [1, 2, 4])
-def test_joint_attention_matches_per_head_loop(n_rep, with_text):
-    rng = np.random.default_rng(10)
-    B, S_i, H_kv, d_h = 2, 5, 2, 4
-    S_t = 3 if with_text else 0
+def test_fused_rms_modulate_is_bitwise_the_chain():
+    """Values and the gradients of h and ff_scale are bitwise the chain's
+    when, as in the model, both outputs feed later ops, n's first."""
+    rng = np.random.default_rng(26)
+    h0, s0 = rng.standard_normal((2, 5, 8)), rng.standard_normal((2, 8))
+    w_n, w_m = (Tensor(rng.standard_normal((8, 3))) for _ in range(2))
+    results = []
+    for op in (fused_rms_modulate, rms_modulate_chain):
+        h, s = Tensor(h0, requires_grad=True), Tensor(s0, requires_grad=True)
+        with Tape() as tape:
+            n, m = op(h, s, RMS_C)
+            y_n, y_m = nt.matmul(n, w_n), nt.matmul(m, w_m)
+            loss = nt.add(nt.sum(y_n), nt.sum(y_m))
+        backward(tape, loss)
+        results.append([a.tobytes() for a in (n.data, m.data, h.grad, s.grad)])
+    assert results[0] == results[1]
+
+
+def normed_rotated(x, pos_h, pos_w):
+    """Per-head RMS norm, then the pair rotation loop: what joint_attention
+    does to its raw image queries and keys."""
+    return rope_loop(np.apply_along_axis(rms_norm, -1, x), pos_h, pos_w)
+
+
+def attention_case(rng, B, S_i, S_t, H_kv, n_rep, d_h):
+    """Raw attention inputs, and grid positions for the S_i image tokens."""
     arrays = {"q": rng.standard_normal((B, S_i, H_kv * n_rep, d_h)),
               "k_img": rng.standard_normal((B, S_i, H_kv, d_h)),
               "v_img": rng.standard_normal((B, S_i, H_kv, d_h)),
               "k_txt": rng.standard_normal((B, S_t, H_kv, d_h)),
               "v_txt": rng.standard_normal((B, S_t, H_kv, d_h))}
-    mask = np.array([[True, True, True], [True, False, False]])[:, :S_t]  # sample 1 padded
+    return arrays, np.arange(S_i) // 3, np.arange(S_i) % 3
+
+
+def attention_expected(arrays, mask, pos_h, pos_w):
+    """attention_loop on the normed and rotated image queries and keys."""
+    a = dict(arrays, q=normed_rotated(arrays["q"], pos_h, pos_w),
+             k_img=normed_rotated(arrays["k_img"], pos_h, pos_w))
+    return attention_loop(*a.values(), mask)
+
+
+@pytest.mark.parametrize("with_text", [True, False], ids=["text", "no_text"])
+@pytest.mark.parametrize("n_rep", [1, 2, 4])
+def test_joint_attention_matches_per_head_loop(n_rep, with_text):
+    rng = np.random.default_rng(10)
+    arrays, pos_h, pos_w = attention_case(rng, 2, 5, 3 if with_text else 0, 2, n_rep, 4)
+    mask = np.array([[True, True, True], [True, False, False]])[:, :arrays["k_txt"].shape[1]]
+    rope = rope_tables(pos_h, pos_w, 5, 4)
 
     def attend(**over):
         ts = {n: over.get(n, Tensor(a)) for n, a in arrays.items()}
-        return joint_attention(**ts, text_mask=mask)
+        return joint_attention(**ts, text_mask=mask, cos=rope[0], sin=rope[1])
 
-    expect = attention_loop(*arrays.values(), mask)
+    expect = attention_expected(arrays, mask, pos_h, pos_w)
     np.testing.assert_allclose(attend().data, expect, rtol=1e-12, atol=1e-14)
     w = Tensor(rng.standard_normal(expect.shape))
+    # h = 3e-5: the RMS norm leaves raw-q elements with gradients near 1e-5,
+    # on which the rounding error of h = 1e-5 differences is 1e-6 relative
     for name in ("q", "k_img", "v_txt" if with_text else "v_img"):
         rep = grad_check(lambda p, name=name: nt.sum(nt.mul(attend(**{name: p}), w)),
-                         Tensor(arrays[name]), h=1e-5)
+                         Tensor(arrays[name]), h=3e-5)
         assert rep.max_rel_err <= 1e-6, (name, rep.max_rel_err)
 
 
@@ -302,19 +353,16 @@ def test_joint_attention_across_query_tiles_matches_per_head_loop(n_rep):
     on either side of each tile boundary: a query row's gradient comes from
     its own tile, and every key row's sums over all tiles."""
     rng = np.random.default_rng(18)
-    B, S_i, S_t, H_kv, d_h = 2, 2 * ATTENTION_TILE + 3, 3, 1, 4
-    arrays = {"q": rng.standard_normal((B, S_i, H_kv * n_rep, d_h)),
-              "k_img": rng.standard_normal((B, S_i, H_kv, d_h)),
-              "v_img": rng.standard_normal((B, S_i, H_kv, d_h)),
-              "k_txt": rng.standard_normal((B, S_t, H_kv, d_h)),
-              "v_txt": rng.standard_normal((B, S_t, H_kv, d_h))}
+    S_i = 2 * ATTENTION_TILE + 3
+    arrays, pos_h, pos_w = attention_case(rng, 2, S_i, 3, 1, n_rep, 4)
     mask = np.array([[True, False, True], [True, True, False]])
+    rope = rope_tables(pos_h, pos_w, S_i, 4)
 
     def attend(**over):
         ts = {n: over.get(n, Tensor(a)) for n, a in arrays.items()}
-        return joint_attention(**ts, text_mask=mask)
+        return joint_attention(**ts, text_mask=mask, cos=rope[0], sin=rope[1])
 
-    expect = attention_loop(*arrays.values(), mask)
+    expect = attention_expected(arrays, mask, pos_h, pos_w)
     np.testing.assert_allclose(attend().data, expect, rtol=1e-12, atol=1e-14)
     w = Tensor(rng.standard_normal(expect.shape))
     edges = np.zeros((1, S_i, 1, 1), bool)
@@ -409,7 +457,11 @@ def test_taped_qk_norm_rope_keeps_only_inverse_rms_and_tables():
     assert held <= kept + 16 * 1024, (held, kept)
 
 
-def test_forward_records_qk_norm_rope_for_queries_keys_and_text_keys():
+def test_forward_records_qk_norm_rope_for_text_keys_only():
+    """Text keys get their own qk_norm_rope node, once per prompt set; the
+    image queries and keys are normed and rotated inside joint_attention,
+    and the MoE router-input norm inside fused_rms_modulate, so no rmsnorm
+    node is left."""
     rng = np.random.default_rng(23)
     model = MoEDiT(ModelConfig())
     with Tape() as text_tape:
@@ -419,15 +471,14 @@ def test_forward_records_qk_norm_rope_for_queries_keys_and_text_keys():
     text_ops = [n.op for n in text_tape.nodes]
     ops = [n.op for n in tape.nodes]
     assert text_ops.count("qk_norm_rope") == len(model.blocks)
-    assert ops.count("qk_norm_rope") == 2 * len(model.blocks)
-    assert "rotate_pairs" not in text_ops + ops
-    # the MoE layers' router-input norms are the only rmsnorm nodes left
-    assert text_ops.count("rmsnorm") == 0
-    assert ops.count("rmsnorm") == sum(not blk.dense for blk in model.blocks)
+    assert "qk_norm_rope" not in ops
+    assert not {"rotate_pairs", "rmsnorm"} & set(text_ops + ops)
+    assert ops.count("fused_rms_modulate") == sum(not blk.dense for blk in model.blocks)
     made_by = {id(o): n.op for n in text_tape.nodes + tape.nodes for o in n.outputs}
     for node in (n for n in tape.nodes if n.op == "joint_attention"):
         q, k_img, _, k_txt, _ = node.inputs
-        assert [made_by[id(t)] for t in (q, k_img, k_txt)] == ["qk_norm_rope"] * 3
+        assert [made_by[id(t)] for t in (q, k_img, k_txt)] == ["reshape", "reshape",
+                                                              "qk_norm_rope"]
 
 
 def test_no_taped_forward_records_a_broadcast_or_concat():
@@ -442,10 +493,33 @@ def test_no_taped_forward_records_a_broadcast_or_concat():
         model.forward(latent(rng), rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)
     ops = [n.op for n in text_tape.nodes + tape.nodes]
     assert "broadcast_to" not in ops and "concat" not in ops
-    # one SwiGLU path: a routed-expert node per MoE layer, and swiglu nodes
-    # only for the dense FFNs and the shared experts
+    # one SwiGLU path: a routed-and-shared expert node per MoE layer, and
+    # swiglu nodes only for the dense FFNs
     assert ops.count("grouped_forward") == sum(not blk.dense for blk in model.blocks) == 3
-    assert ops.count("swiglu") == len(model.blocks)
+    assert ops.count("swiglu") == sum(blk.dense for blk in model.blocks) == 3
+
+
+DESK = ModelConfig(n_layers=8, d_model=128, n_q_heads=4, n_kv_heads=1, head_dim=32,
+                   n_experts=16, expert_hidden=128)
+
+
+def test_desk_training_step_records_261_nodes():
+    """The train_desk step (text K/V, forward and MSE loss on one tape) at
+    the desk model; the node count does not depend on the latent size."""
+    rng = np.random.default_rng(28)
+    model = MoEDiT(DESK)
+    z, target = latent(rng), latent(rng)
+    with Tape() as tape:
+        ctx = model.precompute_text_kv(["red cat under the old tree by a river"] * 2)
+        diff = nt.sub(model.forward(z, rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)[0],
+                      target)
+        nt.mean(nt.mul(diff, diff))
+    ops = [n.op for n in tape.nodes]
+    n_moe = sum(not blk.dense for blk in model.blocks)
+    assert len(ops) == 261
+    assert ops.count("fused_ln_scale") == len(model.blocks) + 1    # every block, final layer
+    assert ops.count("fused_rms_modulate") == ops.count("grouped_forward") == n_moe == 5
+    assert ops.count("qk_norm_rope") == ops.count("joint_attention") == len(model.blocks)
 
 
 def test_forward_records_one_fused_attention_node_per_block():
@@ -481,19 +555,20 @@ def test_forward_records_one_grouped_forward_node_per_moe_layer():
 
 
 def attention_inputs(rng):
-    """q, k/v img, k/v txt and a text mask padding sample 1; 2 queries per kv head."""
+    """q, k/v img, k/v txt, a text mask padding sample 1 and the image rope
+    tables; 2 queries per kv head."""
     q = Tensor(rng.standard_normal((2, 5, 4, 4)), requires_grad=True)
     kv = [Tensor(rng.standard_normal((2, S, 2, 4)), requires_grad=True)
           for S in (5, 5, 4, 4)]
     mask = np.array([[True, True, True, True], [True, True, False, False]])
-    return q, *kv, mask
+    return q, *kv, mask, *rope_tables(np.arange(5) // 2, np.arange(5) % 2, 5, 4)
 
 
 def test_padded_text_positions_get_zero_kv_gradient():
     rng = np.random.default_rng(14)
-    q, k_img, v_img, k_txt, v_txt, mask = attention_inputs(rng)
+    q, k_img, v_img, k_txt, v_txt, mask, cos, sin = attention_inputs(rng)
     with Tape() as tape:
-        out = joint_attention(q, k_img, v_img, k_txt, v_txt, mask)
+        out = joint_attention(q, k_img, v_img, k_txt, v_txt, mask, cos, sin)
         loss = nt.sum(nt.mul(out, Tensor(rng.standard_normal(out.shape))))
     backward(tape, loss)
     for t in (k_txt, v_txt):
@@ -515,55 +590,99 @@ def test_joint_attention_no_grad_is_bitwise_the_taped_output():
     assert plain.data.tobytes() == taped.data.tobytes()
 
 
+def held_by_tape(record):
+    """Bytes still allocated after record() ran under a fresh tape (which
+    keeps each node, and so its closure, alive), and the tape."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            record()
+        return tracemalloc.get_traced_memory()[0] - before, tape
+    finally:
+        tracemalloc.stop()
+
+
 def test_taped_joint_attention_keeps_no_score_sized_array():
+    """Nor any (B, S_i, H, d_h) head array: only the output, each score
+    row's max and sum and the inverse RMS of every query and key head."""
     rng = np.random.default_rng(16)
-    B, S_i, S_t, H_kv, n_rep, d_h = 1, 256, 16, 1, 2, 4
+    B, S_i, S_t, H_kv, n_rep, d_h = 1, 256, 16, 1, 2, 32
     q = Tensor(rng.standard_normal((B, S_i, H_kv * n_rep, d_h)), requires_grad=True)
     kv = [Tensor(rng.standard_normal((B, S, H_kv, d_h)), requires_grad=True)
           for S in (S_i, S_i, S_t, S_t)]
     mask = np.arange(S_t)[None, :] < 12
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        with Tape() as tape:   # the tape keeps the node, and so its closure, alive
-            out = joint_attention(q, *kv, mask)
-        held = tracemalloc.get_traced_memory()[0] - before
-        assert len(tape.nodes) == 1
-    finally:
-        tracemalloc.stop()
+    rope = rope_tables(np.arange(S_i) // 16, np.arange(S_i) % 16, S_i, d_h)  # the caller's
+    outs = []
+    held, tape = held_by_tape(lambda: outs.append(joint_attention(q, *kv, mask, *rope)))
+    assert len(tape.nodes) == 1
     row_stats = 2 * B * H_kv * n_rep * S_i * 8   # each row's max and sum
-    assert held - out.data.nbytes < S_i * (S_i + S_t) * 8   # less than one head's P
-    assert held <= out.data.nbytes + row_stats + 16 * 1024, held
+    inv_rms = B * S_i * (H_kv * n_rep + H_kv) * 8
+    kept = held - outs[0].data.nbytes
+    assert kept < S_i * (S_i + S_t) * 8   # less than one head's P
+    assert kept < kv[0].data.nbytes       # less than the smallest head array
+    assert kept <= row_stats + inv_rms + 16 * 1024, kept
+
+
+@pytest.mark.parametrize("name", ["fused_ln_scale", "fused_gate_res_ln_scale",
+                                  "fused_rms_modulate"])
+def test_taped_norm_nodes_keep_only_row_statistics(name):
+    """No normalising node keeps a (B, S, d) array beyond its outputs: each
+    keeps its rows' statistics, (B, S, 1) arrays, and recomputes the rest."""
+    fused, _, shapes = FUSED_OPS[name]
+    B, S, d = 2, 256, 64
+    rng = np.random.default_rng(29)
+    args = [Tensor(rng.standard_normal((B, S, d) if s == X else (B, d)), requires_grad=True)
+            for s in shapes]
+    outs = []
+    held, tape = held_by_tape(lambda: outs.extend(fused(*args)))
+    assert len(tape.nodes) == 1
+    kept = held - sum(o.data.nbytes for o in outs)
+    assert kept < B * S * d * 8
+    assert kept <= 2 * B * S * 8 + 16 * 1024, kept   # mean and inverse std (LN), or inverse RMS
 
 
 def test_second_backward_doubles_every_grad_bitwise():
     """Pullbacks recompute from what their node keeps and never write into
     it, so a second backward over one tape adds the first pass's gradients
-    again, bit for bit."""
+    again, bit for bit. Every fused node of the model is on the tape."""
     rng = np.random.default_rng(17)
-    q, k_img, v_img, k_txt, v_txt, mask = attention_inputs(rng)
+    q, k_img, v_img, k_txt, v_txt, mask, cos, sin = attention_inputs(rng)
     param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
-    stacked = param(2, 6, 16), param(2, 6, 16), param(2, 16, 6)   # 2 experts, h = 6
+    bank = moe.ExpertBank(param(2, 6, 16), param(2, 6, 16), param(2, 16, 6),  # 2 experts, h = 6
+                          param(6, 16), param(6, 16), param(16, 6))
     dense = param(6, 16), param(6, 16), param(16, 6)
-    per_expert = lambda t: [nt.reshape(s, t.shape[1:]) for s in nt.split(t, 2, axis=0)]
     gates = param(2, 3, 1)
-    rope = rope_tables(np.arange(5), np.arange(5)[::-1], 5, 4)
+    mods = [param(2, 16) for _ in range(6)]
     weigh = lambda y: nt.sum(nt.mul(y, Tensor(rng.standard_normal(y.shape))))
     with Tape() as tape:
-        att = joint_attention(q, k_img, v_img, k_txt, v_txt, mask)   # (2, 5, 16)
-        routed = nt.concat([moe.swiglu(a, *w) for a, *w in   # expert e on sample e
-                            zip(per_expert(att), *map(per_expert, stacked))])
-        flat = nt.reshape(att, (10, 16))
-        shared = moe.swiglu(flat, *dense)
-        grouped = moe.grouped_forward(flat, [[0, 3, 7], [3, 9, 1]], gates,
-                                      moe.ExpertBank(*stacked, *dense))
-        roped = qk_norm_rope(q, *rope)                                 # q also feeds attention
-        loss = nt.add(nt.add(nt.add(weigh(routed), weigh(shared)), weigh(grouped)),
-                      weigh(roped))
-    tensors = [q, k_img, v_img, k_txt, v_txt, *stacked, *dense, gates,
+        att = joint_attention(q, k_img, v_img, k_txt, v_txt, mask, cos, sin)   # (2, 5, 16)
+        a_in = fused_ln_scale(att, mods[0], mods[1])
+        h, m = fused_gate_res_ln_scale(att, mods[2], a_in, mods[3])
+        x = fused_gated_residual(h, mods[4], m)
+        n, x_mod = fused_rms_modulate(x, mods[5], 0.5)
+        ffn = moe.swiglu(nt.reshape(m, (10, 16)), *dense)
+        grouped = moe.grouped_forward(nt.reshape(x_mod, (10, 16)), [[0, 3, 7], [3, 9, 1]],
+                                      gates, bank)
+        roped = qk_norm_rope(q, cos, sin)                              # q also feeds attention
+        loss = nt.add(nt.add(nt.add(weigh(n), weigh(ffn)), weigh(grouped)), weigh(roped))
+    params = (bank.w1, bank.w3, bank.w2, bank.shared_w1, bank.shared_w3, bank.shared_w2)
+    tensors = [q, k_img, v_img, k_txt, v_txt, *params, *dense, gates, *mods,
                *(o for node in tape.nodes for o in node.outputs)]
     backward(tape, loss)
     first = [t.grad.copy() for t in tensors]
     backward(tape, loss)
     for t, g in zip(tensors, first):
         assert t.grad.tobytes() == (2.0 * g).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (1,), (7,), (5, 3), (16, 128, 128)],
+                         ids=str)
+def test_trunc_normal_is_the_whole_mask_loop_bitwise(shape):
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = trunc_normal(rng, shape), trunc_normal_loop(ref, shape)
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.standard_normal() == ref.standard_normal()   # the same draws were made
+        assert np.all(np.abs(got) <= 2.0 * 0.02)

@@ -135,13 +135,20 @@ def expert_slices(t, E):
 
 def grouped_composed(x, blocks, gates, bank):
     """The composition grouped_forward replaces: per expert, a row gather, a
-    2-D swiglu and the gate; then one block scatter of every expert's rows."""
+    2-D swiglu and the gate; then one block scatter of every expert's rows,
+    and the shared expert's swiglu on every row added last."""
     E, n = blocks.shape
     weights = zip(*(expert_slices(t, E) for t in (bank.w1, bank.w3, bank.w2, gates)))
     gated = [nt.mul(swiglu(nt.gather_rows(x, rows), w1, w3, w2), g)
              for rows, (w1, w3, w2, g) in zip(blocks, weights)]
     stacked = nt.reshape(nt.concat(gated), (E, n, x.shape[1]))
-    return nt.scatter_add_rows(stacked, blocks, x.shape[0])
+    routed = nt.scatter_add_rows(stacked, blocks, x.shape[0])
+    return nt.add(routed, swiglu(x, bank.shared_w1, bank.shared_w3, bank.shared_w2))
+
+
+def shared_rows(x: np.ndarray, bank) -> np.ndarray:
+    """The shared expert on every row, from raw arrays."""
+    return swiglu_arrays(x, bank.shared_w1.data, bank.shared_w3.data, bank.shared_w2.data)
 
 
 def test_grouped_forward_matches_loop_oracle():
@@ -149,22 +156,26 @@ def test_grouped_forward_matches_loop_oracle():
     x, blocks, gates, bank = grouped_case(rng)
     out = grouped_forward(x, blocks, gates, bank)
     oracle = np.zeros(x.shape)
+    for r in range(x.shape[0]):
+        oracle[r] = shared_rows(x.data[r][None, :], bank)[0]
     for e in range(blocks.shape[0]):
         for k, r in enumerate(blocks[e]):
             y = swiglu_arrays(x.data[r][None, :], bank.w1.data[e],
                               bank.w3.data[e], bank.w2.data[e])[0]
             oracle[r] += gates.data[e, k, 0] * y
     assert out.shape == x.shape
-    assert not out.data[-1].any()          # a row no expert chose gets nothing
+    # a row no expert chose gets the shared expert alone
+    np.testing.assert_allclose(out.data[-1], shared_rows(x.data[-1:], bank)[0], rtol=1e-12)
     np.testing.assert_allclose(out.data, oracle, rtol=1e-12, atol=0)
 
 
 def test_grouped_forward_matches_composition():
-    """Forward bitwise, gradients of all five inputs at rtol 1e-12."""
+    """Forward bitwise, gradients of all eight inputs at rtol 1e-12."""
     rng = np.random.default_rng(15)
     x, blocks, gates, bank = grouped_case(rng)
     weight = Tensor(rng.normal(size=x.shape))
-    inputs = (x, gates, bank.w1, bank.w3, bank.w2)
+    inputs = (x, gates, bank.w1, bank.w3, bank.w2, bank.shared_w1, bank.shared_w3,
+              bank.shared_w2)
     for t in inputs:
         t.requires_grad = True
     grads = []
@@ -197,20 +208,31 @@ def test_grouped_forward_gradients_vs_fd():
         "w2": (lambda p: loss(grouped_forward(x, blocks, gates, replace(bank, w2=p))),
                bank.w2),
     }
+    for w in ("shared_w1", "shared_w3", "shared_w2"):
+        checks[w] = (lambda p, w=w: loss(grouped_forward(x, blocks, gates,
+                                                         replace(bank, **{w: p}))),
+                     getattr(bank, w))
     for name, (fn, point) in checks.items():
         rep = grad_check(fn, point, h=1e-5)
         assert rep.max_rel_err <= 1e-6, (name, rep.max_rel_err)
 
 
-def test_taped_grouped_forward_keeps_only_its_output_and_up_projections():
-    rng = np.random.default_rng(21)
-    E, n, N, d, h = 4, 128, 512, 8, 64
+def retention_case(rng, E=4, n=128, N=512, d=8, h=64):
+    """A grouped_forward input of the given sizes whose every tensor
+    requires grad; the shared expert is h wide too."""
     x = Tensor(rng.standard_normal((N, d)), requires_grad=True)
     blocks = np.stack([rng.permutation(N)[:n] for _ in range(E)])
     gates = Tensor(rng.uniform(size=(E, n, 1)), requires_grad=True)
     bank = make_bank(rng, E, h, d)
-    for w in (bank.w1, bank.w3, bank.w2):
+    for w in vars(bank).values():
         w.requires_grad = True
+    return x, blocks, gates, bank
+
+
+def test_taped_grouped_forward_keeps_only_its_output_and_up_projections():
+    rng = np.random.default_rng(21)
+    E, n, N, d, h = 4, 128, 512, 8, 64
+    x, blocks, gates, bank = retention_case(rng, E, n, N, d, h)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -220,8 +242,29 @@ def test_taped_grouped_forward_keeps_only_its_output_and_up_projections():
         assert len(tape.nodes) == 1
     finally:
         tracemalloc.stop()
-    kept = out.data.nbytes + 2 * E * n * h * 8   # the output, h1 and h3
+    kept = out.data.nbytes + 2 * (E * n + N) * h * 8   # output, routed and shared h1, h3
     assert kept <= held <= kept + 16 * 1024, (held, kept)
+
+
+def test_no_grad_grouped_forward_drops_each_experts_activations():
+    """Without a tape, no expert's h1 and h3 outlive its own step: the peak
+    stays below one routed expert's h1 + h3 above the output plus the
+    largest step, the shared expert's (h1, h3, the activation and its
+    output over all N rows)."""
+    rng = np.random.default_rng(22)
+    E, n, N, d, h = 8, 128, 512, 8, 64
+    x, blocks, gates, bank = retention_case(rng, E, n, N, d, h)
+    with nt.no_grad():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = grouped_forward(x, blocks, gates, bank)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    shared_step = (3 * N * h + N * d) * 8
+    assert peak - out.data.nbytes - shared_step < 2 * n * h * 8, peak
 
 
 def test_swiglu_stacked_shape_mismatch():

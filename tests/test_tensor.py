@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from nimg import tensor as nt
-from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual,
-                           joint_attention, qk_norm_rope, rope_tables,
-                           sinusoidal_features)
+from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual, fused_ln_scale,
+                           fused_rms_modulate, joint_attention, qk_norm_rope,
+                           rope_tables, sinusoidal_features)
 from nimg.moe import ExpertBank, grouped_forward, moe_forward, swiglu
 from nimg.router import ConfigError, StageId, capacity_for, route_full
 from nimg.tensor import (DomainError, NonScalarLoss, ShapeError, Tape, Tensor,
@@ -112,11 +112,24 @@ def text_kv_of(prompts):
 
 
 def attend(q=(2, 5, 4, 4), kv_img=(2, 5, 2, 4), k_txt=(2, 3, 2, 4), v_txt=(2, 3, 2, 4),
-           mask=(2, 3), v_img=None):
-    """joint_attention on zero tensors of the given shapes; None omits an input."""
+           mask=(2, 3), v_img=None, rope_tokens=None):
+    """joint_attention on zero tensors of the given shapes; None omits an input.
+    The rope tables are for kv_img's tokens, or for rope_tokens tokens."""
     z = lambda shape: None if shape is None else Tensor(np.zeros(shape))
+    S = kv_img[1] if rope_tokens is None else rope_tokens
+    tables = rope_tables(np.zeros(S), np.arange(S), S, kv_img[3])
     return joint_attention(z(q), z(kv_img), z(v_img or kv_img), z(k_txt), z(v_txt),
-                           None if mask is None else np.ones(mask, bool))
+                           None if mask is None else np.ones(mask, bool), *tables)
+
+
+def modulate_on(x=(2, 3, 4), scale=(2, 4), shift=(2, 4)):
+    """fused_ln_scale on zero tensors of the given shapes."""
+    return fused_ln_scale(*(Tensor(np.zeros(s)) for s in (x, scale, shift)))
+
+
+def rms_modulate_on(h=(2, 3, 4), ff_scale=(2, 4)):
+    """fused_rms_modulate on zero tensors of the given shapes."""
+    return fused_rms_modulate(Tensor(np.zeros(h)), Tensor(np.zeros(ff_scale)), 0.5)
 
 
 def route_on(shape):
@@ -265,6 +278,18 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "backward_loss_from_another_tape": (backward_off_tape, ShapeError, "produced"),
     "forward_ragged_timestep":
         (lambda: forward_on((2, 4, 8, 8), t=[[0.1], [0.2, 0.3]]), UnsupportedOp, "ragged"),
+    "forward_empty_batch": (lambda: forward_on((0, 4, 8, 8)), ShapeError, "z_t"),
+    "forward_empty_latent": (lambda: forward_on((2, 4, 0, 0)), ShapeError, "z_t"),
+    "fused_ln_scale_shift_not_b_d":
+        (lambda: modulate_on(shift=(2, 3)), ShapeError, "modulation shape"),
+    "fused_ln_scale_shift_per_token":
+        (lambda: modulate_on(shift=(2, 3, 4)), ShapeError, "modulation shape"),
+    "fused_rms_modulate_2d_h":
+        (lambda: rms_modulate_on(h=(6, 4)), ShapeError, "modulation shape"),
+    "fused_rms_modulate_scale_not_b_d":
+        (lambda: rms_modulate_on(ff_scale=(3, 4)), ShapeError, "modulation shape"),
+    "attention_rope_tables_for_other_tokens":
+        (lambda: attend(rope_tokens=4), ShapeError, "rope tables"),
 }
 
 
