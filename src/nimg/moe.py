@@ -21,10 +21,14 @@ the pullback of the upstream gradient G is, with Gr = G[blocks[e]]:
     dx  = dh1 W1 + dh3 W3, added into rows blocks[e].
 
 The shared expert's is the same with X = x, every row, and no gate.
-The node keeps only each expert's h1 and h3, the shared expert's and the
-block index. The pullback re-gathers X from the input and recomputes
-SiLU(h1) and a from h1 and h3, so no gathered rows or expert outputs
-outlive the forward. Without a tape it keeps nothing: each expert's h1 and
+Under a tape the node keeps only each expert's h1 and h3, the shared
+expert's and the block index. The pullback re-gathers X from the input and
+recomputes SiLU(h1) and a from h1 and h3, so no gathered rows or expert
+outputs outlive the forward, and it releases each pair once it has used
+it: after one backward the node keeps the block index alone, and a second
+backward recomputes each h1 and h3 from X and the weights, bitwise the
+forward's. The dense blocks' swiglu node keeps and releases its one pair
+the same way. Without a tape the node keeps nothing: each expert's h1 and
 h3 are dropped within its own step.
 """
 
@@ -59,11 +63,19 @@ def _ffn(x: np.ndarray, w1: np.ndarray, w3: np.ndarray, w2: np.ndarray):
     return h1, h3, a @ w2.T
 
 
-def _ffn_pullback(gpre: np.ndarray, x: np.ndarray, h1: np.ndarray, h3: np.ndarray,
+def _ffn_pullback(gpre: np.ndarray, x: np.ndarray, kept: list, i: int,
                   w1: np.ndarray, w3: np.ndarray):
     """From gpre, the gradient at SiLU(h1) * h3, to (gx, gw1, gw3, act): the
     gradients of _ffn's rows and up-projection weights, and SiLU(h1) * h3
-    recomputed in _ffn's order, so bitwise its value, for the caller's gw2."""
+    recomputed in _ffn's order, so bitwise its value, for the caller's gw2.
+
+    kept[i] is the (h1, h3) pair _ffn gave for the rows x. The first run
+    takes it and leaves None in its place, so the pair is freed when this
+    call returns. A later run (a second backward over one tape, or a rerun
+    after a pullback that raised) finds None and recomputes x W1^T and
+    x W3^T: the same BLAS calls on the same operands, so bitwise the pair."""
+    pair, kept[i] = kept[i], None
+    h1, h3 = pair if pair is not None else (x @ w1.T, x @ w3.T)
     act = _sigmoid(h1)
     gh1 = gpre * h3
     gh1 *= act
@@ -96,16 +108,18 @@ def swiglu(x: Tensor, w1: Tensor, w3: Tensor, w2: Tensor) -> Tensor:
     (ShapeError otherwise). One tape node with a hand-derived pullback;
     value-identical to the three-step composition within float rounding.
 
-    The node keeps only the two up-projections h1 = x W1^T and h3 = x W3^T;
-    the pullback recomputes SiLU(h1) * h3 from them, bitwise the forward's
-    value.
+    The node keeps only the two up-projections h1 = x W1^T and h3 = x W3^T,
+    and only until its pullback first runs; the pullback recomputes
+    SiLU(h1) * h3 from them, bitwise the forward's value, and then releases
+    them. A second run recomputes h1 and h3 from x and the weights.
     """
     _check_shapes(x.shape, w1.shape, w3.shape, w2.shape, "swiglu")
     xd, w1d, w3d, w2d = x.data, w1.data, w3.data, w2.data
     h1, h3, out = _ffn(xd, w1d, w3d, w2d)
+    kept = [(h1, h3)]
 
     def bwd(g):
-        gx, gw1, gw3, act = _ffn_pullback(g @ w2d, xd, h1, h3, w1d, w3d)
+        gx, gw1, gw3, act = _ffn_pullback(g @ w2d, xd, kept, 0, w1d, w3d)
         return gx, gw1, gw3, g.T @ act
 
     return nt.record("swiglu", (x, w1, w3, w2), (out,), bwd)[0]
@@ -143,9 +157,12 @@ def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tenso
     expert's are swiglu's.
 
     Under a tape the node keeps each expert's h1 and h3, the shared expert's
-    and the block index. When no node will be recorded (nt.tracking), each
-    expert's h1 and h3 are dropped within its own step, so a no-grad call
-    holds at most one expert's at a time.
+    and the block index. Its pullback releases each pair once it has used
+    it, so after one backward the node keeps the block index alone; a
+    second backward recomputes each pair from the input rows and weights.
+    When no node will be recorded (nt.tracking), each expert's h1 and h3
+    are dropped within its own step, so a no-grad call holds at most one
+    expert's at a time.
     """
     if x.ndim != 2:
         raise ShapeError(f"grouped_forward rows x have shape {x.shape}; expected (N, d)")
@@ -182,17 +199,17 @@ def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tenso
         gx = np.zeros(x.shape)
         dgates = np.empty(gates.shape)
         gw1, gw3, gw2 = np.empty(w1d.shape), np.empty(w3d.shape), np.empty(w2d.shape)
-        for e, (rows, (h1, h3)) in enumerate(zip(idx, kept)):
+        for e, rows in enumerate(idx):
             gr = g[rows]
             u = gr @ w2d[e]
-            gxe, gw1[e], gw3[e], act = _ffn_pullback(u * gd[e], xd[rows], h1, h3,
+            gxe, gw1[e], gw3[e], act = _ffn_pullback(u * gd[e], xd[rows], kept, e,
                                                      w1d[e], w3d[e])
             gx[rows] += gxe
             gr *= gd[e]
             gw2[e] = gr.T @ act
             u *= act
             dgates[e] = u.sum(axis=-1, keepdims=True)
-        gxs, gs1, gs3, act = _ffn_pullback(g @ s2d, xd, *kept[-1], s1d, s3d)
+        gxs, gs1, gs3, act = _ffn_pullback(g @ s2d, xd, kept, -1, s1d, s3d)
         gx += gxs
         return gx, dgates, gw1, gw3, gw2, gs1, gs3, g.T @ act
 

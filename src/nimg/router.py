@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,10 @@ class RouterDecision:
 
 
 def capacity_for(S: int, E: int, C: float) -> int:
-    """Per-expert token budget ceil(C*S/E), clamped to at most S."""
-    if S < 1 or E < 1 or not 0 < C < math.inf:
+    """Per-expert token budget ceil(C*S/E), clamped to at most S; ConfigError
+    unless S and E are integers >= 1 and C a finite real > 0."""
+    if (not isinstance(S, numbers.Integral) or not isinstance(E, numbers.Integral)
+            or not isinstance(C, numbers.Real) or S < 1 or E < 1 or not 0 < C < math.inf):
         raise ConfigError(f"invalid capacity arguments S={S} E={E} C={C}")
     return min(math.ceil(C * S / E), S)
 
@@ -61,10 +64,10 @@ def capacity_schedule(layer: int, stage: StageId, n_layers: int = 32):
     The first DENSE_LAYERS layers run dense FFNs at every stage. Later stages
     sparsify: the low-resolution stage keeps 8.0 everywhere, the middle
     stage 4.0, and the high-resolution stage 4.0 for layers 3-4 and 2.0
-    beyond.
+    beyond. ConfigError unless layer is an integer in [0, n_layers).
     """
-    if not 0 <= layer < n_layers:
-        raise IndexError(f"layer {layer} out of range [0, {n_layers})")
+    if not isinstance(layer, numbers.Integral) or not 0 <= layer < n_layers:
+        raise ConfigError(f"layer {layer!r} is not an integer in [0, {n_layers})")
     if layer < DENSE_LAYERS:
         return DENSE
     if stage == StageId.S256:

@@ -42,7 +42,11 @@ that asks tracking() before its forward keeps nothing when no node will be
 recorded. A pullback may write into a buffer it allocated itself
 (qk_norm_rope forms its input gradient in one such buffer), but never into
 what its closure keeps, because backward may run it twice on one tape and
-both runs must see the forward's values.
+both runs must get the same gradients. A closure may drop what it kept
+once its pullback has run, if a repeated run recomputes it bitwise from
+the node's inputs: swiglu and grouped_forward release each pair of
+up-projections after their pullback's first use of it, and a second
+backward recomputes the pair by the same matmul.
 A pullback returns either arrays it allocates or its incoming gradients
 (and views of them), never an array its closure keeps.
 After backward, a leaf's .grad (a tensor no recorded node produced) is
@@ -59,6 +63,7 @@ held twice at the end of backward.
 from __future__ import annotations
 
 import contextvars
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -198,6 +203,11 @@ def record(op: str, inputs: Sequence[Tensor], out_arrays: Sequence[np.ndarray],
     must never return an array its closure keeps, or a view of one: backward
     hands a returned array that nothing else holds to a leaf as its .grad,
     which the caller may then edit in place.
+
+    backward may run bwd more than once on one tape, and every run must
+    return the same gradients. So bwd never writes into what its closure
+    keeps, but it may drop a kept array once it has used it, if a later run
+    recomputes that array bitwise from the node's inputs.
     """
     track = tracking(inputs)
     outs = tuple(Tensor(a, requires_grad=track) for a in out_arrays)
@@ -367,7 +377,10 @@ def split(a: Tensor, n: int, axis: int = 0) -> tuple[Tensor, ...]:
 
 def _row_index(indices, n_rows: int, op: str) -> np.ndarray:
     """indices as a 1-d or 2-d (G, n) int64 block index of rows in [0, n_rows),
-    no row twice in one block; ShapeError otherwise."""
+    no row twice in one block; ShapeError otherwise, and when n_rows is not
+    an integer >= 0."""
+    if not isinstance(n_rows, numbers.Integral) or n_rows < 0:
+        raise ShapeError(f"{op}: row count {n_rows!r} is not an integer >= 0")
     idx = np.asarray(indices)
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"{op}: row indices must be integers, got {idx.dtype}")

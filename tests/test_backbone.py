@@ -522,6 +522,50 @@ def test_desk_training_step_records_261_nodes():
     assert ops.count("qk_norm_rope") == ops.count("joint_attention") == len(model.blocks)
 
 
+def ffn_up_projection_bytes(node) -> int:
+    """Bytes of the h1 and h3 an FFN node keeps after its forward: one pair
+    of (rows, h) arrays per routed expert and one for the shared expert, or
+    one pair for a dense swiglu."""
+    if node.op == "swiglu":
+        x, w1 = node.inputs[:2]
+        return 2 * x.shape[0] * w1.shape[0] * 8
+    if node.op == "grouped_forward":
+        x, gates, w1, _, _, shared_w1 = node.inputs[:6]
+        E, n = gates.shape[:2]
+        return 2 * (E * n * w1.shape[1] + x.shape[0] * shared_w1.shape[0]) * 8
+    return 0
+
+
+def test_training_step_releases_every_ffn_up_projection():
+    """After backward, with every .grad dropped, the tape holds less than
+    after the forward by exactly the FFN nodes' up-projections (within
+    8 KiB): each node released its h1 and h3 once its pullback had run."""
+    rng = np.random.default_rng(40)
+    model = MoEDiT(ModelConfig())
+    shape = (2, 4, 16, 16)
+    z, target = latent(rng, shape), latent(rng, shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            ctx = model.precompute_text_kv(PROMPTS)
+            diff = nt.sub(model.forward(z, rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)[0],
+                          target)
+            loss = nt.mean(nt.mul(diff, diff))
+        after_forward = tracemalloc.get_traced_memory()[0] - before
+        backward(tape, loss)
+        for t in {id(t): t for node in tape.nodes for t in node.inputs + node.outputs}.values():
+            t.grad = None
+        after_backward = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    released = sum(ffn_up_projection_bytes(node) for node in tape.nodes)
+    n_ffn = sum(node.op in ("swiglu", "grouped_forward") for node in tape.nodes)
+    assert n_ffn == len(model.blocks)
+    assert abs(after_forward - after_backward - released) <= 8 * 1024, (
+        after_forward, after_backward, released)
+
+
 def test_forward_records_one_fused_attention_node_per_block():
     rng = np.random.default_rng(13)
     model = MoEDiT(ModelConfig())
@@ -644,8 +688,10 @@ def test_taped_norm_nodes_keep_only_row_statistics(name):
 
 def test_second_backward_doubles_every_grad_bitwise():
     """Pullbacks recompute from what their node keeps and never write into
-    it, so a second backward over one tape adds the first pass's gradients
-    again, bit for bit. Every fused node of the model is on the tape."""
+    it, and the FFN nodes recompute the up-projections their first pass
+    released, so a second backward over one tape adds the first pass's
+    gradients again, bit for bit. Every fused node of the model is on the
+    tape."""
     rng = np.random.default_rng(17)
     q, k_img, v_img, k_txt, v_txt, mask, cos, sin = attention_inputs(rng)
     param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)

@@ -267,6 +267,104 @@ def test_no_grad_grouped_forward_drops_each_experts_activations():
     assert peak - out.data.nbytes - shared_step < 2 * n * h * 8, peak
 
 
+def drop_grads(tensors):
+    for t in tensors:
+        t.grad = None
+
+
+def held_after_forward_and_backward(forward, inputs):
+    """Bytes a tape holds, over what existed before, after `forward()`
+    under it and again after one backward of sum(out) and dropping every
+    .grad; returns (after forward, after backward, out)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:   # the tape keeps the node, and so its closure, alive
+            out = forward()
+            after_forward = tracemalloc.get_traced_memory()[0] - before
+            loss = nt.sum(out)
+        backward(tape, loss)
+        drop_grads((*inputs, out, loss))
+        after_backward = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return after_forward, after_backward, out
+
+
+@pytest.mark.parametrize("op", ["grouped_forward", "swiglu"])
+def test_ffn_node_releases_its_up_projections_once_its_pullback_has_run(op):
+    """After one backward, with every .grad dropped, the node holds its
+    output alone: its h1 and h3 (every routed expert's and the shared
+    expert's for grouped_forward) are gone."""
+    rng = np.random.default_rng(24)
+    E, n, N, d, h = 4, 128, 512, 8, 64
+    x, blocks, gates, bank = retention_case(rng, E, n, N, d, h)
+    if op == "grouped_forward":
+        forward = lambda: grouped_forward(x, blocks, gates, bank)
+        inputs, released = (x, gates, *vars(bank).values()), 2 * (E * n + N) * h * 8
+    else:
+        w1, w3, w2 = bank.shared_w1, bank.shared_w3, bank.shared_w2
+        forward = lambda: swiglu(x, w1, w3, w2)
+        inputs, released = (x, w1, w3, w2), 2 * N * h * 8
+    after_forward, after_backward, out = held_after_forward_and_backward(forward, inputs)
+    assert out.data.nbytes <= after_backward <= out.data.nbytes + 16 * 1024, after_backward
+    assert abs(after_forward - after_backward - released) <= 16 * 1024, (
+        after_forward, after_backward, released)
+
+
+def test_three_backwards_over_one_grouped_forward_give_1_2_3_times_bitwise():
+    """At the desk shapes: the first backward uses the kept up-projections,
+    the second and third recompute them, and every pass adds the first
+    pass's gradients again, bit for bit."""
+    rng = np.random.default_rng(25)
+    x, blocks, gates, bank = retention_case(rng, E=16, n=256, N=512, d=128, h=128)
+    inputs = (x, gates, *vars(bank).values())
+    weight = Tensor(rng.standard_normal(x.shape))
+    with Tape() as tape:
+        loss = nt.sum(nt.mul(grouped_forward(x, blocks, gates, bank), weight))
+    backward(tape, loss)
+    first = [t.grad.copy() for t in inputs]
+    for k in (2.0, 3.0):
+        backward(tape, loss)
+        for t, g in zip(inputs, first):
+            assert t.grad.tobytes() == (k * g).tobytes()
+
+
+def raising_cases(rng):
+    """(forward, inputs, a wrong-shaped upstream gradient) per FFN node. The
+    grouped case's blocks put expert 0 on rows 0-3 and expert 1 on rows
+    4-7, so a gradient of 4 rows lets expert 0's pullback run (and release
+    its pair) before expert 1's row gather raises IndexError; swiglu's
+    raises ValueError inside its pullback, after it took the pair."""
+    x, _, gates, bank = grouped_case(rng, E=2, n=4, N=9)
+    blocks = np.array([[0, 2, 1, 3], [5, 4, 7, 6]])
+    grouped = (lambda: grouped_forward(x, blocks, gates, bank),
+               (x, gates, *vars(bank).values()), np.ones((4, x.shape[1])))
+    w1, w3, w2 = bank.shared_w1, bank.shared_w3, bank.shared_w2
+    dense = (lambda: swiglu(x, w1, w3, w2), (x, w1, w3, w2), np.ones((3, x.shape[1])))
+    return {"grouped_forward": grouped, "swiglu": dense}
+
+
+@pytest.mark.parametrize("op", ["grouped_forward", "swiglu"])
+def test_pullback_that_raises_part_way_leaves_a_node_that_runs_again(op):
+    rng = np.random.default_rng(26)
+    forward, inputs, bad_g = raising_cases(rng)[op]
+    for t in inputs:
+        t.requires_grad = True
+    weight = Tensor(rng.standard_normal(inputs[0].shape))
+    grads = []
+    for fail_first in (False, True):
+        drop_grads(inputs)
+        with Tape() as tape:
+            loss = nt.sum(nt.mul(forward(), weight))
+        if fail_first:
+            with pytest.raises((IndexError, ValueError)):
+                tape.nodes[0].bwd(bad_g)
+        backward(tape, loss)
+        grads.append([t.grad.tobytes() for t in inputs])
+    assert grads[0] == grads[1]
+
+
 def test_swiglu_stacked_shape_mismatch():
     z = lambda s: Tensor(np.zeros(s))
     with pytest.raises(ShapeError):  # 2 token blocks, 3 experts

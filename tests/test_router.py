@@ -40,9 +40,9 @@ def test_capacity_schedule_anchors():
     assert capacity_schedule(17, StageId.S512) == 4.0
     assert capacity_schedule(0, StageId.S256) is DENSE
     assert capacity_schedule(2, StageId.S1024) is DENSE
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigError):
         capacity_schedule(32, StageId.S256)
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigError):
         capacity_schedule(-1, StageId.S256)
 
 

@@ -9,7 +9,7 @@ from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual, fused_ln_s
                            fused_rms_modulate, joint_attention, qk_norm_rope,
                            rope_tables, sinusoidal_features)
 from nimg.moe import ExpertBank, grouped_forward, moe_forward, swiglu
-from nimg.router import ConfigError, StageId, capacity_for, route_full
+from nimg.router import ConfigError, StageId, capacity_for, capacity_schedule, route_full
 from nimg.tensor import (DomainError, NonScalarLoss, ShapeError, Tape, Tensor,
                          UnsupportedOp, backward)
 from oracles import grad_check, layernorm, tanh
@@ -290,6 +290,18 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
         (lambda: rms_modulate_on(ff_scale=(3, 4)), ShapeError, "modulation shape"),
     "attention_rope_tables_for_other_tokens":
         (lambda: attend(rope_tokens=4), ShapeError, "rope tables"),
+    "capacity_schedule_no_layers":
+        (lambda: capacity_schedule(0, StageId.S256, 0), ConfigError, "layer"),
+    "capacity_schedule_layer_past_the_last":
+        (lambda: capacity_schedule(32, StageId.S256), ConfigError, "layer"),
+    "capacity_schedule_fractional_layer":
+        (lambda: capacity_schedule(5.5, StageId.S256), ConfigError, "layer"),
+    "capacity_for_fractional_length":
+        (lambda: capacity_for(16.5, 4, 1.0), ConfigError, "capacity"),
+    "capacity_for_string_length":
+        (lambda: capacity_for("16", 4, 1.0), ConfigError, "capacity"),
+    "scatter_add_rows_fractional_row_count":
+        (lambda: nt.scatter_add_rows(M23, [0, 1], 2.5), ShapeError, "row count"),
 }
 
 
