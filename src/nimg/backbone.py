@@ -7,21 +7,25 @@ block is an exact identity at initialization. The fused residual /
 normalization ops are single tape nodes with hand-derived pullbacks and are
 contractually equivalent to their multi-op compositions, and each block's
 glue is folded into the node that reads it. fused_ln_scale is the whole
-adaLN modulate, LN(x) (1 + scale) + shift; fused_rms_modulate gives the MoE
-layer's router input and its modulated expert input at once. These nodes
-keep per-row statistics, not (B, S, d) arrays, and recompute the rest.
-Joint attention is one node too. It norms and rotates the image queries and
-keys itself (keeping only their inverse RMS) and runs one tile at a time,
-one sample and up to ATTENTION_TILE query rows: a tile's scores, mask and
-softmax share one buffer that stays in cache, and the node also keeps each
-score row's max and sum. Its pullback recomputes the rotated heads once and
-each tile's probabilities from the inputs and those statistics, sums the
-key and value gradients over the tiles in row order, so they are not
-bitwise those of one untiled pass (1.1e-15 relative at most in the
-desk-model checks), and ends with the QK-norm/RoPE pullback. The text keys'
-RMS norm and rotary rotation is one node, qk_norm_rope, recorded once per
-prompt set, which keeps only the inverse RMS; the two angle tables are built
-once per forward and shared by every layer.
+adaLN modulate, LN(x) (1 + scale) + shift, of the final layer;
+fused_rms_modulate gives the MoE layer's router input and its modulated
+expert input at once. These nodes keep per-row statistics, not (B, S, d)
+arrays, and recompute the rest.
+A block's whole attention branch is one node too, joint_attention: adaLN
+modulate, Q/K/V projections, the image QK-norm/RoPE, attention and the
+output projection. Its values and gradients are bitwise those of the chain
+of nodes it replaces. It keeps only per-row statistics (each token's
+LayerNorm mean and inverse std, each image query and key head's inverse
+RMS, each score row's max and sum) and runs one tile at a time, one sample
+and up to ATTENTION_TILE query rows: a tile's scores, mask and softmax
+share one buffer that stays in cache. Its pullback recomputes the modulated
+input, the projections, the rotated heads and each tile's probabilities and
+output from its inputs and those statistics. It sums the key and value
+gradients over the tiles in row order, so they are not bitwise those of one
+untiled pass (1.1e-15 relative at most in the desk-model checks). The text
+keys' RMS norm and rotary rotation is one node, qk_norm_rope, recorded once
+per prompt set, which keeps only the inverse RMS; the two angle tables are
+built once per forward and shared by every layer.
 
 Text is encoded by a deterministic hash embedder; per-layer text key/value
 tensors are a pure function of the prompt and are precomputed once per
@@ -281,18 +285,32 @@ def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 # attention
 
 
-def _check_attention_shapes(q: Tensor, k_img: Tensor, v_img: Tensor,
-                            k_txt: Tensor, v_txt: Tensor,
-                            text_mask: np.ndarray) -> None:
-    if q.ndim != 4:
-        raise ShapeError(f"attention q has shape {q.shape}; expected (B, S_i, H_q, d_h)")
-    B, S_i, H_q, d_h = q.shape
-    if k_img.ndim != 4 or k_img.shape[:2] != (B, S_i) or k_img.shape[3] != d_h:
-        raise ShapeError(f"attention k_img has shape {k_img.shape}; expected "
-                         f"({B}, {S_i}, H_kv, {d_h}) for q {q.shape}")
-    if v_img.shape != k_img.shape:
-        raise ShapeError(f"attention v_img shape {v_img.shape} != k_img {k_img.shape}")
-    H_kv = k_img.shape[2]
+def _check_attention_shapes(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor,
+                            wk: Tensor, wv: Tensor, wo: Tensor, k_txt: Tensor,
+                            v_txt: Tensor, text_mask: np.ndarray, cos: np.ndarray,
+                            sin: np.ndarray) -> tuple[int, int, int]:
+    """(H_q, H_kv, d_h) of joint_attention's inputs, or the typed error they
+    raise."""
+    if x.ndim != 3:
+        raise ShapeError(f"attention x has shape {x.shape}; expected (B, S_i, d)")
+    B, S_i, d = x.shape
+    _expand_mod(scale.data, x.shape)
+    _expand_mod(shift.data, x.shape)
+    if (np.ndim(cos) != 3 or np.shape(cos)[:2] != (S_i, 1) or np.shape(sin) != np.shape(cos)
+            or np.shape(cos)[2] % 2 or np.shape(cos)[2] == 0):
+        raise ShapeError(f"rope tables cos {np.shape(cos)} and sin {np.shape(sin)}; "
+                         f"expected ({S_i}, 1, d_h), d_h even, for x {x.shape}")
+    d_h = np.shape(cos)[2]
+    for name, w in (("wq", wq), ("wk", wk)):
+        if w.ndim != 2 or w.shape[0] != d or w.shape[1] % d_h:
+            raise ShapeError(f"attention {name} has shape {w.shape}; expected "
+                             f"({d}, heads * {d_h}) for x {x.shape} and d_h {d_h}")
+    if wv.shape != wk.shape:
+        raise ShapeError(f"attention wv shape {wv.shape} != wk {wk.shape}")
+    if wo.shape != (wq.shape[1], d):
+        raise ShapeError(f"attention wo has shape {wo.shape}; expected "
+                         f"({wq.shape[1]}, {d}) for wq {wq.shape}")
+    H_q, H_kv = wq.shape[1] // d_h, wk.shape[1] // d_h
     if H_kv == 0 or H_q % H_kv != 0:
         raise ConfigError(f"query heads {H_q} not a multiple of kv heads {H_kv}")
     if k_txt is None or v_txt is None or text_mask is None:
@@ -306,6 +324,9 @@ def _check_attention_shapes(q: Tensor, k_img: Tensor, v_img: Tensor,
     if np.shape(text_mask) != k_txt.shape[:2]:
         raise ShapeError(f"attention text_mask has shape {np.shape(text_mask)}; "
                          f"expected {k_txt.shape[:2]} (B, S_t)")
+    if S_i + k_txt.shape[1] == 0:
+        raise ShapeError("attention over no keys: no image or text tokens")
+    return H_q, H_kv, d_h
 
 
 #: Query rows per tile of joint_attention: a tile's scores at the desk shapes
@@ -314,75 +335,91 @@ def _check_attention_shapes(q: Tensor, k_img: Tensor, v_img: Tensor,
 ATTENTION_TILE = 64
 
 
-def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
-                    v_txt: Tensor, text_mask: np.ndarray, cos: np.ndarray,
-                    sin: np.ndarray) -> Tensor:
-    """Image queries attend over concatenated image and text KV; one tape node.
+def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Tensor,
+                    wv: Tensor, wo: Tensor, k_txt: Tensor, v_txt: Tensor,
+                    text_mask: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """A block's attention branch, adaLN modulate to output projection, as
+    one tape node.
 
-    q: (B, S_i, H_q, d_h) raw image queries; k/v img: (B, S_i, H_kv, d_h),
-    k_img raw; k/v txt (B, S_t, H_kv, d_h), k_txt already normed and rotated
-    (precompute_text_kv's qk_norm_rope); text_mask is a boolean (B, S_t)
-    validity mask; cos and sin are the (S_i, 1, d_h) image angle tables of
-    rope_tables. All are required: without text, S_t is 0 (what all-empty
-    prompts give), and the node still has five inputs, each of which gets a
-    gradient. Text contributes no queries, so scores are (S_i, S_i + S_t).
-    Returns (B, S_i, H_q * d_h). Mismatched or missing inputs raise
-    ShapeError.
+    x: (B, S_i, d) image tokens; scale and shift: (B, d) adaLN modulation,
+    broadcast over the tokens; wq: (d, H_q * d_h), wk and wv: (d, H_kv * d_h),
+    wo: (H_q * d_h, d); k/v txt: (B, S_t, H_kv, d_h), k_txt already normed
+    and rotated (precompute_text_kv's qk_norm_rope); text_mask: a boolean
+    (B, S_t) validity mask; cos and sin: the (S_i, 1, d_h) image angle
+    tables of rope_tables. d_h is read from the tables, H_q and H_kv from
+    the columns of wq and wk. All are required: without text, S_t is 0
+    (what all-empty prompts give), and each of the nine tensors still gets
+    a gradient. Text contributes no queries, so scores are (S_i, S_i + S_t).
+    Returns (B, S_i, d). Mismatched or missing inputs raise ShapeError, and
+    head counts where H_q is not a multiple of H_kv ConfigError.
 
-    The node applies QK-norm and 2-axis RoPE to q and k_img itself, with the
-    array helpers of qk_norm_rope, so its values are bitwise those of
-    qk_norm_rope-ed inputs. It keeps both inverse RMS arrays, (B, S_i, H, 1),
-    not the rotated heads: the pullback recomputes the rotated q and k once,
-    runs the attention pullback on them, then chains qk_norm_rope's pullback
-    to reach the raw q and k_img.
+    With LN a LayerNorm without affine parameters and QK the per-head RMS
+    norm and 2-axis RoPE of qk_norm_rope, the forward is
 
-    Grouped-query attention without repeating K/V: query head j * n_rep + r
-    reads kv head j, and within one kv head the n_rep query heads' rows are
-    stacked into one (n_rep * T, d_h) matrix.
+        a = LN(x) (1 + scale) + shift,   q = a W_q,   k = a W_k,   v = a W_v,
+        O = softmax(QK(q) [QK(k); k_txt]ᵀ / sqrt(d_h) + mask) [v; v_txt],
+        y = O W_o,
 
-    Forward and pullback run one tile at a time: one sample and a block of
+    by the numpy calls of the fused_ln_scale → matmul → reshape → attention
+    → matmul chain it replaces, so its values are bitwise that chain's.
+    Grouped-query attention does not repeat K/V: query head j * n_rep + r
+    reads kv head j, and within one kv head the n_rep query heads' rows
+    are stacked into one (n_rep * T, d_h) matrix.
+
+    The attention runs one tile at a time: one sample and a block of
     ATTENTION_TILE query rows (the last block of a sample may be shorter),
-    as in FlashAttention (Dao et al. 2022). A tile's scores S = Q Kᵀ over
-    all S_i + S_t keys are scaled, masked and softmaxed in place in one
-    buffer. The node keeps each row's max and sum (two (..., S_i, 1)
-    arrays): the pullback rebuilds the tile's Q from the recomputed heads
-    and recomputes P with the forward's exact sequence, so the recomputed P
-    is bitwise the forward's. With scale = 1/sqrt(d_h) and dO the output
-    gradient, each tile's pullback is
+    as in FlashAttention (Dao et al. 2022). A tile's scores S = Q Kᵀ over all
+    S_i + S_t keys are scaled, masked and softmaxed in place in one buffer.
+    The node keeps only per-row statistics: each token's LayerNorm mean and
+    inverse std (B, S_i, 1), the inverse RMS of every query and image key
+    head (B, S_i, H, 1), and each score row's max and sum. a, q, k, v, the
+    rotated heads and O are not kept (Chen et al. 2016). The pullback
+    recomputes a from x with _ln_xhat, then q, k and v by the same matmuls,
+    the rotated heads, and each tile's P and O = P V by the forward's exact
+    sequence, all bitwise the forward's. With G the output gradient and
+    c = 1/sqrt(d_h) it computes dO = G W_oᵀ, then per tile
 
-        dP = dO Vᵀ,   dS = P * (dP - rowsum(dP * P)) * scale,
+        dP = dO Vᵀ,   dS = P * (dP - rowsum(dP * P)) c,
         dQ = dS K,    dK += dSᵀ Q,   dV += Pᵀ dO,
 
-    where dK and dV of a sample accumulate over its tiles in row order, and
-    each tile's GEMM sums over its n_rep query heads and rows at once.
-    Gradients are therefore not bitwise those of one untiled pass. At the
-    desk shapes (256 image and 8 text tokens, 4 query heads per kv head, one
-    OpenBLAS thread) the output and dQ were bitwise the untiled node's, and
-    dK and dV moved by up to 1.1e-15 relative; so did the desk model's
-    parameter gradients. The per-head loop oracle in the tests holds values
-    and gradients to rtol 1e-12.
-    """
-    _check_attention_shapes(q, k_img, v_img, k_txt, v_txt, text_mask)
-    _check_tables(cos, sin, q.shape, "attention q")
-    B, S_i, H_q, d_h = q.shape
-    H_kv = k_img.shape[2]
-    n_rep = H_q // H_kv
-    scale = 1.0 / math.sqrt(d_h)
+    where dK and dV of a sample accumulate over its tiles in row order and
+    each tile's GEMM sums over its n_rep query heads and rows at once. Then
 
-    inputs = (q, k_img, v_img, k_txt, v_txt)
-    S_kv = S_i + k_txt.shape[1]
-    if S_kv == 0:
-        raise ShapeError("attention over no keys: no image or text tokens")
+        dW_o = Oᵀ G,   dq, dk = the QK-norm/RoPE pullback of dQ, dK,
+        da = dv W_vᵀ + dk W_kᵀ,   da += dq W_qᵀ,
+        dW_q = aᵀ dq,  dW_k = aᵀ dk,  dW_v = aᵀ dv,
+        dx = LN pullback of da (1 + scale),
+        dscale = sum over tokens of da x̂,   dshift = sum over tokens of da,
+
+    where each weight's product is formed per sample and summed over the
+    batch, as matmul's pullback does, and da sums the V, K and Q terms in
+    the order backward summed them for the chain. So gradients are bitwise
+    the chain's too.
+
+    The tiled sums make dK and dV, and so the gradients upstream of them,
+    not bitwise those of one untiled pass. At the desk shapes (256 image
+    and 8 text tokens, 4 query heads per kv head, one OpenBLAS thread) the
+    output and dQ were bitwise the untiled node's, and dK and dV moved by
+    up to 1.1e-15 relative; so did the desk model's parameter gradients.
+    The per-head loop oracle in the tests holds values and gradients to
+    rtol 1e-12.
+    """
+    H_q, H_kv, d_h = _check_attention_shapes(x, scale, shift, wq, wk, wv, wo,
+                                             k_txt, v_txt, text_mask, cos, sin)
+    B, S_i, _ = x.shape
+    n_rep = H_q // H_kv
+    qk_scale = 1.0 / math.sqrt(d_h)
+    sd, bd = _expand_mod(scale.data, x.shape), _expand_mod(shift.data, x.shape)
+    xd = x.data
     bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)     # (B, S_t)
     tiles = [(b, slice(r, min(r + ATTENTION_TILE, S_i)))
              for b in range(B) for r in range(0, S_i, ATTENTION_TILE)]
-    qd, kd = q.data, k_img.data
-    inv_q, inv_k = nt._rms_inv(qd), nt._rms_inv(kd)
+    projections = ((wq, H_q), (wk, H_kv), (wv, H_kv))
 
-    def heads_of(a: np.ndarray, b: int, rows: slice) -> np.ndarray:
+    def heads_of(t: np.ndarray, b: int, rows: slice) -> np.ndarray:
         """Rows of sample b of a (B, S_i, H_q * d_h)-sized array as
         (H_kv, n_rep * T, d_h): kv head, then query head and row."""
-        t = a.reshape(B, S_i, H_kv, n_rep, d_h)[b, rows].transpose(1, 2, 0, 3)
+        t = t.reshape(B, S_i, H_kv, n_rep, d_h)[b, rows].transpose(1, 2, 0, 3)
         return t.reshape(H_kv, -1, d_h)
 
     def put_heads(dst: np.ndarray, b: int, rows: slice, t: np.ndarray) -> None:
@@ -394,18 +431,28 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
         """(B, H_kv, S_kv, d_h): image keys (or values), then text."""
         return np.concatenate([img, txt], axis=1).transpose(0, 2, 1, 3).copy()
 
-    def rotated_heads():
-        """The normed and rotated q, and the key and value heads."""
-        kh = kv_heads(_norm_rope(kd, inv_k, cos, sin), k_txt.data)
-        return (_norm_rope(qd, inv_q, cos, sin), kh,
-                kv_heads(v_img.data, v_txt.data))
+    def modulated(xhat: np.ndarray) -> np.ndarray:
+        """a = x̂ (1 + scale) + shift, in a new buffer."""
+        a = xhat * (1.0 + sd)
+        a += bd
+        return a
 
-    def probs(b, rows, qt, kh, stats, fill):
+    def project(a: np.ndarray) -> list[np.ndarray]:
+        """The q, k and v heads of a, (B, S_i, H, d_h) each."""
+        return [np.matmul(a, w.data).reshape(B, S_i, H, d_h) for w, H in projections]
+
+    def rotated_heads(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
+        """The normed and rotated q, and the key and value heads of every
+        token."""
+        kh = kv_heads(_norm_rope(kd, inv_k, cos, sin), k_txt.data)
+        return _norm_rope(qd, inv_q, cos, sin), kh, kv_heads(vd, v_txt.data)
+
+    def probs(b, rows, qt, kh, fill):
         """P of one tile in its scores' buffer, (H_kv, n_rep * T, S_kv). With
         fill, the row max and sum are computed and stored into stats; else
         they are read from them."""
         p = np.matmul(qt, np.swapaxes(kh[b], -1, -2))
-        p *= scale
+        p *= qk_scale
         p[..., S_i:] += bias[b]
         row_max, row_sum = (s[b, :, :, rows] for s in stats)
         if fill:
@@ -417,35 +464,61 @@ def joint_attention(q: Tensor, k_img: Tensor, v_img: Tensor, k_txt: Tensor,
         p /= row_sum.reshape(H_kv, -1, 1)
         return p
 
+    xhat, mu, inv = nt._ln_stats(xd)
+    qd, kd, vd = project(modulated(xhat))
+    inv_q, inv_k = nt._rms_inv(qd), nt._rms_inv(kd)
     stats = (np.empty((B, H_kv, n_rep, S_i, 1)), np.empty((B, H_kv, n_rep, S_i, 1)))
-    qn, kh, vh = rotated_heads()
-    out = np.empty((B, S_i, H_q * d_h))
+    qn, kh, vh = rotated_heads(qd, kd, vd)
+    o = np.empty((B, S_i, H_q * d_h))
     for b, rows in tiles:
-        p = probs(b, rows, heads_of(qn, b, rows), kh, stats, fill=True)
-        put_heads(out, b, rows, np.matmul(p, vh[b]))
+        p = probs(b, rows, heads_of(qn, b, rows), kh, fill=True)
+        put_heads(o, b, rows, np.matmul(p, vh[b]))
 
     def bwd(g):
-        qn, kh, vh = rotated_heads()
-        gq = np.empty(q.shape)
+        xhat = nt._ln_xhat(xd, mu, inv)
+        a = modulated(xhat)
+        qd, kd, vd = project(a)
+        qn, kh, vh = rotated_heads(qd, kd, vd)
+        go = np.matmul(g, np.swapaxes(wo.data, -1, -2))          # dO
+        o = np.empty(go.shape)
+        gq = np.empty(qd.shape)
         gk, gv = np.zeros(kh.shape), np.zeros(vh.shape)          # (B, H_kv, S_kv, d_h)
         for b, rows in tiles:
-            qt, go = heads_of(qn, b, rows), heads_of(g, b, rows)
-            p = probs(b, rows, qt, kh, stats, fill=False)
-            gs = np.matmul(go, np.swapaxes(vh[b], -1, -2))      # dP, then dS in place
-            gv[b] += np.matmul(np.swapaxes(p, -1, -2), go)
+            qt, got = heads_of(qn, b, rows), heads_of(go, b, rows)
+            p = probs(b, rows, qt, kh, fill=False)
+            put_heads(o, b, rows, np.matmul(p, vh[b]))
+            gs = np.matmul(got, np.swapaxes(vh[b], -1, -2))      # dP, then dS in place
+            gv[b] += np.matmul(np.swapaxes(p, -1, -2), got)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
-            gs *= scale
+            gs *= qk_scale
             put_heads(gq, b, rows, np.matmul(gs, kh[b]))
             gk[b] += np.matmul(np.swapaxes(gs, -1, -2), qt)
-        del qn, kh, vh
+        del qn, kh, vh, go
+        g_wo = nt._sum_to(np.matmul(np.swapaxes(o, -1, -2), g), wo.shape)
+        del o
         gk, gv = gk.transpose(0, 2, 1, 3), gv.transpose(0, 2, 1, 3)  # (B, S_kv, H_kv, d_h)
-        return (_norm_rope_pullback(gq, qd, inv_q, cos, sin),
-                _norm_rope_pullback(np.ascontiguousarray(gk[:, :S_i]), kd, inv_k, cos, sin),
-                np.ascontiguousarray(gv[:, :S_i]),
+        gq = _norm_rope_pullback(gq, qd, inv_q, cos, sin)
+        g_kimg = _norm_rope_pullback(np.ascontiguousarray(gk[:, :S_i]), kd, inv_k, cos, sin)
+        g_vimg = np.ascontiguousarray(gv[:, :S_i])
+
+        def projection_pullback(w: Tensor, gh: np.ndarray):
+            """matmul's pullback of a W from the (B, S_i, H, d_h) heads' gradient."""
+            g2 = gh.reshape(B, S_i, w.shape[1])
+            return (np.matmul(g2, np.swapaxes(w.data, -1, -2)),
+                    nt._sum_to(np.matmul(np.swapaxes(a, -1, -2), g2), w.shape))
+
+        ga, g_wv = projection_pullback(wv, g_vimg)
+        ga_k, g_wk = projection_pullback(wk, g_kimg)
+        ga = ga + ga_k
+        ga_q, g_wq = projection_pullback(wq, gq)
+        ga += ga_q
+        return (nt._ln_bwd(xhat, inv, ga * (1.0 + sd)), (ga * xhat).sum(axis=1),
+                ga.sum(axis=1), g_wq, g_wk, g_wv, g_wo,
                 np.ascontiguousarray(gk[:, S_i:]), np.ascontiguousarray(gv[:, S_i:]))
 
-    return nt.record("joint_attention", inputs, (out,), bwd)[0]
+    return nt.record("joint_attention", (x, scale, shift, wq, wk, wv, wo, k_txt, v_txt),
+                     (np.matmul(o, wo.data),), bwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +857,7 @@ class MoEDiT:
             mod = nt.add(nt.matmul(t_vec, blk.mod_w), blk.mod_b)
             sa_shift, sa_scale, sa_gate, ff_scale, ff_gate = _chunks(mod, 5)
 
-            a_in = fused_ln_scale(x, sa_scale, sa_shift)
-            r_attn = self._attention(blk, a_in, ctx, rope)
+            r_attn = self._attention(blk, x, sa_scale, sa_shift, ctx, rope)
 
             if blk.dense:
                 h, f_in = fused_gate_res_ln_scale(x, sa_gate, r_attn, ff_scale)
@@ -809,13 +881,9 @@ class MoEDiT:
         vel = self.unpatchify(out, (gh, gw), z_t.shape)
         return vel, aux
 
-    def _attention(self, blk: Block, a_in: Tensor, ctx: TextContext,
-                   rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
-        cfg = self.cfg
-        B, S, _ = a_in.shape
-        q = nt.reshape(nt.matmul(a_in, blk.wq), (B, S, cfg.n_q_heads, cfg.head_dim))
-        k = nt.reshape(nt.matmul(a_in, blk.wk), (B, S, cfg.n_kv_heads, cfg.head_dim))
-        v = nt.reshape(nt.matmul(a_in, blk.wv), (B, S, cfg.n_kv_heads, cfg.head_dim))
-        attn = joint_attention(q, k, v, ctx.k_txt[blk.layer],
-                               ctx.v_txt[blk.layer], ctx.mask, *rope)
-        return nt.matmul(attn, blk.wo)
+    def _attention(self, blk: Block, x: Tensor, sa_scale: Tensor, sa_shift: Tensor,
+                   ctx: TextContext, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
+        """The block's attention branch on the residual stream x, before its
+        gate: one joint_attention node."""
+        return joint_attention(x, sa_scale, sa_shift, blk.wq, blk.wk, blk.wv, blk.wo,
+                               ctx.k_txt[blk.layer], ctx.v_txt[blk.layer], ctx.mask, *rope)

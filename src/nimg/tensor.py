@@ -30,14 +30,17 @@ may be the very array its pullback closure reads (no defensive copies), so
 writing into .data in place corrupts later gradients. A closure need not
 keep everything its pullback reads: it may keep a little and recompute the
 rest from the node's inputs and outputs. swiglu keeps its two
-up-projections, and grouped_forward every expert's. joint_attention keeps
-each score row's max and sum and the inverse RMS of every image query and
-key head, not the normed and rotated heads. qk_norm_rope keeps the inverse
-RMS of each head, and it and joint_attention share the two (S, 1, d_h)
-angle tables their caller built. The normalising modulation nodes keep
-only per-row statistics: fused_ln_scale and fused_gate_res_ln_scale each
-row's mean and inverse std (x̂ is recomputed from x, or from h, the node's
-own first output), fused_rms_modulate each row's inverse RMS. A fused op
+up-projections, and grouped_forward every expert's. joint_attention, a
+block's whole attention branch, keeps each token's LayerNorm mean and
+inverse std, the inverse RMS of every image query and key head and each
+score row's max and sum; it recomputes the modulated input, the Q/K/V
+projections, the rotated heads and the attention output from its input x
+and the weights. qk_norm_rope keeps the inverse RMS of each head, and it
+and joint_attention share the two (S, 1, d_h) angle tables their caller
+built. The normalising modulation nodes keep only per-row statistics:
+fused_ln_scale and fused_gate_res_ln_scale each row's mean and inverse std
+(x̂ is recomputed from x, or from h, the node's own first output),
+fused_rms_modulate each row's inverse RMS. A fused op
 that asks tracking() before its forward keeps nothing when no node will be
 recorded. A pullback may write into a buffer it allocated itself
 (qk_norm_rope forms its input gradient in one such buffer), but never into

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import tracemalloc
 import weakref
@@ -14,7 +15,8 @@ from nimg.backbone import (ATTENTION_TILE, ModelConfig, MoEDiT, fused_gate_res_l
 from nimg.router import StageId
 from nimg.tensor import ShapeError, Tape, Tensor, backward
 from oracles import grad_check, layernorm, rope_apply_grid, tanh, trunc_normal_loop
-from reference_model import attention_loop, reference_forward, rms_norm, rope_loop
+from reference_model import (attention_loop, layer_norm, reference_forward, rms_norm,
+                             rope_loop)
 
 PROMPTS = ["red cat under the old tree", "a quiet river"]
 
@@ -302,25 +304,107 @@ def test_fused_rms_modulate_is_bitwise_the_chain():
 
 def normed_rotated(x, pos_h, pos_w):
     """Per-head RMS norm, then the pair rotation loop: what joint_attention
-    does to its raw image queries and keys."""
+    does to its image queries and keys."""
     return rope_loop(np.apply_along_axis(rms_norm, -1, x), pos_h, pos_w)
 
 
-def attention_case(rng, B, S_i, S_t, H_kv, n_rep, d_h):
-    """Raw attention inputs, and grid positions for the S_i image tokens."""
-    arrays = {"q": rng.standard_normal((B, S_i, H_kv * n_rep, d_h)),
-              "k_img": rng.standard_normal((B, S_i, H_kv, d_h)),
-              "v_img": rng.standard_normal((B, S_i, H_kv, d_h)),
-              "k_txt": rng.standard_normal((B, S_t, H_kv, d_h)),
-              "v_txt": rng.standard_normal((B, S_t, H_kv, d_h))}
+ATTENTION_ARGS = ("x", "scale", "shift", "wq", "wk", "wv", "wo", "k_txt", "v_txt")
+
+
+def attention_case(rng, B, S_i, S_t, H_kv, n_rep, d_h, d=6):
+    """joint_attention's tensor inputs as arrays, and grid positions for the
+    S_i image tokens. d is not H_q * d_h, so wq and wo are not square."""
+    H_q = H_kv * n_rep
+    shapes = {"x": (B, S_i, d), "scale": (B, d), "shift": (B, d), "wq": (d, H_q * d_h),
+              "wk": (d, H_kv * d_h), "wv": (d, H_kv * d_h), "wo": (H_q * d_h, d),
+              "k_txt": (B, S_t, H_kv, d_h), "v_txt": (B, S_t, H_kv, d_h)}
+    arrays = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
     return arrays, np.arange(S_i) // 3, np.arange(S_i) % 3
 
 
 def attention_expected(arrays, mask, pos_h, pos_w):
-    """attention_loop on the normed and rotated image queries and keys."""
-    a = dict(arrays, q=normed_rotated(arrays["q"], pos_h, pos_w),
-             k_img=normed_rotated(arrays["k_img"], pos_h, pos_w))
-    return attention_loop(*a.values(), mask)
+    """The attention branch by numpy loops: LN modulate, the projections,
+    attention_loop on the normed and rotated image queries and keys, W_o."""
+    x, k_txt = arrays["x"], arrays["k_txt"]
+    B, S_i, _ = x.shape
+    d_h = k_txt.shape[3]
+    a = np.apply_along_axis(layer_norm, -1, x) * (1.0 + arrays["scale"][:, None])
+    a += arrays["shift"][:, None]
+    q, k, v = ((a @ arrays[w]).reshape(B, S_i, -1, d_h) for w in ("wq", "wk", "wv"))
+    o = attention_loop(normed_rotated(q, pos_h, pos_w), normed_rotated(k, pos_h, pos_w), v,
+                       k_txt, arrays["v_txt"], mask)
+    return o @ arrays["wo"]
+
+
+def heads_loop(q, k_img, v_img, k_txt, v_txt, mask, pos_h, pos_w):
+    """attention_loop on the tape, from tensor ops: the rmsnorm and RoPE
+    composition on the image queries and keys, then per sample and query
+    head a scaled, masked softmax over image then text keys."""
+    B, S_i, H_q, d_h = q.shape
+    H_kv = k_img.shape[2]
+    qn, kn = (rope_apply_grid(nt.rmsnorm(t), pos_h, pos_w) for t in (q, k_img))
+    k, v = nt.concat([kn, k_txt], axis=1), nt.concat([v_img, v_txt], axis=1)
+    valid = np.concatenate([np.ones((B, S_i), bool), mask], axis=1)
+    S_kv = valid.shape[1]
+    rows = []
+    for b, (qb, kb, vb) in enumerate(zip(*(nt.split(t, B) for t in (qn, k, v)))):
+        qs = nt.split(qb, H_q, axis=2)
+        ks, vs = nt.split(kb, H_kv, axis=2), nt.split(vb, H_kv, axis=2)
+        bias = Tensor(np.where(valid[b], 0.0, -np.inf))
+        outs = []
+        for h in range(H_q):
+            j = h // (H_q // H_kv)
+            kt = nt.transpose(nt.reshape(ks[j], (S_kv, d_h)), (1, 0))
+            s = nt.mul(nt.matmul(nt.reshape(qs[h], (S_i, d_h)), kt), 1.0 / math.sqrt(d_h))
+            p = nt.softmax(nt.add(s, bias))
+            outs.append(nt.matmul(p, nt.reshape(vs[j], (S_kv, d_h))))
+        rows.append(nt.reshape(nt.concat(outs, axis=1), (1, S_i, H_q * d_h)))
+    return nt.concat(rows, axis=0)
+
+
+def attention_composed(x, scale, shift, wq, wk, wv, wo, k_txt, v_txt, mask, pos_h, pos_w):
+    """The chain joint_attention folds, from tensor ops: ln_modulate, the
+    Q/K/V matmuls and reshapes, heads_loop, the W_o matmul."""
+    B, S_i, _ = x.shape
+    d_h = k_txt.shape[3]
+    a = ln_modulate(x, scale, shift)
+    q, k, v = (nt.reshape(nt.matmul(a, w), (B, S_i, w.shape[1] // d_h, d_h))
+               for w in (wq, wk, wv))
+    return nt.matmul(heads_loop(q, k, v, k_txt, v_txt, mask, pos_h, pos_w), wo)
+
+
+def weighted_grads(fn, arrays, w):
+    """fn's output on leaves made from arrays, and each leaf's gradient of
+    sum(output * w)."""
+    leaves = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
+    with Tape() as tape:
+        out = fn(**leaves)
+        loss = nt.sum(nt.mul(out, w))
+    backward(tape, loss)
+    return out.data, {n: t.grad for n, t in leaves.items()}
+
+
+def check_attention_against_oracles(arrays, mask, pos_h, pos_w, rng):
+    """joint_attention's values against the numpy loops and the composition,
+    and its nine input gradients against the composition's, at rtol 1e-12.
+    Returns the node as a function of its tensors, and an output weight."""
+    rope = rope_tables(pos_h, pos_w, len(pos_h), arrays["k_txt"].shape[3])
+
+    def attend(**ts):
+        return joint_attention(**ts, text_mask=mask, cos=rope[0], sin=rope[1])
+
+    def composed(**ts):
+        return attention_composed(**ts, mask=mask, pos_h=pos_h, pos_w=pos_w)
+
+    expect = attention_expected(arrays, mask, pos_h, pos_w)
+    w = Tensor(rng.standard_normal(expect.shape))
+    (out, grads), (out_c, grads_c) = (weighted_grads(f, arrays, w) for f in (attend, composed))
+    np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(out_c, expect, rtol=1e-12, atol=1e-14)
+    assert list(grads) == list(ATTENTION_ARGS)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, grads_c[name], rtol=1e-12, atol=1e-14, err_msg=name)
+    return attend, w
 
 
 @pytest.mark.parametrize("with_text", [True, False], ids=["text", "no_text"])
@@ -329,48 +413,34 @@ def test_joint_attention_matches_per_head_loop(n_rep, with_text):
     rng = np.random.default_rng(10)
     arrays, pos_h, pos_w = attention_case(rng, 2, 5, 3 if with_text else 0, 2, n_rep, 4)
     mask = np.array([[True, True, True], [True, False, False]])[:, :arrays["k_txt"].shape[1]]
-    rope = rope_tables(pos_h, pos_w, 5, 4)
-
-    def attend(**over):
-        ts = {n: over.get(n, Tensor(a)) for n, a in arrays.items()}
-        return joint_attention(**ts, text_mask=mask, cos=rope[0], sin=rope[1])
-
-    expect = attention_expected(arrays, mask, pos_h, pos_w)
-    np.testing.assert_allclose(attend().data, expect, rtol=1e-12, atol=1e-14)
-    w = Tensor(rng.standard_normal(expect.shape))
-    # h = 3e-5: the RMS norm leaves raw-q elements with gradients near 1e-5,
-    # on which the rounding error of h = 1e-5 differences is 1e-6 relative
-    for name in ("q", "k_img", "v_txt" if with_text else "v_img"):
-        rep = grad_check(lambda p, name=name: nt.sum(nt.mul(attend(**{name: p}), w)),
-                         Tensor(arrays[name]), h=3e-5)
+    attend, w = check_attention_against_oracles(arrays, mask, pos_h, pos_w, rng)
+    tensors = {n: Tensor(a) for n, a in arrays.items()}
+    for name in ATTENTION_ARGS:
+        if tensors[name].size == 0:
+            continue
+        rep = grad_check(lambda p, name=name: nt.sum(nt.mul(attend(**{**tensors, name: p}), w)),
+                         tensors[name], h=1e-5)
         assert rep.max_rel_err <= 1e-6, (name, rep.max_rel_err)
 
 
 @pytest.mark.parametrize("n_rep", [1, 4])
 def test_joint_attention_across_query_tiles_matches_per_head_loop(n_rep):
     """Two full query tiles and a ragged third per sample, padded text.
-    Differences cover every text value row, and the query and image key rows
-    on either side of each tile boundary: a query row's gradient comes from
-    its own tile, and every key row's sums over all tiles."""
+    Differences cover every text value row, and the image token rows on
+    either side of each tile boundary: a token's query gradient comes from
+    its own tile, and its key and value gradients sum over all tiles."""
     rng = np.random.default_rng(18)
     S_i = 2 * ATTENTION_TILE + 3
     arrays, pos_h, pos_w = attention_case(rng, 2, S_i, 3, 1, n_rep, 4)
     mask = np.array([[True, False, True], [True, True, False]])
-    rope = rope_tables(pos_h, pos_w, S_i, 4)
-
-    def attend(**over):
-        ts = {n: over.get(n, Tensor(a)) for n, a in arrays.items()}
-        return joint_attention(**ts, text_mask=mask, cos=rope[0], sin=rope[1])
-
-    expect = attention_expected(arrays, mask, pos_h, pos_w)
-    np.testing.assert_allclose(attend().data, expect, rtol=1e-12, atol=1e-14)
-    w = Tensor(rng.standard_normal(expect.shape))
-    edges = np.zeros((1, S_i, 1, 1), bool)
+    attend, w = check_attention_against_oracles(arrays, mask, pos_h, pos_w, rng)
+    tensors = {n: Tensor(a) for n, a in arrays.items()}
+    edges = np.zeros((1, S_i, 1), bool)
     edges[:, [ATTENTION_TILE - 1, ATTENTION_TILE, 2 * ATTENTION_TILE - 1,
               2 * ATTENTION_TILE, S_i - 1]] = True
-    for name, where in (("q", edges), ("k_img", edges), ("v_txt", None)):
-        rep = grad_check(lambda p, name=name: nt.sum(nt.mul(attend(**{name: p}), w)),
-                         Tensor(arrays[name]), h=1e-5, where=where)
+    for name, where in (("x", edges), ("v_txt", None)):
+        rep = grad_check(lambda p, name=name: nt.sum(nt.mul(attend(**{**tensors, name: p}), w)),
+                         tensors[name], h=1e-5, where=where)
         assert rep.max_rel_err <= 1e-6, (name, rep.max_rel_err)
 
 
@@ -475,10 +545,11 @@ def test_forward_records_qk_norm_rope_for_text_keys_only():
     assert not {"rotate_pairs", "rmsnorm"} & set(text_ops + ops)
     assert ops.count("fused_rms_modulate") == sum(not blk.dense for blk in model.blocks)
     made_by = {id(o): n.op for n in text_tape.nodes + tape.nodes for o in n.outputs}
-    for node in (n for n in tape.nodes if n.op == "joint_attention"):
-        q, k_img, _, k_txt, _ = node.inputs
-        assert [made_by[id(t)] for t in (q, k_img, k_txt)] == ["reshape", "reshape",
-                                                              "qk_norm_rope"]
+    attention = [n for n in tape.nodes if n.op == "joint_attention"]
+    assert len(attention) == len(model.blocks)
+    for node in attention:   # no image head is an input: x, scale, shift, 4 weights, text K/V
+        assert [t.ndim for t in node.inputs] == [3, 2, 2, 2, 2, 2, 2, 4, 4]
+        assert made_by[id(node.inputs[7])] == "qk_norm_rope"
 
 
 def test_no_taped_forward_records_a_broadcast_or_concat():
@@ -503,7 +574,7 @@ DESK = ModelConfig(n_layers=8, d_model=128, n_q_heads=4, n_kv_heads=1, head_dim=
                    n_experts=16, expert_hidden=128)
 
 
-def test_desk_training_step_records_261_nodes():
+def test_desk_training_step_records_197_nodes():
     """The train_desk step (text K/V, forward and MSE loss on one tape) at
     the desk model; the node count does not depend on the latent size."""
     rng = np.random.default_rng(28)
@@ -516,8 +587,8 @@ def test_desk_training_step_records_261_nodes():
         nt.mean(nt.mul(diff, diff))
     ops = [n.op for n in tape.nodes]
     n_moe = sum(not blk.dense for blk in model.blocks)
-    assert len(ops) == 261
-    assert ops.count("fused_ln_scale") == len(model.blocks) + 1    # every block, final layer
+    assert len(ops) == 197
+    assert ops.count("fused_ln_scale") == 1    # the final layer; blocks modulate in joint_attention
     assert ops.count("fused_rms_modulate") == ops.count("grouped_forward") == n_moe == 5
     assert ops.count("qk_norm_rope") == ops.count("joint_attention") == len(model.blocks)
 
@@ -567,19 +638,30 @@ def test_training_step_releases_every_ffn_up_projection():
 
 
 def test_forward_records_one_fused_attention_node_per_block():
+    """Each block's attention branch, adaLN modulate to W_o, is one node. Of
+    its 12 arguments, the 9 tensors are its inputs: the residual stream, the
+    block's shift and scale, its four projections and its text K/V. The
+    node is the only reader of all but the residual stream."""
     rng = np.random.default_rng(13)
     model = MoEDiT(ModelConfig())
     with Tape() as tape:
-        velocity(model, latent(rng), rng.uniform(0.0, 1.0, 2))
+        ctx = model.precompute_text_kv(PROMPTS)
+        model.forward(latent(rng), rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)
+    assert len(inspect.signature(joint_attention).parameters) == 12
     attention = [n for n in tape.nodes if n.op == "joint_attention"]
     assert len(attention) == len(model.blocks)
     # the routers' softmaxes are the only ones left
     n_moe = sum(not blk.dense for blk in model.blocks)
     assert sum(n.op == "softmax" for n in tape.nodes) == n_moe
-    for node in attention:
-        assert len(node.inputs) == 5  # q, image K/V, text K/V
-        for kv in node.inputs[1:]:
-            consumers = [m.op for m in tape.nodes if any(i is kv for i in m.inputs)]
+    made_by = {id(o): n.op for n in tape.nodes for o in n.outputs}
+    for blk, node in zip(model.blocks, attention):
+        x, scale, shift, *rest = node.inputs
+        assert made_by[id(x)] == ("add" if blk.layer == 0 else "fused_gated_residual")
+        assert made_by[id(scale)] == made_by[id(shift)] == "split"
+        owned = [blk.wq, blk.wk, blk.wv, blk.wo, ctx.k_txt[blk.layer], ctx.v_txt[blk.layer]]
+        assert len(rest) == len(owned) and all(t is o for t, o in zip(rest, owned))
+        for t in node.inputs[1:]:
+            consumers = [m.op for m in tape.nodes if any(i is t for i in m.inputs)]
             assert consumers == ["joint_attention"]
 
 
@@ -599,26 +681,28 @@ def test_forward_records_one_grouped_forward_node_per_moe_layer():
 
 
 def attention_inputs(rng):
-    """q, k/v img, k/v txt, a text mask padding sample 1 and the image rope
-    tables; 2 queries per kv head."""
-    q = Tensor(rng.standard_normal((2, 5, 4, 4)), requires_grad=True)
-    kv = [Tensor(rng.standard_normal((2, S, 2, 4)), requires_grad=True)
-          for S in (5, 5, 4, 4)]
+    """joint_attention's nine tensors, all requiring grad, then a text mask
+    padding sample 1 and the image rope tables: d = 16, 4 query heads over
+    2 kv heads of width 4, 5 image and 4 text tokens."""
+    p = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
     mask = np.array([[True, True, True, True], [True, True, False, False]])
-    return q, *kv, mask, *rope_tables(np.arange(5) // 2, np.arange(5) % 2, 5, 4)
+    return (p(2, 5, 16), p(2, 16), p(2, 16), p(16, 16), p(16, 8), p(16, 8), p(16, 16),
+            p(2, 4, 2, 4), p(2, 4, 2, 4), mask,
+            *rope_tables(np.arange(5) // 2, np.arange(5) % 2, 5, 4))
 
 
 def test_padded_text_positions_get_zero_kv_gradient():
     rng = np.random.default_rng(14)
-    q, k_img, v_img, k_txt, v_txt, mask, cos, sin = attention_inputs(rng)
+    args = attention_inputs(rng)
+    tensors, (k_txt, v_txt), mask = args[:7], args[7:9], args[9]
     with Tape() as tape:
-        out = joint_attention(q, k_img, v_img, k_txt, v_txt, mask, cos, sin)
+        out = joint_attention(*args)
         loss = nt.sum(nt.mul(out, Tensor(rng.standard_normal(out.shape))))
     backward(tape, loss)
     for t in (k_txt, v_txt):
         assert not t.grad[~mask].any()  # exactly zero, not merely small
         assert t.grad[mask].all()
-    for t in (q, k_img, v_img):
+    for t in tensors:
         assert t.grad.all()
 
 
@@ -647,25 +731,30 @@ def held_by_tape(record):
         tracemalloc.stop()
 
 
-def test_taped_joint_attention_keeps_no_score_sized_array():
-    """Nor any (B, S_i, H, d_h) head array: only the output, each score
-    row's max and sum and the inverse RMS of every query and key head."""
+def test_taped_joint_attention_keeps_only_row_statistics():
+    """Besides its output, the node keeps each token's LayerNorm mean and
+    inverse std, the inverse RMS of every query and image key head, and
+    each score row's max and sum: no (B, S_i, d) array such as the
+    modulated input, no head array (q, k, v, their rotations, O) and no
+    score array."""
     rng = np.random.default_rng(16)
-    B, S_i, S_t, H_kv, n_rep, d_h = 1, 256, 16, 1, 2, 32
-    q = Tensor(rng.standard_normal((B, S_i, H_kv * n_rep, d_h)), requires_grad=True)
-    kv = [Tensor(rng.standard_normal((B, S, H_kv, d_h)), requires_grad=True)
-          for S in (S_i, S_i, S_t, S_t)]
+    B, S_i, S_t, H_kv, n_rep, d_h, d = 1, 256, 16, 1, 2, 32, 64
+    H_q = H_kv * n_rep
+    p = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
+    args = (p(B, S_i, d), p(B, d), p(B, d), p(d, H_q * d_h), p(d, H_kv * d_h),
+            p(d, H_kv * d_h), p(H_q * d_h, d), p(B, S_t, H_kv, d_h), p(B, S_t, H_kv, d_h))
     mask = np.arange(S_t)[None, :] < 12
     rope = rope_tables(np.arange(S_i) // 16, np.arange(S_i) % 16, S_i, d_h)  # the caller's
     outs = []
-    held, tape = held_by_tape(lambda: outs.append(joint_attention(q, *kv, mask, *rope)))
+    held, tape = held_by_tape(lambda: outs.append(joint_attention(*args, mask, *rope)))
     assert len(tape.nodes) == 1
-    row_stats = 2 * B * H_kv * n_rep * S_i * 8   # each row's max and sum
-    inv_rms = B * S_i * (H_kv * n_rep + H_kv) * 8
+    ln_stats = 2 * B * S_i * 8
+    inv_rms = B * S_i * (H_q + H_kv) * 8
+    row_stats = 2 * B * H_q * S_i * 8
     kept = held - outs[0].data.nbytes
-    assert kept < S_i * (S_i + S_t) * 8   # less than one head's P
-    assert kept < kv[0].data.nbytes       # less than the smallest head array
-    assert kept <= row_stats + inv_rms + 16 * 1024, kept
+    assert kept < S_i * (S_i + S_t) * 8       # less than one head's P
+    assert kept < B * S_i * H_kv * d_h * 8    # less than the smallest head array, k or v
+    assert kept <= ln_stats + inv_rms + row_stats + 16 * 1024, kept
 
 
 @pytest.mark.parametrize("name", ["fused_ln_scale", "fused_gate_res_ln_scale",
@@ -693,7 +782,8 @@ def test_second_backward_doubles_every_grad_bitwise():
     gradients again, bit for bit. Every fused node of the model is on the
     tape."""
     rng = np.random.default_rng(17)
-    q, k_img, v_img, k_txt, v_txt, mask, cos, sin = attention_inputs(rng)
+    args = attention_inputs(rng)
+    x_in, cos, sin = args[0], *args[-2:]
     param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
     bank = moe.ExpertBank(param(2, 6, 16), param(2, 6, 16), param(2, 16, 6),  # 2 experts, h = 6
                           param(6, 16), param(6, 16), param(16, 6))
@@ -702,7 +792,7 @@ def test_second_backward_doubles_every_grad_bitwise():
     mods = [param(2, 16) for _ in range(6)]
     weigh = lambda y: nt.sum(nt.mul(y, Tensor(rng.standard_normal(y.shape))))
     with Tape() as tape:
-        att = joint_attention(q, k_img, v_img, k_txt, v_txt, mask, cos, sin)   # (2, 5, 16)
+        att = joint_attention(*args)                                   # (2, 5, 16)
         a_in = fused_ln_scale(att, mods[0], mods[1])
         h, m = fused_gate_res_ln_scale(att, mods[2], a_in, mods[3])
         x = fused_gated_residual(h, mods[4], m)
@@ -710,10 +800,10 @@ def test_second_backward_doubles_every_grad_bitwise():
         ffn = moe.swiglu(nt.reshape(m, (10, 16)), *dense)
         grouped = moe.grouped_forward(nt.reshape(x_mod, (10, 16)), [[0, 3, 7], [3, 9, 1]],
                                       gates, bank)
-        roped = qk_norm_rope(q, cos, sin)                              # q also feeds attention
+        roped = qk_norm_rope(nt.reshape(x_in, (2, 5, 4, 4)), cos, sin)  # x_in also feeds attention
         loss = nt.add(nt.add(nt.add(weigh(n), weigh(ffn)), weigh(grouped)), weigh(roped))
     params = (bank.w1, bank.w3, bank.w2, bank.shared_w1, bank.shared_w3, bank.shared_w2)
-    tensors = [q, k_img, v_img, k_txt, v_txt, *params, *dense, gates, *mods,
+    tensors = [*args[:9], *params, *dense, gates, *mods,
                *(o for node in tape.nodes for o in node.outputs)]
     backward(tape, loss)
     first = [t.grad.copy() for t in tensors]

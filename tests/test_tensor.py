@@ -111,15 +111,19 @@ def text_kv_of(prompts):
         return MoEDiT(ModelConfig()).precompute_text_kv(prompts)
 
 
-def attend(q=(2, 5, 4, 4), kv_img=(2, 5, 2, 4), k_txt=(2, 3, 2, 4), v_txt=(2, 3, 2, 4),
-           mask=(2, 3), v_img=None, rope_tokens=None):
-    """joint_attention on zero tensors of the given shapes; None omits an input.
-    The rope tables are for kv_img's tokens, or for rope_tokens tokens."""
+def attend(x=(2, 5, 16), scale=(2, 16), shift=(2, 16), wq=(16, 16), wk=(16, 8), wv=None,
+           wo=(16, 16), k_txt=(2, 3, 2, 4), v_txt=(2, 3, 2, 4), mask=(2, 3), rope_tokens=None,
+           d_h=4):
+    """joint_attention on zero tensors of the given shapes: by default d = 16,
+    4 query and 2 kv heads of width d_h = 4. None omits an input; wv=None
+    takes wk's shape. The (S, 1, d_h) rope tables are for x's tokens, or for
+    rope_tokens tokens."""
     z = lambda shape: None if shape is None else Tensor(np.zeros(shape))
-    S = kv_img[1] if rope_tokens is None else rope_tokens
-    tables = rope_tables(np.zeros(S), np.arange(S), S, kv_img[3])
-    return joint_attention(z(q), z(kv_img), z(v_img or kv_img), z(k_txt), z(v_txt),
-                           None if mask is None else np.ones(mask, bool), *tables)
+    S = x[1] if rope_tokens is None else rope_tokens
+    tables = np.ones((S, 1, d_h)), np.ones((S, 1, d_h))
+    return joint_attention(z(x), z(scale), z(shift), z(wq), z(wk), z(wv or wk), z(wo),
+                           z(k_txt), z(v_txt), None if mask is None else np.ones(mask, bool),
+                           *tables)
 
 
 def modulate_on(x=(2, 3, 4), scale=(2, 4), shift=(2, 4)):
@@ -202,15 +206,29 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "attention_mask_2x4": (lambda: attend(mask=(2, 4)), ShapeError, "text_mask"),
     "attention_mask_without_text":
         (lambda: attend(k_txt=None, v_txt=None), ShapeError, "text_mask"),
-    "attention_kv_batch": (lambda: attend(kv_img=(3, 5, 2, 4)), ShapeError, "k_img"),
-    "attention_kv_length": (lambda: attend(kv_img=(2, 6, 2, 4)), ShapeError, "k_img"),
-    "attention_kv_head_dim": (lambda: attend(kv_img=(2, 5, 2, 8)), ShapeError, "k_img"),
-    "attention_v_img_shape":
-        (lambda: attend(v_img=(2, 5, 1, 4)), ShapeError, "v_img"),
-    "attention_3d_q": (lambda: attend(q=(2, 5, 16)), ShapeError, "q"),
+    "attention_kv_batch":   # image tokens of 3 samples, text K/V of 2
+        (lambda: attend(x=(3, 5, 16), scale=(3, 16), shift=(3, 16)), ShapeError, "k_txt"),
+    "attention_kv_length": (lambda: attend(wk=(12, 8)), ShapeError, "attention wk"),
+    "attention_kv_head_dim": (lambda: attend(wk=(16, 10)), ShapeError, "attention wk"),
+    "attention_v_img_shape": (lambda: attend(wv=(16, 4)), ShapeError, "attention wv"),
+    "attention_3d_q": (lambda: attend(x=(10, 16)), ShapeError, "attention x"),
     "attention_no_keys":
-        (lambda: attend((2, 0, 4, 4), (2, 0, 2, 4), (2, 0, 2, 4), (2, 0, 2, 4), (2, 0)),
+        (lambda: attend(x=(2, 0, 16), k_txt=(2, 0, 2, 4), v_txt=(2, 0, 2, 4), mask=(2, 0)),
          ShapeError, "no keys"),
+    "attention_wq_rows": (lambda: attend(wq=(8, 16)), ShapeError, "attention wq"),
+    "attention_wq_columns_not_whole_heads":
+        (lambda: attend(wq=(16, 18)), ShapeError, "attention wq"),
+    "attention_wo_columns": (lambda: attend(wo=(16, 8)), ShapeError, "attention wo"),
+    "attention_wo_rows_not_wq_columns":
+        (lambda: attend(wo=(12, 16)), ShapeError, "attention wo"),
+    "attention_query_heads_not_a_multiple_of_kv_heads":
+        (lambda: attend(wk=(16, 12), k_txt=(2, 3, 3, 4), v_txt=(2, 3, 3, 4)),
+         ConfigError, "kv heads"),
+    "attention_zero_kv_heads": (lambda: attend(wk=(16, 0)), ConfigError, "kv heads"),
+    "attention_scale_per_token":
+        (lambda: attend(scale=(2, 5, 16)), ShapeError, "modulation shape"),
+    "attention_shift_batch": (lambda: attend(shift=(3, 16)), ShapeError, "modulation shape"),
+    "attention_rope_tables_odd_head_dim": (lambda: attend(d_h=3), ShapeError, "rope tables"),
     "rmsnorm_0d": (lambda: nt.rmsnorm(Tensor(1.0)), ShapeError, "0-d"),
     "swiglu_0d_x": (lambda: swiglu(Tensor(1.0), M23, M23, M23), ShapeError, "swiglu"),
     "route_full_2d_state": (lambda: route_on((6, 4)), ShapeError, "router state"),
