@@ -3,18 +3,16 @@
 Blocks pair grouped-query joint attention (image queries over concatenated
 image and text KV) with either a dense SwiGLU FFN or a sparse MoE layer.
 Timestep conditioning enters through zero-initialized modulation, so every
-block is an exact identity at initialization. The fused residual /
-normalization ops are single tape nodes with hand-derived pullbacks and are
-contractually equivalent to their multi-op compositions, and each block's
-glue is folded into the node that reads it. fused_ln_scale is the whole
-adaLN modulate, LN(x) (1 + scale) + shift, of the final layer;
-fused_rms_modulate gives the MoE layer's router input and its modulated
-expert input at once. These nodes keep per-row statistics, not (B, S, d)
-arrays, and recompute the rest.
-A block's whole attention branch is one node too, joint_attention: adaLN
+block is an exact identity at initialization. A block records five tape
+nodes: the modulation matmul, add and split, its attention branch and its
+FFN half. The fused nodes have hand-derived pullbacks, their values and
+gradients are bitwise those of the chains of nodes they replace, and they
+keep per-row statistics, not (B, S, d) arrays, and recompute the rest.
+fused_ln_scale is the whole adaLN modulate, LN(x) (1 + scale) + shift, of
+the final layer.
+A block's whole attention branch is one node, joint_attention: adaLN
 modulate, Q/K/V projections, the image QK-norm/RoPE, attention and the
-output projection. Its values and gradients are bitwise those of the chain
-of nodes it replaces. It keeps only per-row statistics (each token's
+output projection. It keeps only per-row statistics (each token's
 LayerNorm mean and inverse std, each image query and key head's inverse
 RMS, each score row's max and sum) and runs one tile at a time, one sample
 and up to ATTENTION_TILE query rows: a tile's scores, mask and softmax
@@ -26,6 +24,11 @@ untiled pass (1.1e-15 relative at most in the desk-model checks). The text
 keys' RMS norm and rotary rotation is one node, qk_norm_rope, recorded once
 per prompt set, which keeps only the inverse RMS; the two angle tables are
 built once per forward and shared by every layer.
+A block's FFN half is one node too, from the attention output to the next
+residual stream: both gated residuals, the norm and modulation, and the
+dense SwiGLU (moe.dense_ffn_half) or the expert-choice routing and the
+experts (moe.moe_forward). fused_gated_residual and fused_gate_res_ln_scale
+are the gated residuals as nodes of their own; the model records neither.
 
 Text is encoded by a deterministic hash embedder; per-layer text key/value
 tensors are a pure function of the prompt and are precomputed once per
@@ -45,7 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as nt
-from .moe import ExpertBank, moe_forward, swiglu
+# swiglu is not called here: perfbench/layertrace.py times it under this
+# module's name as well as moe's, so Tracer.install needs it in both.
+from .moe import ExpertBank, dense_ffn_half, moe_forward, swiglu  # noqa: F401
 from .router import DENSE_LAYERS, ConfigError, StageId, capacity_schedule
 from .tensor import DomainError, ShapeError, Tensor, UnsupportedOp
 
@@ -54,20 +59,18 @@ from .tensor import DomainError, ShapeError, Tensor, UnsupportedOp
 # fused modulation kernels (one tape node each)
 
 
-def _expand_mod(m: np.ndarray, like_shape: tuple[int, ...]) -> np.ndarray:
-    """(B, d) modulation as (B, 1, d), broadcast over the tokens of (B, S, d)."""
-    if len(like_shape) != 3 or m.shape != (like_shape[0], like_shape[2]):
-        raise ShapeError(f"modulation shape {m.shape} is not (B, d) for "
-                         f"activations {like_shape}")
-    return m[:, None, :]
-
-
 def fused_gated_residual(x: Tensor, g: Tensor, r: Tensor) -> Tensor:
     """x + tanh(g) * r in one pass; g is (B, d) broadcast over tokens.
-    tanh(0) = 0 gates the branch fully off."""
+    tanh(0) = 0 gates the branch fully off.
+
+    The model does not record it (moe's FFN-half nodes apply both gated
+    residuals inside themselves), but perfbench/layertrace.py looks it up in
+    this module's __dict__ to time it, so deleting it makes Tracer.install
+    raise KeyError.
+    """
     if r.shape != x.shape:
         raise ShapeError(f"residual shape {r.shape} != {x.shape}")
-    th = np.tanh(_expand_mod(g.data, x.shape))
+    th = np.tanh(nt._expand_mod(g.data, x.shape))
     rd = r.data
     out = x.data + th * rd
 
@@ -85,8 +88,8 @@ def fused_ln_scale(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     each row's mean and inverse std, (B, S, 1) each; its pullback recomputes
     x̂ from x with _ln_stats' ops, so bitwise the forward's.
     """
-    sd = _expand_mod(scale.data, x.shape)
-    bd = _expand_mod(shift.data, x.shape)
+    sd = nt._expand_mod(scale.data, x.shape)
+    bd = nt._expand_mod(shift.data, x.shape)
     xd = x.data
     out, mu, inv = nt._ln_stats(xd)
     out *= 1.0 + sd
@@ -106,12 +109,14 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
     Returns (h, m) with h = x + tanh(g) * r (the updated residual stream)
     and m = LayerNorm(h) * (1 + s). The node keeps tanh(g) and each row's
     mean and inverse std of h; its pullback recomputes x̂ from h, its own
-    first output.
+    first output. The model does not record it (moe.dense_ffn_half folds it),
+    but perfbench/layertrace.py looks it up in this module's __dict__ to
+    time it, so deleting it makes Tracer.install raise KeyError.
     """
     if r.shape != x.shape:
         raise ShapeError(f"residual shape {r.shape} != {x.shape}")
-    th = np.tanh(_expand_mod(g.data, x.shape))
-    sd = _expand_mod(s.data, x.shape)
+    th = np.tanh(nt._expand_mod(g.data, x.shape))
+    sd = nt._expand_mod(s.data, x.shape)
     rd = r.data
     h = x.data + th * rd
     m, mu, inv = nt._ln_stats(h)
@@ -124,42 +129,6 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
         return dh, dg, dh * th, (Gm * xhat).sum(axis=1)
 
     return nt.record("fused_gate_res_ln_scale", (x, g, r, s), (h, m), bwd)
-
-
-def fused_rms_modulate(h: Tensor, ff_scale: Tensor, c: float) -> tuple[Tensor, Tensor]:
-    """The MoE layer's two inputs in one pass: (n, n * (1 + ff_scale)) with
-    n = RMSNorm(h) * c.
-
-    h is (B, S, d) and ff_scale (B, d), broadcast over tokens (ShapeError
-    otherwise); c is a constant. n is what the router scores, and the
-    modulated n what the experts run on. The values are bitwise those of the
-    rmsnorm → mul → reshape → add → mul chain this node replaces. It keeps
-    only the inverse RMS, (B, S, 1). With Gn and Gm the gradients of its two
-    outputs, the pullback is
-
-        gn = (Gm (1 + ff_scale) + Gn) c,
-        dh = gn inv - h (sum(gn h) inv³ / d),   dff_scale = sum over tokens of Gm n,
-
-    which sums the same terms in the same order as the engine did for the
-    chain, so gradients are bitwise equal too.
-    """
-    sd = _expand_mod(ff_scale.data, h.shape)
-    hd = h.data
-    inv = nt._rms_inv(hd)
-    n = hd * inv
-    n *= c
-    m = n * (1.0 + sd)
-
-    def bwd(Gn, Gm):
-        gn = Gm * (1.0 + sd)
-        gn += Gn
-        gn *= c
-        dot = (gn * hd).sum(axis=-1, keepdims=True)
-        gh = gn * inv
-        gh -= hd * (dot * inv ** 3 / hd.shape[-1])
-        return gh, (Gm * n).sum(axis=1)
-
-    return nt.record("fused_rms_modulate", (h, ff_scale), (n, m), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +263,8 @@ def _check_attention_shapes(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor,
     if x.ndim != 3:
         raise ShapeError(f"attention x has shape {x.shape}; expected (B, S_i, d)")
     B, S_i, d = x.shape
-    _expand_mod(scale.data, x.shape)
-    _expand_mod(shift.data, x.shape)
+    nt._expand_mod(scale.data, x.shape)
+    nt._expand_mod(shift.data, x.shape)
     if (np.ndim(cos) != 3 or np.shape(cos)[:2] != (S_i, 1) or np.shape(sin) != np.shape(cos)
             or np.shape(cos)[2] % 2 or np.shape(cos)[2] == 0):
         raise ShapeError(f"rope tables cos {np.shape(cos)} and sin {np.shape(sin)}; "
@@ -409,7 +378,7 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     B, S_i, _ = x.shape
     n_rep = H_q // H_kv
     qk_scale = 1.0 / math.sqrt(d_h)
-    sd, bd = _expand_mod(scale.data, x.shape), _expand_mod(shift.data, x.shape)
+    sd, bd = nt._expand_mod(scale.data, x.shape), nt._expand_mod(shift.data, x.shape)
     xd = x.data
     bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)     # (B, S_t)
     tiles = [(b, slice(r, min(r + ATTENTION_TILE, S_i)))
@@ -819,8 +788,8 @@ class MoEDiT:
         sinusoidal_features), and stage a StageId (ConfigError otherwise,
         checked before anything runs). z_t is (B, C, H, W) with B, H and W
         at least 1 (ShapeError, checked first). Returns (velocity, aux)
-        where aux carries the tape-connected router logits and the routing
-        decisions of every MoE layer.
+        where aux carries each MoE layer's router logits, a (B, S, E) array
+        off the tape, and its routing decisions.
         """
         cfg = self.cfg
         if (z_t.ndim != 4 or z_t.shape[1] != cfg.latent_channels
@@ -860,19 +829,15 @@ class MoEDiT:
             r_attn = self._attention(blk, x, sa_scale, sa_shift, ctx, rope)
 
             if blk.dense:
-                h, f_in = fused_gate_res_ln_scale(x, sa_gate, r_attn, ff_scale)
-                f2 = nt.reshape(f_in, (B * gh * gw, cfg.d_model))
-                f_out = swiglu(f2, blk.ffn_w1, blk.ffn_w3, blk.ffn_w2)
-                x = fused_gated_residual(h, ff_gate, nt.reshape(f_out, x.shape))
+                x = dense_ffn_half(x, r_attn, sa_gate, ff_scale, ff_gate,
+                                   blk.ffn_w1, blk.ffn_w3, blk.ffn_w2)
             else:
-                h = fused_gated_residual(x, sa_gate, r_attn)
-                x_norm, x_mod = fused_rms_modulate(h, ff_scale, 1.0 / math.sqrt(blk.layer + 1))
                 cf = capacity_schedule(blk.layer, stage, n_layers=cfg.n_layers)
-                moe_out, decisions, routing = moe_forward(
-                    x_norm, x_mod, t_vec, cf, blk.bank, blk.router_gate)
+                x, decisions, routing = moe_forward(
+                    x, r_attn, sa_gate, ff_scale, ff_gate, t_vec, blk.router_gate,
+                    blk.bank, cf, 1.0 / math.sqrt(blk.layer + 1))
                 aux["router_logits"].append(routing["logits"])
                 aux["decisions"].append((blk.layer, decisions))
-                x = fused_gated_residual(h, ff_gate, moe_out)
 
         fmod = nt.add(nt.matmul(t_vec, self.final_mod_w), self.final_mod_b)
         f_shift, f_scale = _chunks(fmod, 2)

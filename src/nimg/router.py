@@ -5,6 +5,16 @@ term, x_norm W_x + t_emb W_t; each expert then claims its top-capacity
 tokens, which makes per-expert load exactly uniform by construction. Gates
 are the raw per-token softmax scores renormalized over the experts that
 claimed the token.
+
+Routing runs on arrays, off the tape: route_full is the forward and
+route_pullback its gradient. The model calls both from inside the MoE
+block's one tape node (moe.moe_forward), which keeps route_full's scores,
+claim mask, gates and token_flat for the pullback. route_full's numpy calls
+are those of the taped split → matmul → reshape → matmul → add → softmax →
+mul → sum → add → div → reshape → gather_rows chain it replaces, and
+route_pullback sums that chain's pullback terms in the order backward ran
+them, so values and gradients are bitwise the chain's (tests/oracles.py
+keeps the chain as route_chain).
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as nt
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
 
 class ConfigError(ValueError):
@@ -85,37 +95,56 @@ def _topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
     return order[..., :k]
 
 
-def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: float):
-    """Routing pass keeping gates and logits on the tape.
+def _gate_terms(scores: np.ndarray, claimed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """kept = scores * claimed and each token's gate normaliser
+    den = sum_E kept + GATE_EPS, (B, S, 1); the dense gates are kept / den."""
+    kept = scores * claimed
+    den = kept.sum(axis=-1, keepdims=True)
+    den += GATE_EPS
+    return kept, den
+
+
+def _cells(token_flat: np.ndarray, E: int) -> np.ndarray:
+    """The (E, B*cap) index of each claimed cell in the flat (B*S*E,) scores:
+    token * E + expert, expert-major like token_flat."""
+    experts = np.repeat(np.arange(E, dtype=np.int64), token_flat.size // E)
+    return (token_flat * E + experts).reshape(E, -1)
+
+
+def route_full(x_norm: np.ndarray, t_emb: np.ndarray, w_r: np.ndarray,
+               capacity_factor: float):
+    """One routing pass on arrays; nothing is recorded.
 
     x_norm: (B, S, d) unmodulated token state; t_emb: (B, d) timestep
     embedding; w_r: (2d, E) router weight, whose column count is the number
     of experts; its token half W_x and timestep half W_t give the logits
-    x_norm W_x + t_emb W_t. Returns (decisions, routing) where
-    decisions is one RouterDecision per sample and routing carries the
-    tape-connected gates plus the flat row index token_flat into (B*S, d),
-    expert-major (e, b, slot); reshaped to (E, B*cap), row e is expert e's
-    block of distinct tokens. A token's gate total is a sum over its dense
-    row of E scores: gates = kept / (sum_E kept + GATE_EPS) with kept =
-    scores * claimed, the constant 0/1 mask of the cells the experts
-    selected. routing["gates"] is one block gather of the claimed cells,
-    shaped (E, B*cap, 1) like the expert outputs it scales.
+    x_norm W_x + t_emb W_t. Returns (decisions, routing) where decisions is
+    one RouterDecision per sample and routing carries the arrays the MoE
+    node needs: the flat row index token_flat into (B*S, d), expert-major
+    (e, b, slot), which reshaped to (E, B*cap) gives in row e expert e's
+    block of distinct tokens; the softmax scores (B, S, E); the boolean
+    claim mask claimed (B, S, E) of the cells the experts selected; and the
+    gates, (E, B*cap, 1) like the expert outputs they scale. A token's gate
+    total is a sum over its dense row of E scores: gates = kept / (sum_E
+    kept + GATE_EPS) with kept = scores * claimed, gathered at the claimed
+    cells. A state that is not (B, S, d) raises ShapeError, a weight that is
+    not (2d, E >= 1) ConfigError, and a t_emb that is not (B, d) ShapeError.
     """
-    if x_norm.ndim != 3:
-        raise ShapeError(f"router state has shape {x_norm.shape}; expected (B, S, d)")
+    if np.ndim(x_norm) != 3:
+        raise ShapeError(f"router state has shape {np.shape(x_norm)}; expected (B, S, d)")
     B, S, d = x_norm.shape
-    if w_r.ndim != 2 or w_r.shape[0] != 2 * d or w_r.shape[1] < 1:
-        raise ConfigError(f"router weight shape {w_r.shape}, expected ({2 * d}, E >= 1)")
+    if np.ndim(w_r) != 2 or w_r.shape[0] != 2 * d or w_r.shape[1] < 1:
+        raise ConfigError(f"router weight shape {np.shape(w_r)}, expected ({2 * d}, E >= 1)")
+    if np.shape(t_emb) != (B, d):
+        raise ShapeError(f"router t_emb has shape {np.shape(t_emb)}; expected ({B}, {d})")
     E = w_r.shape[1]
     capacity = capacity_for(S, E, capacity_factor)
 
-    w_x, w_t = nt.split(w_r, 2, axis=0)                       # (d, E) each
-    t_term = nt.reshape(nt.matmul(t_emb, w_t), (B, 1, E))     # once per sample
-    logits = nt.add(nt.matmul(x_norm, w_x), t_term)           # (B, S, E)
-    scores = nt.softmax(logits, axis=-1)
+    t_term = np.matmul(t_emb, w_r[d:]).reshape(B, 1, E)        # once per sample
+    logits = np.matmul(x_norm, w_r[:d]) + t_term                # (B, S, E)
+    scores = nt._softmax(logits)
 
-    # Selection is index arithmetic off-tape; gate values flow on-tape.
-    affinity_np = scores.data.transpose(0, 2, 1)                     # (B, E, S)
+    affinity_np = scores.transpose(0, 2, 1)                           # (B, E, S)
     top = _topk_rows(affinity_np, capacity)                           # (B, E, cap)
 
     # Flat dispatch order is expert-major (e, b, slot) so expert segments
@@ -123,28 +152,65 @@ def route_full(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: floa
     top_eb = top.transpose(1, 0, 2)                                   # (E, B, cap)
     batch_off = (np.arange(B, dtype=np.int64) * S)[None, :, None]
     token_flat = (top_eb + batch_off).reshape(-1)                     # (E*B*cap,)
-    expert_ids = np.repeat(np.arange(E, dtype=np.int64), B * capacity)
-    cell_flat = token_flat * E + expert_ids
-    claimed = np.bincount(cell_flat, minlength=B * S * E).reshape(B, S, E)  # 0/1
-    kept = nt.mul(scores, Tensor(claimed))
-    dense_gates = nt.div(kept, nt.add(nt.sum(kept, axis=-1, keepdims=True), GATE_EPS))
-    gates = nt.gather_rows(nt.reshape(dense_gates, (B * S * E, 1)),
-                           cell_flat.reshape(E, B * capacity))         # (E, B*cap, 1)
+    cells = _cells(token_flat, E)
+    claimed = np.zeros(B * S * E, bool)
+    claimed[cells.reshape(-1)] = True
+    claimed = claimed.reshape(B, S, E)
+    kept, den = _gate_terms(scores, claimed)
+    gates = (kept / den).reshape(B * S * E, 1)[cells]                 # (E, B*cap, 1)
 
-    gates_np = gates.data.reshape(E, B, capacity)
+    gates_np = gates.reshape(E, B, capacity)
     aff_sel = np.take_along_axis(affinity_np, top, axis=-1)
     decisions = [RouterDecision(top_indices=top[b].copy(),
                                 affinity=aff_sel[b].copy(),
                                 gates=gates_np[:, b, :].copy(),
-                                logits=logits.data[b].copy(),
+                                logits=logits[b].copy(),
                                 capacity=capacity)
                  for b in range(B)]
 
     routing = {
-        "gates": gates,                 # tape tensor (E, B*cap, 1)
-        "logits": logits,               # tape tensor (B, S, E)
+        "gates": gates,                 # (E, B*cap, 1)
+        "logits": logits,               # (B, S, E)
+        "scores": scores,               # (B, S, E)
+        "claimed": claimed,             # (B, S, E) bool
         "token_flat": token_flat,       # flat row index into (B*S, d)
         "capacity": capacity,
         "shape": (B, S, E),
     }
     return decisions, routing
+
+
+def route_pullback(dgates: np.ndarray, x_norm: np.ndarray, t_emb: np.ndarray,
+                   w_r: np.ndarray, scores: np.ndarray, claimed: np.ndarray,
+                   token_flat: np.ndarray):
+    """The gradients (dx_norm, dt_emb, dw_r) of route_full's gates from
+    dgates, their (E, B*cap, 1) gradient, given the pass's inputs and its
+    scores, claim mask and token_flat.
+
+    With gd the gradient of the dense gates (dgates added into the claimed
+    cells of zeros), kept and den as in route_full and L the logits, it runs
+    the chain's pullbacks in the order backward ran them:
+
+        gkept = gd / den + sum_E(-gd kept / den²)      (div, then sum)
+        gs = gkept * claimed,   gL = s (gs - sum_E(gs s))   (mul, softmax)
+        dx_norm = gL W_xᵀ,   dW_x = sum over samples of x_normᵀ gL,
+        gt = sum over tokens of gL,   dt_emb = gt W_tᵀ,   dW_t = t_embᵀ gt,
+        dw_r = [dW_x; dW_t],
+
+    where the second term of gkept is the cross-expert normaliser term: a
+    token's gate moves with the scores of every expert that claimed it.
+    """
+    B, S, E = scores.shape
+    d = x_norm.shape[-1]
+    gd = nt._add_blocks(np.zeros((B * S * E, 1)), _cells(token_flat, E), dgates)
+    gd = gd.reshape(B, S, E)
+    kept, den = _gate_terms(scores, claimed)
+    gkept = gd / den
+    gkept += nt._sum_to(-gd * kept / (den * den), den.shape)
+    gs = gkept * claimed
+    gl = scores * (gs - (gs * scores).sum(axis=-1, keepdims=True))
+    w_x, w_t = w_r[:d], w_r[d:]
+    gx = np.matmul(gl, w_x.T)
+    gw_x = nt._sum_to(np.matmul(np.swapaxes(x_norm, -1, -2), gl), w_x.shape)
+    gt = nt._sum_to(gl, (B, 1, E)).reshape(B, E)
+    return gx, np.matmul(gt, w_t.T), np.concatenate((gw_x, np.matmul(t_emb.T, gt)), axis=0)

@@ -12,44 +12,47 @@ recorded (a constant table, a mask, a Python scalar) gets None from the
 pullback, so its gradient is never formed.
 
 Every normalisation (rmsnorm here, the LayerNorm statistics the fused
-modulation ops in backbone share, the RMS norm inside
-backbone.fused_rms_modulate, and the QK-norm inside backbone.qk_norm_rope
-and backbone.joint_attention) uses the one constant NORM_EPS.
+modulation ops in backbone and moe.dense_ffn_half share, the RMS norm
+inside moe.moe_forward, and the QK-norm inside backbone.qk_norm_rope and
+backbone.joint_attention) uses the one constant NORM_EPS.
 grad_check, the finite-difference check the tests use, lives in
 tests/oracles.py, not in the package.
 
 Row gather and scatter take a 1-d (one block) or 2-d (G, n) block index in
 which no row repeats within a block (ShapeError otherwise), so each block
-is one exact fancy-index add. The model's expert-choice dispatch and combine
-do not go through them: moe.grouped_forward validates its (E, n) index with
-the same _row_index, then gathers, computes and adds back one expert's
-block of rows at a time, each block one fancy-index add as in _add_blocks.
+is one exact fancy-index add. The model records neither: moe's expert FFN
+gathers, computes and adds back one expert's (E, n)-indexed block of rows
+at a time, each block one fancy-index add as in _add_blocks, and the
+router's pullback adds its gate gradients into the claimed cells with
+_add_blocks itself.
 
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
 writing into .data in place corrupts later gradients. A closure need not
 keep everything its pullback reads: it may keep a little and recompute the
-rest from the node's inputs and outputs. swiglu keeps its two
-up-projections, and grouped_forward every expert's. joint_attention, a
-block's whole attention branch, keeps each token's LayerNorm mean and
-inverse std, the inverse RMS of every image query and key head and each
-score row's max and sum; it recomputes the modulated input, the Q/K/V
-projections, the rotated heads and the attention output from its input x
-and the weights. qk_norm_rope keeps the inverse RMS of each head, and it
-and joint_attention share the two (S, 1, d_h) angle tables their caller
-built. The normalising modulation nodes keep only per-row statistics:
-fused_ln_scale and fused_gate_res_ln_scale each row's mean and inverse std
-(x̂ is recomputed from x, or from h, the node's own first output),
-fused_rms_modulate each row's inverse RMS. A fused op
+rest from the node's inputs and outputs. joint_attention, a block's whole
+attention branch, keeps each token's LayerNorm mean and inverse std, the
+inverse RMS of every image query and key head and each score row's max
+and sum; it recomputes the modulated input, the Q/K/V projections, the
+rotated heads and the attention output from its input x and the weights.
+The FFN-half nodes, moe.dense_ffn_half and moe.moe_forward, keep both
+tanh(gate)s, each row's LayerNorm mean and inverse std or inverse RMS, the
+FFN's output F and its up-projections (the dense SwiGLU's pair, or every
+expert's), and moe_forward the router's token_flat, gates, (B, S, E)
+scores and claim mask; they recompute the residual stream h = x +
+tanh(sa_gate) r_attn and the normalised and modulated inputs from x and
+r_attn. qk_norm_rope keeps the inverse RMS of each head, and it and
+joint_attention share the two (S, 1, d_h) angle tables their caller
+built. fused_ln_scale keeps each row's mean and inverse std. A fused op
 that asks tracking() before its forward keeps nothing when no node will be
 recorded. A pullback may write into a buffer it allocated itself
 (qk_norm_rope forms its input gradient in one such buffer), but never into
 what its closure keeps, because backward may run it twice on one tape and
 both runs must get the same gradients. A closure may drop what it kept
 once its pullback has run, if a repeated run recomputes it bitwise from
-the node's inputs: swiglu and grouped_forward release each pair of
-up-projections after their pullback's first use of it, and a second
-backward recomputes the pair by the same matmul.
+the node's inputs: the FFN nodes release each pair of up-projections after
+their pullback's first use of it, and a second backward recomputes the
+pair by the same matmul.
 A pullback returns either arrays it allocates or its incoming gradients
 (and views of them), never an array its closure keeps.
 After backward, a leaf's .grad (a tensor no recorded node produced) is
@@ -241,6 +244,14 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _expand_mod(m: np.ndarray, like_shape: tuple[int, ...]) -> np.ndarray:
+    """(B, d) modulation as (B, 1, d), broadcast over the tokens of (B, S, d)."""
+    if len(like_shape) != 3 or m.shape != (like_shape[0], like_shape[2]):
+        raise ShapeError(f"modulation shape {m.shape} is not (B, d) for "
+                         f"activations {like_shape}")
+    return m[:, None, :]
+
+
 def _ew_shapes(a: Tensor, b: Tensor, op: str) -> None:
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -354,6 +365,11 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Tensors joined along axis, one node.
+
+    The model records none; the tests' compositions use it, and
+    perfbench/layertrace.py times it by name, so it stays.
+    """
     tensors = [as_tensor(t) for t in tensors]
     try:  # numpy reports rank, dim and axis mismatches as ValueError
         out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -414,7 +430,10 @@ def _add_blocks(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarra
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Rows of a by a 1-d or 2-d block index, shaped indices.shape + a.shape[1:].
 
-    A row may repeat across blocks but not within one (ShapeError).
+    A row may repeat across blocks but not within one (ShapeError). The
+    model records none (routing runs off the tape inside moe.moe_forward);
+    the tests' chain oracles use it, and perfbench/layertrace.py times it by
+    name, so it stays.
     """
     a = as_tensor(a)
     if a.ndim == 0:
@@ -429,7 +448,9 @@ def scatter_add_rows(values: Tensor, indices, n_rows: int) -> Tensor:
     """Add values, shaped indices.shape + row shape, into n_rows zero rows.
 
     indices is a 1-d or 2-d block index with no row twice in one block
-    (ShapeError); blocks add in order, bitwise as numpy's add.at.
+    (ShapeError); blocks add in order, bitwise as numpy's add.at. The model
+    records none; the tests' compositions use it, and
+    perfbench/layertrace.py times it by name, so it stays.
     """
     values = as_tensor(values)
     idx = _row_index(indices, n_rows, "scatter_add_rows")
@@ -477,15 +498,24 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(total, 1.0 / n)
 
 
+def _softmax(da: np.ndarray, axis: int = -1) -> np.ndarray:
+    """exp(da - max) / sum(exp(da - max)) along axis, in a new buffer."""
+    e = np.exp(da - da.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along axis, one node.
+
+    The model records none (router.route_full calls _softmax off the tape,
+    inside moe.moe_forward); the tests' chain oracles use it, and
+    perfbench/layertrace.py times it by name, so it stays.
+    """
     a = as_tensor(a)
-    da = a.data
     try:
-        m = da.max(axis=axis, keepdims=True)
+        s = _softmax(a.data, axis)
     except ValueError as e:
         raise ShapeError(f"softmax of {a.shape} over axis {axis}: {e}") from None
-    e = np.exp(da - m)
-    s = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         dot = (g * s).sum(axis=axis, keepdims=True)

@@ -10,11 +10,12 @@ import pytest
 from nimg import moe
 from nimg import tensor as nt
 from nimg.backbone import (ATTENTION_TILE, ModelConfig, MoEDiT, fused_gate_res_ln_scale,
-                           fused_gated_residual, fused_ln_scale, fused_rms_modulate,
-                           joint_attention, qk_norm_rope, rope_tables, trunc_normal)
+                           fused_gated_residual, fused_ln_scale, joint_attention, qk_norm_rope,
+                           rope_tables, trunc_normal)
 from nimg.router import StageId
 from nimg.tensor import ShapeError, Tape, Tensor, backward
-from oracles import grad_check, layernorm, rope_apply_grid, tanh, trunc_normal_loop
+from oracles import (fused_rms_modulate, grad_check, layernorm, rope_apply_grid, tanh,
+                     trunc_normal_loop)
 from reference_model import (attention_loop, layer_norm, reference_forward, rms_norm,
                              rope_loop)
 
@@ -116,6 +117,79 @@ def test_whole_model_directional_fd():
 
     numeric = (loss_at(eps) - loss_at(-eps)) / (2.0 * eps)
     assert abs(numeric - analytic) / max(abs(numeric), abs(analytic)) <= 1e-6
+
+
+def expert_token_sets(aux) -> list[np.ndarray]:
+    """Each MoE layer's selection: every expert's sorted token set, per sample."""
+    return [np.sort(np.stack([dec.top_indices for dec in decisions]), axis=-1)
+            for _, decisions in aux["decisions"]]
+
+
+def per_tensor_directional_fd(cfg: ModelConfig, stage: StageId, seed: int,
+                              step: float = 1e-3, halvings: int = 12) -> dict[str, float]:
+    """For each parameter tensor p alone: the relative error between p.grad · v
+    and a 4-point central difference of the MSE loss along a random unit
+    direction v in p. The stencil's step starts at `step` and is halved
+    until every expert selects the same tokens at all four points as at the
+    base point, so the difference never crosses a routing decision."""
+    rng = np.random.default_rng(seed)
+    model = MoEDiT(cfg)
+    randomise_modulation(model, rng)
+    params = model.named_parameters()
+    z, t, target = latent(rng), rng.uniform(0.0, 1.0, 2), latent(rng)
+
+    def run():
+        vel, aux = model.forward(z, t, model.precompute_text_kv(PROMPTS), stage)
+        diff = nt.sub(vel, target)
+        return nt.mean(nt.mul(diff, diff)), expert_token_sets(aux)
+
+    with Tape() as tape:
+        loss, base_sets = run()
+    backward(tape, loss)
+    errors = {}
+    for name, p in params.items():
+        v = rng.standard_normal(p.shape)
+        v /= np.linalg.norm(v)
+        analytic = float((p.grad * v).sum())
+        base, h = p.data, step
+        for _ in range(halvings):
+            values = []
+            for k in (-2.0, -1.0, 1.0, 2.0):
+                p.data = base + (k * h) * v
+                with nt.no_grad():
+                    value, sets = run()
+                values.append(value.item())
+                if any(a.tobytes() != b.tobytes() for a, b in zip(sets, base_sets)):
+                    break
+            else:
+                break
+            h /= 2.0
+        else:
+            raise AssertionError(f"{name}: selection moved at every step down to {h:.1e}")
+        p.data = base
+        fm2, fm1, fp1, fp2 = values
+        numeric = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+        errors[name] = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-12)
+    return errors
+
+
+#: Relative-error bounds of per_tensor_directional_fd. Clean runs over seeds
+#: 0-11 at S512 and S1024 gave at most 1.3e-4 on the router gates (whose
+#: directional derivatives are the smallest) and 3.1e-5 on every other tensor.
+FD_TOL_ROUTER, FD_TOL = 1e-3, 2e-4
+
+
+@pytest.mark.parametrize("stage", [StageId.S512, StageId.S1024], ids=lambda s: s.name)
+def test_per_tensor_directional_fd_with_expert_choice(stage):
+    """Whole-model gradients where routing is not trivial: 6 layers and 8
+    experts over 16 tokens, so each expert takes 8 (S512) or 8, 8 and 4
+    (S1024) of them, and the selection and the cross-expert gate normaliser
+    get a gradient check. Each parameter tensor is checked alone."""
+    errors = per_tensor_directional_fd(ModelConfig(n_layers=6, n_experts=8), stage, seed=0)
+    assert len(errors) == 88
+    bad = {n: e for n, e in errors.items()
+           if e > (FD_TOL_ROUTER if n.endswith("router.gate") else FD_TOL)}
+    assert not bad, bad
 
 
 def test_text_kv_computed_once_across_denoising_steps():
@@ -530,8 +604,8 @@ def test_taped_qk_norm_rope_keeps_only_inverse_rms_and_tables():
 def test_forward_records_qk_norm_rope_for_text_keys_only():
     """Text keys get their own qk_norm_rope node, once per prompt set; the
     image queries and keys are normed and rotated inside joint_attention,
-    and the MoE router-input norm inside fused_rms_modulate, so no rmsnorm
-    node is left."""
+    and the MoE router-input norm inside moe_forward, so no rmsnorm node is
+    left."""
     rng = np.random.default_rng(23)
     model = MoEDiT(ModelConfig())
     with Tape() as text_tape:
@@ -543,7 +617,7 @@ def test_forward_records_qk_norm_rope_for_text_keys_only():
     assert text_ops.count("qk_norm_rope") == len(model.blocks)
     assert "qk_norm_rope" not in ops
     assert not {"rotate_pairs", "rmsnorm"} & set(text_ops + ops)
-    assert ops.count("fused_rms_modulate") == sum(not blk.dense for blk in model.blocks)
+    assert ops.count("moe_forward") == sum(not blk.dense for blk in model.blocks)
     made_by = {id(o): n.op for n in text_tape.nodes + tape.nodes for o in n.outputs}
     attention = [n for n in tape.nodes if n.op == "joint_attention"]
     assert len(attention) == len(model.blocks)
@@ -564,17 +638,17 @@ def test_no_taped_forward_records_a_broadcast_or_concat():
         model.forward(latent(rng), rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)
     ops = [n.op for n in text_tape.nodes + tape.nodes]
     assert "broadcast_to" not in ops and "concat" not in ops
-    # one SwiGLU path: a routed-and-shared expert node per MoE layer, and
-    # swiglu nodes only for the dense FFNs
-    assert ops.count("grouped_forward") == sum(not blk.dense for blk in model.blocks) == 3
-    assert ops.count("swiglu") == sum(blk.dense for blk in model.blocks) == 3
+    # one FFN-half node per block: moe_forward for the MoE layers and
+    # dense_ffn_half for the dense ones
+    assert ops.count("moe_forward") == sum(not blk.dense for blk in model.blocks) == 3
+    assert ops.count("dense_ffn_half") == sum(blk.dense for blk in model.blocks) == 3
 
 
 DESK = ModelConfig(n_layers=8, d_model=128, n_q_heads=4, n_kv_heads=1, head_dim=32,
                    n_experts=16, expert_hidden=128)
 
 
-def test_desk_training_step_records_197_nodes():
+def test_desk_training_step_records_100_nodes():
     """The train_desk step (text K/V, forward and MSE loss on one tape) at
     the desk model; the node count does not depend on the latent size."""
     rng = np.random.default_rng(28)
@@ -587,29 +661,28 @@ def test_desk_training_step_records_197_nodes():
         nt.mean(nt.mul(diff, diff))
     ops = [n.op for n in tape.nodes]
     n_moe = sum(not blk.dense for blk in model.blocks)
-    assert len(ops) == 197
+    assert len(ops) == 100
     assert ops.count("fused_ln_scale") == 1    # the final layer; blocks modulate in joint_attention
-    assert ops.count("fused_rms_modulate") == ops.count("grouped_forward") == n_moe == 5
+    assert ops.count("moe_forward") == n_moe == 5
+    assert ops.count("dense_ffn_half") == len(model.blocks) - n_moe
     assert ops.count("qk_norm_rope") == ops.count("joint_attention") == len(model.blocks)
 
 
-def ffn_up_projection_bytes(node) -> int:
-    """Bytes of the h1 and h3 an FFN node keeps after its forward: one pair
-    of (rows, h) arrays per routed expert and one for the shared expert, or
-    one pair for a dense swiglu."""
-    if node.op == "swiglu":
-        x, w1 = node.inputs[:2]
-        return 2 * x.shape[0] * w1.shape[0] * 8
-    if node.op == "grouped_forward":
-        x, gates, w1, _, _, shared_w1 = node.inputs[:6]
-        E, n = gates.shape[:2]
-        return 2 * (E * n * w1.shape[1] + x.shape[0] * shared_w1.shape[0]) * 8
-    return 0
+def ffn_up_projection_bytes(node, capacity: int) -> int:
+    """Bytes of the h1 and h3 an FFN-half node keeps after its forward: one
+    pair of (rows, h) arrays per routed expert, each of B * capacity rows,
+    and one for the shared expert, or one pair for a dense block."""
+    x = node.inputs[0]
+    B, S, _ = x.shape
+    if node.op == "dense_ffn_half":
+        return 2 * B * S * node.inputs[5].shape[0] * 8
+    w_r, w1, shared_w1 = node.inputs[6], node.inputs[7], node.inputs[10]
+    return 2 * (w_r.shape[1] * B * capacity * w1.shape[1] + B * S * shared_w1.shape[0]) * 8
 
 
 def test_training_step_releases_every_ffn_up_projection():
     """After backward, with every .grad dropped, the tape holds less than
-    after the forward by exactly the FFN nodes' up-projections (within
+    after the forward by exactly the FFN-half nodes' up-projections (within
     8 KiB): each node released its h1 and h3 once its pullback had run."""
     rng = np.random.default_rng(40)
     model = MoEDiT(ModelConfig())
@@ -620,8 +693,8 @@ def test_training_step_releases_every_ffn_up_projection():
         before = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
             ctx = model.precompute_text_kv(PROMPTS)
-            diff = nt.sub(model.forward(z, rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)[0],
-                          target)
+            vel, aux = model.forward(z, rng.uniform(0.0, 1.0, 2), ctx, StageId.S256)
+            diff = nt.sub(vel, target)
             loss = nt.mean(nt.mul(diff, diff))
         after_forward = tracemalloc.get_traced_memory()[0] - before
         backward(tape, loss)
@@ -630,9 +703,11 @@ def test_training_step_releases_every_ffn_up_projection():
         after_backward = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    released = sum(ffn_up_projection_bytes(node) for node in tape.nodes)
-    n_ffn = sum(node.op in ("swiglu", "grouped_forward") for node in tape.nodes)
-    assert n_ffn == len(model.blocks)
+    ffn = [node for node in tape.nodes if node.op in ("dense_ffn_half", "moe_forward")]
+    assert [node.op == "moe_forward" for node in ffn] == [not blk.dense for blk in model.blocks]
+    capacities = iter(decisions[0].capacity for _, decisions in aux["decisions"])
+    released = sum(ffn_up_projection_bytes(node, next(capacities) if node.op == "moe_forward"
+                                           else 0) for node in ffn)
     assert abs(after_forward - after_backward - released) <= 8 * 1024, (
         after_forward, after_backward, released)
 
@@ -650,13 +725,14 @@ def test_forward_records_one_fused_attention_node_per_block():
     assert len(inspect.signature(joint_attention).parameters) == 12
     attention = [n for n in tape.nodes if n.op == "joint_attention"]
     assert len(attention) == len(model.blocks)
-    # the routers' softmaxes are the only ones left
-    n_moe = sum(not blk.dense for blk in model.blocks)
-    assert sum(n.op == "softmax" for n in tape.nodes) == n_moe
+    # the routers softmax inside moe_forward, off the tape
+    assert not any(n.op == "softmax" for n in tape.nodes)
     made_by = {id(o): n.op for n in tape.nodes for o in n.outputs}
+    half = {True: "dense_ffn_half", False: "moe_forward"}
     for blk, node in zip(model.blocks, attention):
         x, scale, shift, *rest = node.inputs
-        assert made_by[id(x)] == ("add" if blk.layer == 0 else "fused_gated_residual")
+        assert made_by[id(x)] == ("add" if blk.layer == 0
+                                  else half[model.blocks[blk.layer - 1].dense])
         assert made_by[id(scale)] == made_by[id(shift)] == "split"
         owned = [blk.wq, blk.wk, blk.wv, blk.wo, ctx.k_txt[blk.layer], ctx.v_txt[blk.layer]]
         assert len(rest) == len(owned) and all(t is o for t, o in zip(rest, owned))
@@ -665,19 +741,34 @@ def test_forward_records_one_fused_attention_node_per_block():
             assert consumers == ["joint_attention"]
 
 
-def test_forward_records_one_grouped_forward_node_per_moe_layer():
-    """The routed FFN is one node: no combine scatter and no (E, B*cap, d)
-    expert-row array on the tape."""
+def test_forward_records_one_ffn_half_node_per_block():
+    """Each block records exactly the modulation matmul, add and split,
+    joint_attention and one FFN-half node, whose output is the next
+    residual stream. Inside a block only r_attn and x' are (B, S, d) node
+    outputs: no h, normalised or modulated input, expert output, router
+    array or (E, B*cap, d) expert rows is on the tape."""
     rng = np.random.default_rng(18)
-    model = MoEDiT(ModelConfig())
+    model = MoEDiT(ModelConfig(n_layers=6, n_experts=8))
+    z = latent(rng)
+    with Tape() as text_tape:
+        ctx = model.precompute_text_kv(PROMPTS)
     with Tape() as tape:
-        velocity(model, latent(rng), rng.uniform(0.0, 1.0, 2))
-    grouped = [n for n in tape.nodes if n.op == "grouped_forward"]
-    assert len(grouped) == sum(not blk.dense for blk in model.blocks)
-    assert not any(n.op == "scatter_add_rows" for n in tape.nodes)
-    d = model.cfg.d_model
-    expert_rows = {node.inputs[1].shape[:2] + (d,) for node in grouped}  # gates (E, B*cap, 1)
-    assert not any(o.shape in expert_rows for n in tape.nodes for o in n.outputs)
+        model.forward(z, rng.uniform(0.0, 1.0, 2), ctx, StageId.S1024)
+    ops = [n.op for n in tape.nodes]
+    first = ops.index("joint_attention") - 3
+    per_block = [ops[first + 5 * i:first + 5 * (i + 1)] for i in range(len(model.blocks))]
+    for blk, block_ops in zip(model.blocks, per_block):
+        half = "dense_ffn_half" if blk.dense else "moe_forward"
+        assert block_ops == ["matmul", "add", "split", "joint_attention", half], blk.layer
+    block_nodes = tape.nodes[first:first + 5 * len(model.blocks)]
+    x_shape = block_nodes[3].outputs[0].shape
+    big = [n.op for n in block_nodes for o in n.outputs if o.ndim == 3]
+    assert big == ["joint_attention", "dense_ffn_half"] * 3 + ["joint_attention", "moe_forward"] * 3
+    assert all(o.shape == x_shape for n in block_nodes for o in n.outputs if o.ndim == 3)
+    for i in range(4, len(block_nodes), 5):   # x and r_attn of each FFN half
+        attention, half = block_nodes[i - 1], block_nodes[i]
+        assert half.inputs[0] is attention.inputs[0]
+        assert half.inputs[1] is attention.outputs[0]
 
 
 def attention_inputs(rng):
@@ -777,10 +868,10 @@ def test_taped_norm_nodes_keep_only_row_statistics(name):
 
 def test_second_backward_doubles_every_grad_bitwise():
     """Pullbacks recompute from what their node keeps and never write into
-    it, and the FFN nodes recompute the up-projections their first pass
-    released, so a second backward over one tape adds the first pass's
+    it, and the FFN-half nodes recompute the up-projections their first
+    pass released, so a second backward over one tape adds the first pass's
     gradients again, bit for bit. Every fused node of the model is on the
-    tape."""
+    tape, the MoE half at partial capacity (3 of 5 tokens per expert)."""
     rng = np.random.default_rng(17)
     args = attention_inputs(rng)
     x_in, cos, sin = args[0], *args[-2:]
@@ -788,22 +879,19 @@ def test_second_backward_doubles_every_grad_bitwise():
     bank = moe.ExpertBank(param(2, 6, 16), param(2, 6, 16), param(2, 16, 6),  # 2 experts, h = 6
                           param(6, 16), param(6, 16), param(16, 6))
     dense = param(6, 16), param(6, 16), param(16, 6)
-    gates = param(2, 3, 1)
-    mods = [param(2, 16) for _ in range(6)]
+    t_emb, w_r = param(2, 16), param(32, 2)
+    mods = [param(2, 16) for _ in range(8)]
     weigh = lambda y: nt.sum(nt.mul(y, Tensor(rng.standard_normal(y.shape))))
     with Tape() as tape:
         att = joint_attention(*args)                                   # (2, 5, 16)
         a_in = fused_ln_scale(att, mods[0], mods[1])
-        h, m = fused_gate_res_ln_scale(att, mods[2], a_in, mods[3])
-        x = fused_gated_residual(h, mods[4], m)
-        n, x_mod = fused_rms_modulate(x, mods[5], 0.5)
-        ffn = moe.swiglu(nt.reshape(m, (10, 16)), *dense)
-        grouped = moe.grouped_forward(nt.reshape(x_mod, (10, 16)), [[0, 3, 7], [3, 9, 1]],
-                                      gates, bank)
+        x = moe.dense_ffn_half(att, a_in, *mods[2:5], *dense)
+        y, decisions, _ = moe.moe_forward(x, att, *mods[5:8], t_emb, w_r, bank, 1.0, 0.5)
         roped = qk_norm_rope(nt.reshape(x_in, (2, 5, 4, 4)), cos, sin)  # x_in also feeds attention
-        loss = nt.add(nt.add(nt.add(weigh(n), weigh(ffn)), weigh(grouped)), weigh(roped))
+        loss = nt.add(nt.add(weigh(y), weigh(x)), weigh(roped))
+    assert decisions[0].capacity == 3
     params = (bank.w1, bank.w3, bank.w2, bank.shared_w1, bank.shared_w3, bank.shared_w2)
-    tensors = [*args[:9], *params, *dense, gates, *mods,
+    tensors = [*args[:9], *params, *dense, t_emb, w_r, *mods,
                *(o for node in tape.nodes for o in node.outputs)]
     backward(tape, loss)
     first = [t.grad.copy() for t in tensors]

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from nimg import tensor as nt
-from nimg.moe import ExpertBank, grouped_forward, moe_forward, swiglu
-from nimg.router import GATE_EPS, route_full
+from nimg.moe import ExpertBank, dense_ffn_half, grouped_forward, moe_forward, swiglu
+from nimg.router import GATE_EPS, capacity_for, route_full
 from nimg.tensor import ShapeError, Tape, Tensor, backward
-from oracles import grad_check
+from oracles import dense_half_chain, fused_rms_modulate, grad_check, moe_half_chain
 
 
 def swiglu_arrays(x: np.ndarray, w1: np.ndarray, w3: np.ndarray,
@@ -379,31 +379,69 @@ def test_swiglu_stacked_shape_mismatch():
         swiglu(z((2, 4, 3)), z((5, 3)), z((5, 3)), z((3, 5)))
 
 
-def moe_setup(rng, B, S, d, E, C, h=4):
-    bank = make_bank(rng, E, h, d)
-    w_r = Tensor(rng.normal(size=(2 * d, E)), dtype=np.float64)
-    x = Tensor(rng.normal(size=(B, S, d)), dtype=np.float64)
-    x_norm = Tensor(rng.normal(size=(B, S, d)), dtype=np.float64)
-    x_mod = Tensor(rng.normal(size=(B, S, d)), dtype=np.float64)
-    t_emb = Tensor(rng.normal(size=(B, d)), dtype=np.float64)
-    return C, bank, w_r, x, x_norm, x_mod, t_emb
+MOE_ARGS = ("x", "r_attn", "sa_gate", "ff_scale", "ff_gate", "t_emb", "w_r",
+            "w1", "w3", "w2", "shared_w1", "shared_w3", "shared_w2")
+DENSE_ARGS = ("x", "r_attn", "sa_gate", "ff_scale", "ff_gate", "w1", "w3", "w2")
+RMS_C = 0.5
 
 
-def dense_oracle(x_mod, t_emb, x_norm, w_r, C, bank):
-    """Per-token bookkeeping oracle: shared + sum of gated selecting experts."""
-    B, S, d = x_mod.shape
-    with nt.no_grad():
-        decs, _ = route_full(x_norm, t_emb, w_r, C)
-    out = np.zeros((B, S, d))
+class MoECase:
+    """moe_forward's inputs on random data: the residual stream x and the
+    attention output r_attn (B, S, d), the three (B, d) modulations, t_emb,
+    the (2d, E) router weight and a bank of E experts h wide; C is the
+    capacity factor."""
+
+    def __init__(self, rng, B, S, d, E, C, h=4):
+        t = lambda *shape: Tensor(rng.normal(size=shape))
+        self.C = C
+        self.tensors = dict(x=t(B, S, d), r_attn=t(B, S, d), sa_gate=t(B, d),
+                            ff_scale=t(B, d), ff_gate=t(B, d), t_emb=t(B, d),
+                            w_r=t(2 * d, E))
+        self.tensors.update(vars(make_bank(rng, E, h, d)))
+
+    def run(self, fn=None, **changes):
+        """(x', decisions, routing) of fn (moe_forward) on the case's tensors
+        with the named ones replaced."""
+        ts = {**self.tensors, **changes}
+        return (fn or moe_forward)(*(ts[n] for n in MOE_ARGS[:7]), self.bank_of(ts),
+                                   self.C, RMS_C)
+
+    @staticmethod
+    def bank_of(ts) -> ExpertBank:
+        return ExpertBank(*(ts[n] for n in MOE_ARGS[7:]))
+
+    @property
+    def bank(self) -> ExpertBank:
+        return self.bank_of(self.tensors)
+
+    def states(self):
+        """(h, x_norm, x_mod) as arrays: the residual stream after the
+        attention gate, the router input and the experts' input."""
+        ts = self.tensors
+        h = ts["x"].data + np.tanh(ts["sa_gate"].data)[:, None] * ts["r_attn"].data
+        x_norm, x_mod = fused_rms_modulate(Tensor(h), ts["ff_scale"], RMS_C)
+        return h, x_norm.data, x_mod.data
+
+    def output(self, f: np.ndarray) -> np.ndarray:
+        """x' = h + tanh(ff_gate) f for an FFN output f, by the node's ops."""
+        return self.states()[0] + np.tanh(self.tensors["ff_gate"].data)[:, None] * f
+
+
+def dense_oracle(case: MoECase) -> np.ndarray:
+    """Per-token bookkeeping oracle of the FFN output F: shared + sum of the
+    gated selecting experts."""
+    _, x_norm, x_mod = case.states()
+    bank = case.bank
+    B, S, _ = x_mod.shape
+    decs, _ = route_full(x_norm, case.tensors["t_emb"].data, case.tensors["w_r"].data, case.C)
+    out = np.zeros(x_mod.shape)
     for b in range(B):
         dec = decs[b]
         for s in range(S):
-            row = x_mod.data[b, s][None, :]
-            acc = swiglu_arrays(row, bank.shared_w1.data, bank.shared_w3.data,
-                                bank.shared_w2.data)[0]
-            for e in range(w_r.shape[1]):
-                hits = np.nonzero(dec.top_indices[e] == s)[0]
-                for slot in hits:
+            row = x_mod[b, s][None, :]
+            acc = shared_rows(row, bank)[0]
+            for e in range(dec.top_indices.shape[0]):
+                for slot in np.nonzero(dec.top_indices[e] == s)[0]:
                     y = swiglu_arrays(row, bank.w1.data[e], bank.w3.data[e],
                                       bank.w2.data[e])[0]
                     acc = acc + dec.gates[e, slot] * y
@@ -413,31 +451,24 @@ def dense_oracle(x_mod, t_emb, x_norm, w_r, C, bank):
 
 def test_moe_forward_zero_experts_gives_shared_only():
     rng = np.random.default_rng(6)
-    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 6, 4, 2, 1.0)
-    bank.w2.data[:] = 0.0  # routed experts output zero
-    out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)[0]
-    shared = swiglu_arrays(x_mod.data.reshape(-1, 4), bank.shared_w1.data,
-                           bank.shared_w3.data, bank.shared_w2.data)
-    np.testing.assert_array_equal(out.data, shared.reshape(out.shape))
+    case = MoECase(rng, 1, 6, 4, 2, 1.0)
+    case.tensors["w2"].data[:] = 0.0  # routed experts output zero
+    out = case.run()[0]
+    shared = shared_rows(case.states()[2].reshape(-1, 4), case.bank)
+    np.testing.assert_array_equal(out.data, case.output(shared.reshape(out.shape)))
 
 
 def test_moe_forward_single_expert_full_capacity():
     rng = np.random.default_rng(7)
     d, S = 3, 4
-    bank = make_bank(rng, 1, 5, d)
-    w_r = Tensor(rng.normal(size=(2 * d, 1)), dtype=np.float64)
-    x_mod = Tensor(rng.normal(size=(1, S, d)), dtype=np.float64)
-    x_norm = Tensor(rng.normal(size=(1, S, d)), dtype=np.float64)
-    t_emb = Tensor(rng.normal(size=(1, d)), dtype=np.float64)
-    out = moe_forward(x_norm, x_mod, t_emb, 1.0, bank, w_r)[0]
-    flat = x_mod.data.reshape(-1, d)
-    shared = swiglu_arrays(flat, bank.shared_w1.data, bank.shared_w3.data,
-                           bank.shared_w2.data)
-    routed = swiglu_arrays(flat, bank.w1.data[0], bank.w3.data[0],
-                           bank.w2.data[0])
+    case = MoECase(rng, 1, S, d, 1, 1.0, h=5)
+    out = case.run()[0]
+    flat = case.states()[2].reshape(-1, d)
+    bank = case.bank
+    routed = swiglu_arrays(flat, bank.w1.data[0], bank.w3.data[0], bank.w2.data[0])
     gate = 1.0 / (1.0 + GATE_EPS)  # sole expert, affinity 1
-    expect = shared + gate * routed
-    np.testing.assert_allclose(out.data.reshape(-1, d), expect, rtol=1e-9)
+    expect = case.output((shared_rows(flat, bank) + gate * routed).reshape(out.shape))
+    np.testing.assert_allclose(out.data, expect, rtol=1e-9)
 
 
 def test_moe_forward_matches_dense_oracle():
@@ -446,25 +477,24 @@ def test_moe_forward_matches_dense_oracle():
         B = int(rng.integers(1, 3))
         S = int(rng.integers(2, 17))
         E = int(rng.integers(1, 5))
-        C = float(rng.uniform(0.5, 4.0))
-        C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, B, S, 4, E, C)
-        out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)[0]
-        oracle = dense_oracle(x_mod, t_emb, x_norm, w_r, C, bank)
-        np.testing.assert_allclose(out.data, oracle, rtol=1e-6, atol=1e-9,
-                                   err_msg=f"trial {trial}")
+        case = MoECase(rng, B, S, 4, E, float(rng.uniform(0.5, 4.0)))
+        out = case.run()[0]
+        np.testing.assert_allclose(out.data, case.output(dense_oracle(case)), rtol=1e-6,
+                                   atol=1e-9, err_msg=f"trial {trial}")
         assert np.all(np.isfinite(out.data))
 
 
 def test_moe_forward_routed_sum_is_add_at_over_token_flat_bitwise():
     rng = np.random.default_rng(14)
     B, S, d, E = 2, 9, 4, 4
-    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, B, S, d, E, 2.0)
-    out, _, routing = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
+    case = MoECase(rng, B, S, d, E, 2.0)
+    out, _, routing = case.run()
     token_flat = routing["token_flat"]
     # with three or more addends a row's sum depends on their order
     assert np.bincount(token_flat).max() >= 3
-    x_flat = x_mod.data.reshape(B * S, d)
+    x_flat = case.states()[2].reshape(B * S, d)
     rows = x_flat[token_flat].reshape(E, -1, d)
+    bank = case.bank
     with nt.no_grad():
         expert_out = np.stack([swiglu(Tensor(rows[e]), Tensor(bank.w1.data[e]),
                                       Tensor(bank.w3.data[e]), Tensor(bank.w2.data[e])).data
@@ -472,60 +502,213 @@ def test_moe_forward_routed_sum_is_add_at_over_token_flat_bitwise():
         shared = swiglu(Tensor(x_flat), bank.shared_w1, bank.shared_w3,
                         bank.shared_w2).data
     routed = np.zeros((B * S, d))
-    np.add.at(routed, token_flat, (expert_out * routing["gates"].data).reshape(-1, d))
-    assert out.data.tobytes() == (routed + shared).reshape(B, S, d).tobytes()
+    np.add.at(routed, token_flat, (expert_out * routing["gates"]).reshape(-1, d))
+    assert out.data.tobytes() == case.output((routed + shared).reshape(B, S, d)).tobytes()
 
 
 def test_moe_forward_batch_permutation_equivariance():
     rng = np.random.default_rng(9)
-    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 3, 5, 4, 2, 1.5)
-    out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)[0].data
+    case = MoECase(rng, 3, 5, 4, 2, 1.5)
+    out = case.run()[0].data
     perm = np.array([2, 0, 1])
-    out_p = moe_forward(
-        Tensor(x_norm.data[perm], dtype=np.float64),
-        Tensor(x_mod.data[perm], dtype=np.float64),
-        Tensor(t_emb.data[perm], dtype=np.float64), C, bank, w_r)[0].data
+    permuted = {n: Tensor(case.tensors[n].data[perm]) for n in MOE_ARGS[:6]}
+    out_p = case.run(**permuted)[0].data
     np.testing.assert_allclose(out_p, out[perm], rtol=1e-12)
 
 
 def test_moe_forward_decoupling_from_modulation_scale():
+    """Routing reads RMS(h) c and the timestep term only: scaling ff_scale
+    moves the output but not one selection or gate."""
     rng = np.random.default_rng(10)
-    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 8, 4, 2, 2.0)
-    out1, dec1, _ = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)
-    x_mod10 = Tensor(10.0 * x_mod.data, dtype=np.float64)
-    out2, dec2, _ = moe_forward(x_norm, x_mod10, t_emb, C, bank, w_r)
+    case = MoECase(rng, 1, 8, 4, 2, 2.0)
+    out1, dec1, _ = case.run()
+    out2, dec2, _ = case.run(ff_scale=Tensor(10.0 * case.tensors["ff_scale"].data))
     np.testing.assert_array_equal(dec1[0].top_indices, dec2[0].top_indices)
     np.testing.assert_array_equal(dec1[0].gates, dec2[0].gates)
     assert not np.allclose(out1.data, out2.data)
 
 
 def test_moe_forward_gradients_vs_fd():
+    """Every input of the node, at partial capacity (4 of 5 tokens)."""
     rng = np.random.default_rng(11)
-    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 5, 3, 2, 1.5)
-
-    def loss_wrt_xmod(p):
-        out = moe_forward(x_norm, p, t_emb, C, bank, w_r)[0]
-        return nt.sum(nt.mul(out, out))
-
-    rep = grad_check(loss_wrt_xmod, x_mod, h=1e-5)
-    assert rep.max_rel_err <= 1e-5, rep.max_rel_err
-
-    def loss_wrt_wr(p):
-        out = moe_forward(x_norm, x_mod, t_emb, C, bank, p)[0]
-        return nt.sum(nt.mul(out, out))
-
-    rep = grad_check(loss_wrt_wr, w_r, h=1e-5)
-    assert rep.max_rel_err <= 1e-5, rep.max_rel_err
+    case = MoECase(rng, 1, 5, 3, 2, 1.5)
+    weight = Tensor(rng.normal(size=(1, 5, 3)))
+    for name in MOE_ARGS:
+        rep = grad_check(lambda p, name=name: nt.sum(nt.mul(case.run(**{name: p})[0], weight)),
+                         case.tensors[name], h=1e-5)
+        assert rep.max_rel_err <= 1e-5, (name, rep.max_rel_err)
 
 
 def test_moe_forward_router_weight_receives_grad():
     rng = np.random.default_rng(12)
-    C, bank, w_r, _, x_norm, x_mod, t_emb = moe_setup(rng, 1, 6, 4, 3, 2.0)
-    w_r.requires_grad = True
-    x_norm.requires_grad = True
+    case = MoECase(rng, 1, 6, 4, 3, 2.0)
+    for n in ("w_r", "x"):
+        case.tensors[n].requires_grad = True
     with Tape() as tape:
-        out = moe_forward(x_norm, x_mod, t_emb, C, bank, w_r)[0]
+        out = case.run()[0]
         loss = nt.sum(nt.mul(out, out))
     backward(tape, loss)
-    assert w_r.grad is not None and np.any(w_r.grad != 0.0)
-    assert x_norm.grad is not None and np.any(x_norm.grad != 0.0)
+    for n in ("w_r", "x"):
+        g = case.tensors[n].grad
+        assert g is not None and np.any(g != 0.0), n
+
+
+class DenseCase:
+    """dense_ffn_half's inputs: x and r_attn (B, S, d), the three (B, d)
+    modulations and SwiGLU weights h wide."""
+
+    def __init__(self, rng, B, S, d, h):
+        t = lambda *shape: Tensor(rng.normal(size=shape))
+        self.tensors = dict(x=t(B, S, d), r_attn=t(B, S, d), sa_gate=t(B, d),
+                            ff_scale=t(B, d), ff_gate=t(B, d), w1=t(h, d), w3=t(h, d),
+                            w2=t(d, h))
+
+    def run(self, fn=None, **changes):
+        ts = {**self.tensors, **changes}
+        return (fn or dense_ffn_half)(*(ts[n] for n in DENSE_ARGS))
+
+
+def half_case(node: str, seed: int, full: bool = True):
+    """A case for the dense or the MoE FFN half; the MoE one at full
+    capacity (C = E, every expert takes every token) or partial (C = 1.5:
+    each of 4 experts takes 6 of 16 tokens)."""
+    rng = np.random.default_rng(seed)
+    if node == "dense":
+        return DenseCase(rng, 2, 7, 6, 5), DENSE_ARGS, dense_half_chain
+    case = MoECase(rng, 2, 16, 6, 4, 4.0 if full else 1.5, h=5)
+    return case, MOE_ARGS, lambda *a: moe_half_chain(*a)[0]
+
+
+def first(out):
+    return out[0] if isinstance(out, tuple) else out
+
+
+HALF_CASES = [("dense", None), ("moe", True), ("moe", False)]
+HALF_IDS = ["dense", "moe_full_capacity", "moe_partial_capacity"]
+
+
+@pytest.mark.parametrize("seed", [30, 31])
+@pytest.mark.parametrize("node,full", HALF_CASES, ids=HALF_IDS)
+def test_ffn_half_node_is_bitwise_the_chain(node, full, seed):
+    """Value and every input gradient, bitwise, against the chain of nodes
+    it folds (tests/oracles.py), under a loss that also reads x, as the
+    next block's attention does."""
+    case, names, chain = half_case(node, seed, full)
+    if node == "moe":
+        cap = capacity_for(16, 4, case.C)
+        assert (cap == 16) is full
+    weight = Tensor(np.random.default_rng(seed + 100).normal(size=case.tensors["x"].shape))
+    results = []
+    for fn in (None, chain):
+        leaves = {n: Tensor(t.data, requires_grad=True) for n, t in case.tensors.items()}
+        with Tape() as tape:
+            out = first(case.run(fn, **leaves))
+            loss = nt.add(nt.sum(nt.mul(out, weight)), nt.sum(nt.mul(leaves["x"], out)))
+        backward(tape, loss)
+        results.append([out.data.tobytes()] + [leaves[n].grad.tobytes() for n in names])
+    assert len(results[1]) == len(names) + 1
+    for i, (a, b) in enumerate(zip(*results)):
+        assert a == b, (["value"] + list(names))[i]
+
+
+@pytest.mark.parametrize("node,full", HALF_CASES, ids=HALF_IDS)
+def test_ffn_half_node_gradients_vs_fd(node, full):
+    case, names, _ = half_case(node, 32, full)
+    weight = Tensor(np.random.default_rng(33).normal(size=case.tensors["x"].shape))
+    for name in names:
+        rep = grad_check(lambda p, name=name: nt.sum(nt.mul(first(case.run(**{name: p})),
+                                                            weight)),
+                         case.tensors[name], h=1e-5)
+        assert rep.max_rel_err <= 1e-5, (name, rep.max_rel_err)
+
+
+def test_moe_forward_routing_is_the_chains():
+    """token_flat, the gates and every decision array equal the taped
+    chain's, at partial capacity."""
+    case = half_case("moe", 34, full=False)[0]
+    _, decs, routing = case.run()
+    _, decs_c, routing_c = case.run(moe_half_chain)
+    assert routing["token_flat"].tobytes() == routing_c["token_flat"].tobytes()
+    assert routing["gates"].tobytes() == routing_c["gates"].data.tobytes()
+    assert routing["logits"].tobytes() == routing_c["logits"].data.tobytes()
+    for a, b in zip(decs, decs_c, strict=True):
+        for f in ("top_indices", "affinity", "gates", "logits"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
+
+
+def desk_half(node: str, rng):
+    """An FFN half at the desk model's block shapes (B 2, S 256, d 128, h
+    128; 16 experts taking 128 tokens each), every input requiring grad."""
+    if node == "dense":
+        case = DenseCase(rng, 2, 256, 128, 128)
+    else:
+        case = MoECase(rng, 2, 256, 128, 16, 8.0, h=128)
+    for t in case.tensors.values():
+        t.requires_grad = True
+    return case
+
+
+@pytest.mark.parametrize("node", ["dense", "moe"])
+def test_taped_ffn_half_keeps_only_what_its_pullback_reads(node):
+    """Besides its output the node keeps both tanh(gate)s, its rows'
+    statistics, F and the up-projections, and for MoE token_flat, the gates
+    and the router's scores and claim mask: no h, normalised or modulated
+    input, and no gradient-sized router array beyond those."""
+    rng = np.random.default_rng(35)
+    case = desk_half(node, rng)
+    B, S, d = case.tensors["x"].shape
+    outs = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:   # the tape keeps the node, and so its closure, alive
+            outs.append(first(case.run()))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) == 1
+    gates = 2 * B * d * 8
+    f = B * S * d * 8
+    if node == "dense":
+        stats = 2 * B * S * 8                            # LayerNorm mean and inverse std
+        pairs = 2 * B * S * case.tensors["w1"].shape[0] * 8
+        routing = 0
+    else:
+        E, h = case.tensors["w1"].shape[:2]
+        n = B * capacity_for(S, E, case.C)
+        stats = B * S * 8                                # inverse RMS
+        pairs = 2 * (E * n + B * S) * h * 8              # every routed expert's and the shared
+        routing = E * n * 8 * 2 + B * S * E * (8 + 1)    # token_flat, gates; scores, claimed
+    kept = held - outs[0].data.nbytes
+    assert kept >= f + pairs, kept
+    assert kept <= gates + stats + f + pairs + routing + 16 * 1024, (
+        kept, gates + stats + f + pairs + routing)
+
+
+@pytest.mark.parametrize("node", ["dense", "moe"])
+def test_ffn_half_without_a_tape_keeps_nothing_and_is_bitwise_the_taped_output(node):
+    rng = np.random.default_rng(36)
+    case = desk_half(node, rng)
+    with Tape() as tape:
+        taped = first(case.run())
+    assert len(tape.nodes) == 1
+    with nt.no_grad():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = case.run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    plain = first(result)
+    assert not plain.requires_grad
+    assert plain.data.tobytes() == taped.data.tobytes()
+    # the output, and for MoE the decisions and routing arrays the caller
+    # gets back; nothing for a pullback
+    returned = 0
+    if node == "moe":
+        _, decisions, routing = result
+        returned = sum(a.nbytes for a in routing.values() if isinstance(a, np.ndarray))
+        returned += sum(a.nbytes for dec in decisions
+                        for a in (dec.top_indices, dec.affinity, dec.gates, dec.logits))
+    assert held - plain.data.nbytes - returned <= 16 * 1024, (held, returned)

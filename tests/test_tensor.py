@@ -6,9 +6,8 @@ import pytest
 
 from nimg import tensor as nt
 from nimg.backbone import (ModelConfig, MoEDiT, fused_gated_residual, fused_ln_scale,
-                           fused_rms_modulate, joint_attention, qk_norm_rope,
-                           rope_tables, sinusoidal_features)
-from nimg.moe import ExpertBank, grouped_forward, moe_forward, swiglu
+                           joint_attention, qk_norm_rope, rope_tables, sinusoidal_features)
+from nimg.moe import ExpertBank, dense_ffn_half, grouped_forward, moe_forward, swiglu
 from nimg.router import ConfigError, StageId, capacity_for, capacity_schedule, route_full
 from nimg.tensor import (DomainError, NonScalarLoss, ShapeError, Tape, Tensor,
                          UnsupportedOp, backward)
@@ -131,15 +130,9 @@ def modulate_on(x=(2, 3, 4), scale=(2, 4), shift=(2, 4)):
     return fused_ln_scale(*(Tensor(np.zeros(s)) for s in (x, scale, shift)))
 
 
-def rms_modulate_on(h=(2, 3, 4), ff_scale=(2, 4)):
-    """fused_rms_modulate on zero tensors of the given shapes."""
-    return fused_rms_modulate(Tensor(np.zeros(h)), Tensor(np.zeros(ff_scale)), 0.5)
-
-
 def route_on(shape):
     """route_full on a zero state of the given shape, d = 4, E = 4."""
-    z = lambda *s: Tensor(np.zeros(s))
-    return route_full(z(*shape), z(2, 4), z(8, 4), 2.0)
+    return route_full(np.zeros(shape), np.zeros((2, 4)), np.zeros((8, 4)), 2.0)
 
 
 def grouped_on(x=(6, 4), blocks=((0, 1), (2, 3)), gates=(2, 2, 1)):
@@ -149,11 +142,16 @@ def grouped_on(x=(6, 4), blocks=((0, 1), (2, 3)), gates=(2, 2, 1)):
     return grouped_forward(z(*x), np.array(blocks), z(*gates), bank)
 
 
-def moe_on(shape):
-    """moe_forward on zero states of the given shape, d = 4, E = 4, h = 8."""
-    z = lambda *s: Tensor(np.zeros(s))
-    bank = ExpertBank(z(4, 8, 4), z(4, 8, 4), z(4, 4, 8), z(8, 4), z(8, 4), z(4, 8))
-    return moe_forward(z(*shape), z(*shape), z(2, 4), 2.0, bank, z(8, 4))[0]
+def half_on(node, x=(2, 3, 4), r_attn=None, sa_gate=(2, 4), ff_scale=(2, 4),
+            ff_gate=(2, 4), t_emb=(2, 4), w1=(8, 4)):
+    """dense_ffn_half or moe_forward on zeros of the given shapes (r_attn
+    like x unless given): d = 4, h = 8, E = 4 experts for moe_forward."""
+    z = lambda s: Tensor(np.zeros(s))
+    mods = (z(x), z(r_attn or x), z(sa_gate), z(ff_scale), z(ff_gate))
+    if node == "dense":
+        return dense_ffn_half(*mods, z(w1), z(w1), z(w1[::-1]))
+    bank = ExpertBank(z((4, 8, 4)), z((4, 8, 4)), z((4, 4, 8)), z((8, 4)), z((8, 4)), z((4, 8)))
+    return moe_forward(*mods, z(t_emb), z((8, 4)), bank, 2.0, 0.5)[0]
 
 
 M23 = Tensor(np.zeros((2, 3)))
@@ -233,8 +231,9 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "swiglu_0d_x": (lambda: swiglu(Tensor(1.0), M23, M23, M23), ShapeError, "swiglu"),
     "route_full_2d_state": (lambda: route_on((6, 4)), ShapeError, "router state"),
     "route_full_4d_state": (lambda: route_on((2, 3, 1, 4)), ShapeError, "router state"),
-    "moe_forward_2d_state": (lambda: moe_on((6, 4)), ShapeError, "expert state"),
-    "moe_forward_4d_state": (lambda: moe_on((2, 3, 1, 4)), ShapeError, "expert state"),
+    "moe_forward_2d_state": (lambda: half_on("moe", x=(6, 4)), ShapeError, "residual stream"),
+    "moe_forward_4d_state":
+        (lambda: half_on("moe", x=(2, 3, 1, 4)), ShapeError, "residual stream"),
     "forward_3d_latent": (lambda: forward_on((2, 8, 8)), ShapeError, "z_t"),
     "forward_channel_count": (lambda: forward_on((2, 3, 8, 8)), ShapeError, "z_t"),
     "forward_prompt_count":
@@ -302,10 +301,32 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
         (lambda: modulate_on(shift=(2, 3)), ShapeError, "modulation shape"),
     "fused_ln_scale_shift_per_token":
         (lambda: modulate_on(shift=(2, 3, 4)), ShapeError, "modulation shape"),
-    "fused_rms_modulate_2d_h":
-        (lambda: rms_modulate_on(h=(6, 4)), ShapeError, "modulation shape"),
+    "fused_rms_modulate_2d_h":   # the MoE norm's scale given per token, as h is
+        (lambda: half_on("moe", ff_scale=(2, 3, 4)), ShapeError, "modulation shape"),
     "fused_rms_modulate_scale_not_b_d":
-        (lambda: rms_modulate_on(ff_scale=(3, 4)), ShapeError, "modulation shape"),
+        (lambda: half_on("moe", ff_scale=(3, 4)), ShapeError, "modulation shape"),
+    "moe_forward_r_attn_shape":
+        (lambda: half_on("moe", r_attn=(2, 4, 4)), ShapeError, "residual shape"),
+    "dense_ffn_half_r_attn_shape":
+        (lambda: half_on("dense", r_attn=(2, 3, 5)), ShapeError, "residual shape"),
+    "dense_ffn_half_2d_x":
+        (lambda: half_on("dense", x=(6, 4)), ShapeError, "residual stream"),
+    "moe_forward_sa_gate_not_b_d":
+        (lambda: half_on("moe", sa_gate=(2, 5)), ShapeError, "modulation shape"),
+    "moe_forward_ff_gate_per_token":
+        (lambda: half_on("moe", ff_gate=(2, 3, 4)), ShapeError, "modulation shape"),
+    "dense_ffn_half_sa_gate_batch":
+        (lambda: half_on("dense", sa_gate=(3, 4)), ShapeError, "modulation shape"),
+    "dense_ffn_half_ff_scale_not_b_d":
+        (lambda: half_on("dense", ff_scale=(4,)), ShapeError, "modulation shape"),
+    "dense_ffn_half_ff_gate_not_b_d":
+        (lambda: half_on("dense", ff_gate=(2, 8)), ShapeError, "modulation shape"),
+    "dense_ffn_half_weight_width":
+        (lambda: half_on("dense", w1=(8, 5)), ShapeError, "dense_ffn_half"),
+    "moe_forward_t_emb_batch":
+        (lambda: half_on("moe", t_emb=(3, 4)), ShapeError, "t_emb"),
+    "route_full_t_emb_width": (lambda: route_full(np.zeros((2, 3, 4)), np.zeros((2, 5)),
+                                                  np.zeros((8, 4)), 2.0), ShapeError, "t_emb"),
     "attention_rope_tables_for_other_tokens":
         (lambda: attend(rope_tokens=4), ShapeError, "rope tables"),
     "capacity_schedule_no_layers":

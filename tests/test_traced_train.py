@@ -30,4 +30,4 @@ def test_traced_train_steps_time_every_pullback_backward_visits():
     assert [p for _, problems in steps for p in problems] == []
     assert tracer.reconcile(sum(wall for wall, _ in steps),
                             workload.COVERAGE_MIN_SHARE) == []
-    assert tracer.op_bwd_s["grouped_forward"] > 0.0
+    assert tracer.op_bwd_s["moe_forward"] > 0.0
