@@ -14,11 +14,13 @@ A block's whole attention branch is one node, joint_attention: adaLN
 modulate, Q/K/V projections, the image QK-norm/RoPE, attention and the
 output projection. It keeps only per-row statistics (each token's
 LayerNorm mean and inverse std, each image query and key head's inverse
-RMS, each score row's max and sum) and runs one tile at a time, one sample
-and up to ATTENTION_TILE query rows: a tile's scores, mask and softmax
-share one buffer that stays in cache. Its pullback recomputes the modulated
-input, the projections, the rotated heads and each tile's probabilities and
-output from its inputs and those statistics. It sums the key and value
+RMS, each score row's max and sum). Each sample is one task of nt.lanes,
+so samples run side by side on the process's CPUs, and within a sample
+the tiles of up to ATTENTION_TILE query rows run one at a time: a tile's
+scores, mask and softmax share one buffer that stays in cache. Its
+pullback recomputes the modulated input, the projections, the rotated
+heads and each tile's probabilities and output from its inputs and those
+statistics. It sums the key and value
 gradients over the tiles in row order, so they are not bitwise those of one
 untiled pass (1.1e-15 relative at most in the desk-model checks). The text
 keys' RMS norm and rotary rotation is one node, qk_norm_rope, recorded once
@@ -335,9 +337,13 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     reads kv head j, and within one kv head the n_rep query heads' rows
     are stacked into one (n_rep * T, d_h) matrix.
 
-    The attention runs one tile at a time: one sample and a block of
-    ATTENTION_TILE query rows (the last block of a sample may be shorter),
-    as in FlashAttention (Dao et al. 2022). A tile's scores S = Q Kᵀ over all
+    The attention runs in tiles: one sample and a block of ATTENTION_TILE
+    query rows (the last block of a sample may be shorter), as in
+    FlashAttention (Dao et al. 2022). Each sample is one task of nt.lanes,
+    forward and pullback alike, and runs its tiles one at a time in row
+    order. Samples write disjoint rows of O, dQ and the row statistics and
+    their own dK and dV, all allocated by the node, so the values do not
+    depend on how many lanes run. A tile's scores S = Q Kᵀ over all
     S_i + S_t keys are scaled, masked and softmaxed in place in one buffer.
     The node keeps only per-row statistics: each token's LayerNorm mean and
     inverse std (B, S_i, 1), the inverse RMS of every query and image key
@@ -381,8 +387,7 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     sd, bd = nt._expand_mod(scale.data, x.shape), nt._expand_mod(shift.data, x.shape)
     xd = x.data
     bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)     # (B, S_t)
-    tiles = [(b, slice(r, min(r + ATTENTION_TILE, S_i)))
-             for b in range(B) for r in range(0, S_i, ATTENTION_TILE)]
+    tiles = [slice(r, min(r + ATTENTION_TILE, S_i)) for r in range(0, S_i, ATTENTION_TILE)]
     projections = ((wq, H_q), (wk, H_kv), (wv, H_kv))
 
     def heads_of(t: np.ndarray, b: int, rows: slice) -> np.ndarray:
@@ -439,9 +444,14 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     stats = (np.empty((B, H_kv, n_rep, S_i, 1)), np.empty((B, H_kv, n_rep, S_i, 1)))
     qn, kh, vh = rotated_heads(qd, kd, vd)
     o = np.empty((B, S_i, H_q * d_h))
-    for b, rows in tiles:
-        p = probs(b, rows, heads_of(qn, b, rows), kh, fill=True)
-        put_heads(o, b, rows, np.matmul(p, vh[b]))
+
+    def sample(b: int) -> None:
+        for rows in tiles:
+            p = probs(b, rows, heads_of(qn, b, rows), kh, fill=True)
+            put_heads(o, b, rows, np.matmul(p, vh[b]))
+
+    for _ in nt.lanes(sample, range(B)):
+        pass
 
     def bwd(g):
         xhat = nt._ln_xhat(xd, mu, inv)
@@ -452,17 +462,22 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
         o = np.empty(go.shape)
         gq = np.empty(qd.shape)
         gk, gv = np.zeros(kh.shape), np.zeros(vh.shape)          # (B, H_kv, S_kv, d_h)
-        for b, rows in tiles:
-            qt, got = heads_of(qn, b, rows), heads_of(go, b, rows)
-            p = probs(b, rows, qt, kh, fill=False)
-            put_heads(o, b, rows, np.matmul(p, vh[b]))
-            gs = np.matmul(got, np.swapaxes(vh[b], -1, -2))      # dP, then dS in place
-            gv[b] += np.matmul(np.swapaxes(p, -1, -2), got)
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= qk_scale
-            put_heads(gq, b, rows, np.matmul(gs, kh[b]))
-            gk[b] += np.matmul(np.swapaxes(gs, -1, -2), qt)
+
+        def sample_pullback(b: int) -> None:
+            for rows in tiles:
+                qt, got = heads_of(qn, b, rows), heads_of(go, b, rows)
+                p = probs(b, rows, qt, kh, fill=False)
+                put_heads(o, b, rows, np.matmul(p, vh[b]))
+                gs = np.matmul(got, np.swapaxes(vh[b], -1, -2))  # dP, then dS in place
+                gv[b] += np.matmul(np.swapaxes(p, -1, -2), got)
+                gs -= (gs * p).sum(axis=-1, keepdims=True)
+                gs *= p
+                gs *= qk_scale
+                put_heads(gq, b, rows, np.matmul(gs, kh[b]))
+                gk[b] += np.matmul(np.swapaxes(gs, -1, -2), qt)
+
+        for _ in nt.lanes(sample_pullback, range(B)):
+            pass
         del qn, kh, vh, go
         g_wo = nt._sum_to(np.matmul(np.swapaxes(o, -1, -2), g), wo.shape)
         del o

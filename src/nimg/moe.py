@@ -21,12 +21,15 @@ chains).
 
 Expert-choice routing gives every expert exactly B * capacity distinct
 tokens, so the routed rows form one (E, n) block index, n = B * capacity.
-The expert FFN loops over the experts: it gathers expert e's rows, runs its
-SwiGLU, scales each output row by its gate and adds the rows back. Then it
-runs the shared expert, which covers every token so none is left without
-expert output, on all rows and adds it last. Every expert, and the dense
-FFN, runs one SwiGLU on (n, d) rows and 2-D weights, through the helpers
-_ffn and _ffn_pullback.
+The expert FFN runs each expert as one task of nt.lanes: the task gathers
+expert e's rows, runs its SwiGLU and scales each output row by its gate,
+and the caller adds the rows back, expert by expert in order. The shared
+expert, which covers every token so none is left without expert output,
+is the last task, on all rows, and is added last. So the experts of a
+layer run side by side on the process's CPUs and the sums, and so the
+values, are those of the plain loop. Every expert, and the dense FFN, runs
+one SwiGLU on (n, d) rows and 2-D weights, through the helpers _ffn and
+_ffn_pullback.
 
 For expert e with X = x[blocks[e]], h1 = X W1^T, h3 = X W3^T,
 a = SiLU(h1) * h3 and y = gates[e] * (a W2^T) added into rows blocks[e],
@@ -44,7 +47,11 @@ re-gathers X from the recomputed input and recomputes SiLU(h1) and a from
 h1 and h3, so no gathered rows or expert outputs outlive the forward, and
 it releases each pair once it has used it: a second backward recomputes
 each h1 and h3 from X and the weights, bitwise the forward's. Without a
-tape each expert's h1 and h3 are dropped within its own step.
+tape each expert's h1 and h3 are dropped within its own task, so a no-grad
+call holds at most one expert's per lane at a time. The pullback's tasks
+write each expert's weight and gate gradients into their slices of
+buffers the caller allocated, and the caller adds each expert's row
+gradient into dx in expert order.
 
 swiglu and grouped_forward are the dense FFN and the expert FFN alone, as
 nodes of their own. The model records neither (its FFN-half nodes run the
@@ -72,23 +79,26 @@ def _sigmoid(h: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def _ffn(x: np.ndarray, w1: np.ndarray, w3: np.ndarray, w2: np.ndarray):
+def _ffn(x: np.ndarray, w1: np.ndarray, w3: np.ndarray, w2: np.ndarray,
+         pair: tuple = (None, None), out: np.ndarray | None = None):
     """SwiGLU of (n, d) rows x: (h1, h3, out) with h1 = x W1^T, h3 = x W3^T
-    and out = (SiLU(h1) * h3) W2^T. SiLU(h1) * h3 is formed in one buffer
-    that is dropped after the down-projection."""
-    h1 = x @ w1.T
-    h3 = x @ w3.T
+    and out = (SiLU(h1) * h3) W2^T, written into pair's buffers and out
+    where given. SiLU(h1) * h3 is formed in one buffer that is dropped
+    after the down-projection."""
+    h1 = np.matmul(x, w1.T, out=pair[0])
+    h3 = np.matmul(x, w3.T, out=pair[1])
     a = _sigmoid(h1)
     a *= h1
     a *= h3
-    return h1, h3, a @ w2.T
+    return h1, h3, np.matmul(a, w2.T, out=out)
 
 
 def _ffn_pullback(gpre: np.ndarray, x: np.ndarray, kept: list, i: int,
-                  w1: np.ndarray, w3: np.ndarray):
+                  w1: np.ndarray, w3: np.ndarray, out: tuple = (None, None, None)):
     """From gpre, the gradient at SiLU(h1) * h3, to (gx, gw1, gw3, act): the
-    gradients of _ffn's rows and up-projection weights, and SiLU(h1) * h3
-    recomputed in _ffn's order, so bitwise its value, for the caller's gw2.
+    gradients of _ffn's rows and up-projection weights, written into out's
+    buffers where given, and SiLU(h1) * h3 recomputed in _ffn's order, so
+    bitwise its value, for the caller's gw2.
 
     kept[i] is the (h1, h3) pair _ffn gave for the rows x. The first run
     takes it and leaves None in its place, so the pair is freed when this
@@ -108,7 +118,9 @@ def _ffn_pullback(gpre: np.ndarray, x: np.ndarray, kept: list, i: int,
     act *= h1                 # SiLU(h1)
     gh3 = gpre * act
     act *= h3                 # SiLU(h1) * h3
-    return gh1 @ w1 + gh3 @ w3, gh1.T @ x, gh3.T @ x, act
+    gx = np.matmul(gh1, w1, out=out[0])
+    gx += gh3 @ w3
+    return gx, np.matmul(gh1.T, x, out=out[1]), np.matmul(gh3.T, x, out=out[2]), act
 
 
 def _check_shapes(x_shape: tuple[int, ...], w1: tuple[int, ...], w3: tuple[int, ...],
@@ -182,49 +194,77 @@ def _bank_tensors(bank: ExpertBank) -> tuple[Tensor, ...]:
     return (bank.w1, bank.w3, bank.w2, bank.shared_w1, bank.shared_w3, bank.shared_w2)
 
 
+def _expert_tasks(xd: np.ndarray, idx: np.ndarray, ws: tuple):
+    """Per expert, the routed ones in block order, then the shared one: its
+    rows of xd (a block of idx, or every row), their count and its (w1, w3,
+    w2) weights."""
+    return ([*idx, slice(None)], [idx.shape[1]] * len(idx) + [len(xd)],
+            [*zip(*ws[:3]), ws[3:]])
+
+
 def _experts(xd: np.ndarray, idx: np.ndarray, gd: np.ndarray, ws: tuple, keep: bool):
     """The expert FFN on (N, d) rows xd: (out, kept). Expert e's SwiGLU of
     rows idx[e], times gates gd[e], is added into a zero buffer after
     expert e - 1's, bitwise as numpy's add.at over idx.ravel(); the shared
     SwiGLU of all rows is added last. With keep, kept holds each expert's
-    (h1, h3) in block order, then the shared expert's; else it is empty."""
-    w1d, w3d, w2d, s1d, s3d, s2d = ws
+    (h1, h3) in block order, then the shared expert's; else it is empty.
+    Each expert, the shared one last, is one task of nt.lanes, which
+    writes its output rows and kept pair into buffers allocated here."""
+    rows, sizes, weights = _expert_tasks(xd, idx, ws)
     kept = []
 
-    def ffn(xr: np.ndarray, w1: np.ndarray, w3: np.ndarray, w2: np.ndarray):
-        h1, h3, y = _ffn(xr, w1, w3, w2)
-        if keep:
-            kept.append((h1, h3))
-        return y
+    def jobs():
+        for e, (n, (w1, _, _)) in enumerate(zip(sizes, weights)):
+            pair = (np.empty((n, len(w1))), np.empty((n, len(w1)))) if keep else (None, None)
+            if keep:
+                kept.append(pair)
+            yield e, pair, np.empty((n, xd.shape[1]))
+
+    def expert(job):
+        e, pair, y = job
+        _ffn(xd[rows[e]], *weights[e], pair, y)
+        if e < len(idx):
+            y *= gd[e]
+        return rows[e], y
 
     out = np.zeros(xd.shape)
-    for e, rows in enumerate(idx):
-        out[rows] += ffn(xd[rows], w1d[e], w3d[e], w2d[e]) * gd[e]
-    out += ffn(xd, s1d, s3d, s2d)
+    for r, y in nt.lanes(expert, jobs()):
+        out[r] += y
     return out, kept
 
 
 def _experts_pullback(g: np.ndarray, xd: np.ndarray, idx: np.ndarray, gd: np.ndarray,
                       ws: tuple, kept: list):
     """The gradients (dx, dgates, dW1, dW3, dW2, dW1_s, dW3_s, dW2_s) of
-    _experts' output from g, by the module docstring's equations."""
-    w1d, w3d, w2d, s1d, s3d, s2d = ws
-    gx = np.zeros(xd.shape)
+    _experts' output from g, by the module docstring's equations. Each
+    expert, the shared one last, is one task of nt.lanes, which writes its
+    rows' gradient and its weights' into buffers allocated here; the rows'
+    gradients are added into dx in task order."""
+    rows, sizes, weights = _expert_tasks(xd, idx, ws)
+    grads = tuple(np.empty(w.shape) for w in ws)
     dgates = np.empty(gd.shape)
-    gw1, gw3, gw2 = np.empty(w1d.shape), np.empty(w3d.shape), np.empty(w2d.shape)
-    for e, rows in enumerate(idx):
-        gr = g[rows]
-        u = gr @ w2d[e]
-        gxe, gw1[e], gw3[e], act = _ffn_pullback(u * gd[e], xd[rows], kept, e,
-                                                 w1d[e], w3d[e])
-        gx[rows] += gxe
-        gr *= gd[e]
-        gw2[e] = gr.T @ act
-        u *= act
-        dgates[e] = u.sum(axis=-1, keepdims=True)
-    gxs, gs1, gs3, act = _ffn_pullback(g @ s2d, xd, kept, -1, s1d, s3d)
-    gx += gxs
-    return gx, dgates, gw1, gw3, gw2, gs1, gs3, g.T @ act
+    weight_grads = [*zip(*grads[:3]), grads[3:]]
+
+    def expert(job):
+        e, gxe = job
+        (w1, w3, w2), (g1, g3, g2) = weights[e], weight_grads[e]
+        gr = g[rows[e]]
+        u = gr @ w2
+        if e == len(idx):    # the shared expert: every row, no gate
+            act = _ffn_pullback(u, xd, kept, e, w1, w3, (gxe, g1, g3))[3]
+        else:
+            act = _ffn_pullback(u * gd[e], xd[rows[e]], kept, e, w1, w3, (gxe, g1, g3))[3]
+            gr *= gd[e]
+            u *= act
+            dgates[e] = u.sum(axis=-1, keepdims=True)
+        np.matmul(gr.T, act, out=g2)
+        return rows[e], gxe
+
+    gx = np.zeros(xd.shape)
+    for r, gxe in nt.lanes(expert, ((e, np.empty((n, xd.shape[1])))
+                                    for e, n in enumerate(sizes))):
+        gx[r] += gxe
+    return (gx, dgates, *grads)
 
 
 def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tensor:
@@ -247,10 +287,10 @@ def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tenso
     it, so after one backward the node keeps the block index alone; a
     second backward recomputes each pair from the input rows and weights.
     When no node will be recorded (nt.tracking), each expert's h1 and h3
-    are dropped within its own step, so a no-grad call holds at most one
-    expert's at a time. The model does not record it (moe_forward runs the
-    same helpers), but perfbench/layertrace.py looks it up in this module's
-    __dict__ to time it.
+    are dropped within its own task, so a no-grad call holds at most one
+    expert's per lane (nt.LANES) at a time. The model does not record it
+    (moe_forward runs the same helpers), but perfbench/layertrace.py looks
+    it up in this module's __dict__ to time it.
     """
     if x.ndim != 2:
         raise ShapeError(f"grouped_forward rows x have shape {x.shape}; expected (N, d)")

@@ -64,13 +64,30 @@ when the engine cannot prove that nothing else holds it: the array a
 pullback allocated for that leaf alone, or the sum buffer the engine
 allocated for it, becomes its .grad as is, so parameter gradients are not
 held twice at the end of backward.
+Work inside a node may run on lanes (lanes(), LANES = the CPUs the process
+may run on): the calling thread and LANES - 1 persistent worker threads,
+or the plain loop on one CPU. moe's experts and joint_attention's samples
+are its only tasks. A task makes the numpy calls the serial loop made,
+never records on a tape or calls a public op (perfbench's tracer wraps
+those), and writes only into memory no other task writes. Every array
+that outlives a task (a kept (h1, h3) pair, an output, a gradient buffer)
+is allocated by the caller and filled with out= or slice writes, since a
+worker thread's own allocations land in its own malloc arena and stay
+resident there. Every sum across tasks (out[rows] += y, gx[rows] += gxe)
+runs in the caller, in task order, so values and gradients are bitwise
+the plain loop's at any lane count. The caller holds at most one
+unconsumed result per lane.
 """
 
 from __future__ import annotations
 
 import contextvars
 import numbers
-from typing import Callable, Sequence
+import os
+import queue
+import threading
+from collections import deque
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -576,6 +593,137 @@ def rmsnorm(a: Tensor) -> Tensor:
         return (g * inv - da * (dot * inv ** 3 / n),)
 
     return record("rmsnorm", (a,), (out,), bwd)[0]
+
+
+# ---------------------------------------------------------------------------
+# lanes
+
+#: How many tasks lanes() runs at once: the CPUs this process may run on.
+LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+class _Worker:
+    """One persistent daemon thread that runs the tasks handed to it, one at
+    a time, and hands back each (value, error) in order."""
+
+    def __init__(self):
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self.pending = 0
+        self.thread = threading.Thread(target=self._serve, name="nimg-lane", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            self._done.put(_call(*job))
+            del job          # an idle worker holds no task or result
+
+    def submit(self, fn: Callable, item) -> None:
+        self.pending += 1
+        self._jobs.put((fn, item))
+
+    def take(self) -> tuple:
+        """(value, error) of the oldest task handed over, waiting for it."""
+        done = self._done.get()
+        self.pending -= 1
+        return done
+
+    def result(self):
+        """The value of the oldest task handed over, or its exception raised."""
+        value, error = self.take()
+        if error is not None:
+            raise error
+        return value
+
+    def stop(self) -> None:
+        self._jobs.put(None)
+        self.thread.join()
+
+
+def _call(fn: Callable, item):
+    try:
+        return fn(item), None
+    except BaseException as e:   # re-raised in the calling thread by result()
+        return None, e
+
+
+_WORKERS: list[_Worker] = []
+_WORKERS_LOCK = threading.Lock()
+
+
+def _reset_lanes() -> None:
+    """In a forked child: the parent's worker threads do not exist there, so
+    forget them (and a lock another parent thread may have held); the next
+    lanes() starts the child's own."""
+    global _WORKERS_LOCK
+    _WORKERS.clear()
+    _WORKERS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lanes)
+
+
+def _busy_lanes() -> int:
+    """Worker lanes holding a task or result that no caller has taken."""
+    return len([w for w in _WORKERS if w.pending])
+
+
+def lanes(fn: Callable, items: Iterable) -> Iterator:
+    """fn(item) for each item, yielded in item order, with up to LANES of
+    them running at once.
+
+    The calling thread is lane 0 and LANES - 1 persistent worker threads
+    (started on first use) are lanes 1, 2, ...; item i runs on lane i %
+    LANES. items is iterated in the calling thread, one item ahead of each
+    lane, so arrays an item carries are allocated there. A worker lane is
+    handed its next item as soon as its result is taken, so each lane holds
+    at most one result the caller has not consumed. With LANES = 1, or
+    while another lanes() holds the workers (a nested call, or another
+    thread's), this is the plain loop. fn must be thread-safe: it reads
+    shared arrays, writes only into memory no other task writes, and
+    records nothing on a tape. An exception in a task is raised here after
+    every lane has finished its task, so no lane is left busy.
+    """
+    lock = _WORKERS_LOCK
+    if not lock.acquire(blocking=False):
+        yield from map(fn, items)
+        return
+    try:
+        while len(_WORKERS) > LANES - 1:
+            _WORKERS.pop().stop()
+        while len(_WORKERS) < LANES - 1:
+            _WORKERS.append(_Worker())
+        if not _WORKERS:
+            yield from map(fn, items)
+            return
+        it = iter(items)
+        order = deque()      # (lane, item): lane None is the caller, item None a worker's
+        end = object()
+
+        def hand(lane):
+            item = next(it, end)
+            if item is not end:
+                if lane is not None:
+                    lane.submit(fn, item)
+                    item = None
+                order.append((lane, item))
+
+        for lane in (None, *_WORKERS):
+            hand(lane)
+        while order:
+            lane, item = order.popleft()
+            value = fn(item) if lane is None else lane.result()
+            del item
+            hand(lane)
+            yield value
+            del value
+    finally:
+        for w in _WORKERS:   # tasks still running after an error: wait, drop
+            while w.pending:
+                w.take()
+        lock.release()
 
 
 # ---------------------------------------------------------------------------

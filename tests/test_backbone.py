@@ -809,6 +809,33 @@ def test_joint_attention_no_grad_is_bitwise_the_taped_output():
     assert plain.data.tobytes() == taped.data.tobytes()
 
 
+def test_joint_attention_pullback_that_raises_leaves_a_node_that_runs_again(monkeypatch):
+    """A gradient one image row short fails the pullback inside each
+    sample's task. On 1, 2 and 3 lanes the ValueError reaches the caller,
+    no lane is left busy, and the next backward is bitwise a fresh one's."""
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(nt, "LANES", lanes)
+        rng = np.random.default_rng(19)
+        args = attention_inputs(rng)
+        tensors = args[:9]
+        weight = Tensor(rng.standard_normal(args[0].shape))
+        grads = []
+        for fail_first in (False, True):
+            for t in tensors:
+                t.grad = None
+            with Tape() as tape:
+                loss = nt.sum(nt.mul(joint_attention(*args), weight))
+            if fail_first:
+                B, S_i, d = args[0].shape
+                with pytest.raises(ValueError) as raised:
+                    tape.nodes[0].bwd(np.ones((B, S_i - 1, d)))
+                assert raised.type is ValueError, lanes
+                assert nt._busy_lanes() == 0, lanes
+            backward(tape, loss)
+            grads.append([t.grad.tobytes() for t in tensors])
+        assert grads[0] == grads[1], lanes
+
+
 def held_by_tape(record):
     """Bytes still allocated after record() ran under a fresh tape (which
     keeps each node, and so its closure, alive), and the tape."""

@@ -246,13 +246,9 @@ def test_taped_grouped_forward_keeps_only_its_output_and_up_projections():
     assert kept <= held <= kept + 16 * 1024, (held, kept)
 
 
-def test_no_grad_grouped_forward_drops_each_experts_activations():
-    """Without a tape, no expert's h1 and h3 outlive its own step: the peak
-    stays below one routed expert's h1 + h3 above the output plus the
-    largest step, the shared expert's (h1, h3, the activation and its
-    output over all N rows)."""
-    rng = np.random.default_rng(22)
-    E, n, N, d, h = 8, 128, 512, 8, 64
+def no_grad_grouped_forward_peak(rng, E, n, N, d, h):
+    """The traced peak of a no-grad grouped_forward over what existed
+    before, less its output."""
     x, blocks, gates, bank = retention_case(rng, E, n, N, d, h)
     with nt.no_grad():
         tracemalloc.start()
@@ -263,8 +259,31 @@ def test_no_grad_grouped_forward_drops_each_experts_activations():
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+    return peak - out.data.nbytes
+
+
+def test_no_grad_grouped_forward_drops_each_experts_activations(monkeypatch):
+    """Without a tape, no expert's h1 and h3 outlive its own step: on one
+    lane the peak stays below one routed expert's h1 + h3 above the output
+    plus the largest step, the shared expert's (h1, h3, the activation and
+    its output over all N rows)."""
+    monkeypatch.setattr(nt, "LANES", 1)
+    E, n, N, d, h = 8, 128, 512, 8, 64
+    peak = no_grad_grouped_forward_peak(np.random.default_rng(22), E, n, N, d, h)
     shared_step = (3 * N * h + N * d) * 8
-    assert peak - out.data.nbytes - shared_step < 2 * n * h * 8, peak
+    assert peak - shared_step < 2 * n * h * 8, peak
+
+
+def test_no_grad_grouped_forward_holds_one_expert_step_per_lane(monkeypatch):
+    """On three lanes two more routed experts' steps may run beside the
+    largest one: each lane holds its expert's rows, h1, h3, activation and
+    output, and drops them when the step ends."""
+    monkeypatch.setattr(nt, "LANES", 3)
+    E, n, N, d, h = 8, 128, 512, 8, 64
+    peak = no_grad_grouped_forward_peak(np.random.default_rng(22), E, n, N, d, h)
+    shared_step = (3 * N * h + N * d) * 8
+    routed_step = (3 * n * h + 2 * n * d) * 8
+    assert peak - shared_step < 2 * n * h * 8 + 2 * routed_step, peak
 
 
 def drop_grads(tensors):
@@ -331,38 +350,46 @@ def test_three_backwards_over_one_grouped_forward_give_1_2_3_times_bitwise():
 
 
 def raising_cases(rng):
-    """(forward, inputs, a wrong-shaped upstream gradient) per FFN node. The
-    grouped case's blocks put expert 0 on rows 0-3 and expert 1 on rows
-    4-7, so a gradient of 4 rows lets expert 0's pullback run (and release
-    its pair) before expert 1's row gather raises IndexError; swiglu's
+    """(forward, inputs, a wrong-shaped upstream gradient, the error it
+    raises) per FFN node. The grouped case's blocks put expert 0 on rows
+    0-3 and expert 1 on rows 4-7, so a gradient of 4 rows lets expert 0's
+    pullback run (and release its pair) before expert 1's row gather, on
+    lane 1 when there are more lanes than one, raises IndexError; swiglu's
     raises ValueError inside its pullback, after it took the pair."""
     x, _, gates, bank = grouped_case(rng, E=2, n=4, N=9)
     blocks = np.array([[0, 2, 1, 3], [5, 4, 7, 6]])
     grouped = (lambda: grouped_forward(x, blocks, gates, bank),
-               (x, gates, *vars(bank).values()), np.ones((4, x.shape[1])))
+               (x, gates, *vars(bank).values()), np.ones((4, x.shape[1])), IndexError)
     w1, w3, w2 = bank.shared_w1, bank.shared_w3, bank.shared_w2
-    dense = (lambda: swiglu(x, w1, w3, w2), (x, w1, w3, w2), np.ones((3, x.shape[1])))
+    dense = (lambda: swiglu(x, w1, w3, w2), (x, w1, w3, w2), np.ones((3, x.shape[1])),
+             ValueError)
     return {"grouped_forward": grouped, "swiglu": dense}
 
 
 @pytest.mark.parametrize("op", ["grouped_forward", "swiglu"])
-def test_pullback_that_raises_part_way_leaves_a_node_that_runs_again(op):
-    rng = np.random.default_rng(26)
-    forward, inputs, bad_g = raising_cases(rng)[op]
-    for t in inputs:
-        t.requires_grad = True
-    weight = Tensor(rng.standard_normal(inputs[0].shape))
-    grads = []
-    for fail_first in (False, True):
-        drop_grads(inputs)
-        with Tape() as tape:
-            loss = nt.sum(nt.mul(forward(), weight))
-        if fail_first:
-            with pytest.raises((IndexError, ValueError)):
-                tape.nodes[0].bwd(bad_g)
-        backward(tape, loss)
-        grads.append([t.grad.tobytes() for t in inputs])
-    assert grads[0] == grads[1]
+def test_pullback_that_raises_part_way_leaves_a_node_that_runs_again(monkeypatch, op):
+    """On 1, 2 and 3 lanes: the error reaches the caller with its own type,
+    no lane is left busy, and the next backward is bitwise a fresh one's."""
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(nt, "LANES", lanes)
+        rng = np.random.default_rng(26)
+        forward, inputs, bad_g, error = raising_cases(rng)[op]
+        for t in inputs:
+            t.requires_grad = True
+        weight = Tensor(rng.standard_normal(inputs[0].shape))
+        grads = []
+        for fail_first in (False, True):
+            drop_grads(inputs)
+            with Tape() as tape:
+                loss = nt.sum(nt.mul(forward(), weight))
+            if fail_first:
+                with pytest.raises(error) as raised:
+                    tape.nodes[0].bwd(bad_g)
+                assert raised.type is error, lanes
+                assert nt._busy_lanes() == 0, lanes
+            backward(tape, loss)
+            grads.append([t.grad.tobytes() for t in inputs])
+        assert grads[0] == grads[1], lanes
 
 
 def test_swiglu_stacked_shape_mismatch():
