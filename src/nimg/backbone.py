@@ -14,13 +14,14 @@ A block's whole attention branch is one node, joint_attention: adaLN
 modulate, Q/K/V projections, the image QK-norm/RoPE, attention and the
 output projection. It keeps only per-row statistics (each token's
 LayerNorm mean and inverse std, each image query and key head's inverse
-RMS, each score row's max and sum). Each sample is one task of nt.lanes,
-so samples run side by side on the process's CPUs, and within a sample
-the tiles of up to ATTENTION_TILE query rows run one at a time: a tile's
-scores, mask and softmax share one buffer that stays in cache. Its
-pullback recomputes the modulated input, the projections, the rotated
-heads and each tile's probabilities and output from its inputs and those
-statistics. It sums the key and value
+RMS, each score row's max and sum). Each sample's whole branch, forward
+and pullback, is one task of nt.lanes, so samples run side by side on the
+process's CPUs; only the sums of the weight gradients over the batch run
+in the caller. Within a sample the tiles of up to ATTENTION_TILE query
+rows run one at a time: a tile's scores, mask and softmax share one buffer
+that stays in cache. Its pullback recomputes the modulated input, the
+projections, the rotated heads and each tile's probabilities and output
+from its inputs and those statistics. It sums the key and value
 gradients over the tiles in row order, so they are not bitwise those of one
 untiled pass (1.1e-15 relative at most in the desk-model checks). The text
 keys' RMS norm and rotary rotation is one node, qk_norm_rope, recorded once
@@ -337,14 +338,20 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     reads kv head j, and within one kv head the n_rep query heads' rows
     are stacked into one (n_rep * T, d_h) matrix.
 
-    The attention runs in tiles: one sample and a block of ATTENTION_TILE
-    query rows (the last block of a sample may be shorter), as in
-    FlashAttention (Dao et al. 2022). Each sample is one task of nt.lanes,
-    forward and pullback alike, and runs its tiles one at a time in row
-    order. Samples write disjoint rows of O, dQ and the row statistics and
-    their own dK and dV, all allocated by the node, so the values do not
-    depend on how many lanes run. A tile's scores S = Q Kᵀ over all
-    S_i + S_t keys are scaled, masked and softmaxed in place in one buffer.
+    Each sample's whole branch is one task of nt.lanes, forward and
+    pullback alike: its LayerNorm, projections, QK-norm/RoPE, attention
+    and output projection, and in the pullback every step below down to
+    its rows of dx, dscale, dshift and the text dK and dV. A sample's task
+    writes only its slot [b] of arrays the node allocated: the output, the
+    kept statistics, the input gradients and each weight's product
+    (B, ...) buffer, whose sum over the batch the caller forms as matmul's
+    pullback does. So a no-grad call holds one sample's a, q, k, v and
+    rotated heads per lane, not the batch's, and values do not depend on
+    how many lanes run. Within a sample the attention runs in tiles of
+    ATTENTION_TILE query rows (the last may be shorter), one at a time in
+    row order, as in FlashAttention (Dao et al. 2022). A tile's scores
+    S = Q Kᵀ over all S_i + S_t keys are scaled, masked and softmaxed in
+    place in one buffer.
     The node keeps only per-row statistics: each token's LayerNorm mean and
     inverse std (B, S_i, 1), the inverse RMS of every query and image key
     head (B, S_i, H, 1), and each score row's max and sum. a, q, k, v, the
@@ -366,10 +373,10 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
         dx = LN pullback of da (1 + scale),
         dscale = sum over tokens of da x̂,   dshift = sum over tokens of da,
 
-    where each weight's product is formed per sample and summed over the
-    batch, as matmul's pullback does, and da sums the V, K and Q terms in
-    the order backward summed them for the chain. So gradients are bitwise
-    the chain's too.
+    where each weight's product is formed per sample, in that sample's
+    task, and summed over the batch in the caller, as matmul's pullback
+    does, and da sums the V, K and Q terms in the order backward summed
+    them for the chain. So gradients are bitwise the chain's too.
 
     The tiled sums make dK and dV, and so the gradients upstream of them,
     not bitwise those of one untiled pass. At the desk shapes (256 image
@@ -381,51 +388,47 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     """
     H_q, H_kv, d_h = _check_attention_shapes(x, scale, shift, wq, wk, wv, wo,
                                              k_txt, v_txt, text_mask, cos, sin)
-    B, S_i, _ = x.shape
+    B, S_i, d = x.shape
     n_rep = H_q // H_kv
     qk_scale = 1.0 / math.sqrt(d_h)
     sd, bd = nt._expand_mod(scale.data, x.shape), nt._expand_mod(shift.data, x.shape)
-    xd = x.data
+    xd, wod = x.data, wo.data
     bias = np.where(np.asarray(text_mask, bool), 0.0, -1e30)     # (B, S_t)
     tiles = [slice(r, min(r + ATTENTION_TILE, S_i)) for r in range(0, S_i, ATTENTION_TILE)]
     projections = ((wq, H_q), (wk, H_kv), (wv, H_kv))
 
-    def heads_of(t: np.ndarray, b: int, rows: slice) -> np.ndarray:
-        """Rows of sample b of a (B, S_i, H_q * d_h)-sized array as
+    def heads_of(t: np.ndarray, rows: slice) -> np.ndarray:
+        """Rows of one sample's (S_i, H_q * d_h)-sized array as
         (H_kv, n_rep * T, d_h): kv head, then query head and row."""
-        t = t.reshape(B, S_i, H_kv, n_rep, d_h)[b, rows].transpose(1, 2, 0, 3)
+        t = t.reshape(S_i, H_kv, n_rep, d_h)[rows].transpose(1, 2, 0, 3)
         return t.reshape(H_kv, -1, d_h)
 
-    def put_heads(dst: np.ndarray, b: int, rows: slice, t: np.ndarray) -> None:
-        """Inverse of heads_of: write t into rows of sample b of dst."""
-        dst.reshape(B, S_i, H_kv, n_rep, d_h)[b, rows] = (
+    def put_heads(dst: np.ndarray, rows: slice, t: np.ndarray) -> None:
+        """Inverse of heads_of: write t into rows of dst."""
+        dst.reshape(S_i, H_kv, n_rep, d_h)[rows] = (
             t.reshape(H_kv, n_rep, -1, d_h).transpose(2, 0, 1, 3))
 
-    def kv_heads(img: np.ndarray, txt: np.ndarray) -> np.ndarray:
-        """(B, H_kv, S_kv, d_h): image keys (or values), then text."""
-        return np.concatenate([img, txt], axis=1).transpose(0, 2, 1, 3).copy()
-
-    def modulated(xhat: np.ndarray) -> np.ndarray:
-        """a = x̂ (1 + scale) + shift, in a new buffer."""
-        a = xhat * (1.0 + sd)
-        a += bd
-        return a
-
-    def project(a: np.ndarray) -> list[np.ndarray]:
-        """The q, k and v heads of a, (B, S_i, H, d_h) each."""
-        return [np.matmul(a, w.data).reshape(B, S_i, H, d_h) for w, H in projections]
-
-    def rotated_heads(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
-        """The normed and rotated q, and the key and value heads of every
-        token."""
-        kh = kv_heads(_norm_rope(kd, inv_k, cos, sin), k_txt.data)
-        return _norm_rope(qd, inv_q, cos, sin), kh, kv_heads(vd, v_txt.data)
+    def branch(b: int, xhat: np.ndarray, fill: bool):
+        """Sample b's modulated input a, its q, k and v heads (S_i, H, d_h),
+        the normed and rotated q, and the key and value heads of every
+        token, (H_kv, S_kv, d_h): image, then text. With fill, the inverse
+        RMS of each q and k head is computed and stored into inv_q and
+        inv_k; else it is read from them."""
+        a = xhat * (1.0 + sd[b])
+        a += bd[b]
+        qd, kd, vd = (np.matmul(a, w.data).reshape(S_i, H, d_h) for w, H in projections)
+        if fill:
+            inv_q[b], inv_k[b] = nt._rms_inv(qd), nt._rms_inv(kd)
+        kh = np.concatenate([_norm_rope(kd, inv_k[b], cos, sin), k_txt.data[b]])
+        vh = np.concatenate([vd, v_txt.data[b]])
+        return (a, qd, kd, _norm_rope(qd, inv_q[b], cos, sin),
+                kh.transpose(1, 0, 2).copy(), vh.transpose(1, 0, 2).copy())
 
     def probs(b, rows, qt, kh, fill):
-        """P of one tile in its scores' buffer, (H_kv, n_rep * T, S_kv). With
-        fill, the row max and sum are computed and stored into stats; else
-        they are read from them."""
-        p = np.matmul(qt, np.swapaxes(kh[b], -1, -2))
+        """P of one tile of sample b in its scores' buffer, (H_kv, n_rep * T,
+        S_kv). With fill, the row max and sum are computed and stored into
+        stats; else they are read from them."""
+        p = np.matmul(qt, np.swapaxes(kh, -1, -2))
         p *= qk_scale
         p[..., S_i:] += bias[b]
         row_max, row_sum = (s[b, :, :, rows] for s in stats)
@@ -438,71 +441,82 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
         p /= row_sum.reshape(H_kv, -1, 1)
         return p
 
-    xhat, mu, inv = nt._ln_stats(xd)
-    qd, kd, vd = project(modulated(xhat))
-    inv_q, inv_k = nt._rms_inv(qd), nt._rms_inv(kd)
+    # the kept statistics and the output, filled at [b] by sample b's task
+    mu, inv = np.empty((B, S_i, 1)), np.empty((B, S_i, 1))
+    inv_q, inv_k = np.empty((B, S_i, H_q, 1)), np.empty((B, S_i, H_kv, 1))
     stats = (np.empty((B, H_kv, n_rep, S_i, 1)), np.empty((B, H_kv, n_rep, S_i, 1)))
-    qn, kh, vh = rotated_heads(qd, kd, vd)
-    o = np.empty((B, S_i, H_q * d_h))
+    y = np.empty((B, S_i, d))
 
     def sample(b: int) -> None:
+        xhat, mu[b], inv[b] = nt._ln_stats(xd[b])
+        qn, kh, vh = branch(b, xhat, fill=True)[3:]
+        del xhat
+        o = np.empty((S_i, H_q * d_h))
         for rows in tiles:
-            p = probs(b, rows, heads_of(qn, b, rows), kh, fill=True)
-            put_heads(o, b, rows, np.matmul(p, vh[b]))
+            p = probs(b, rows, heads_of(qn, rows), kh, fill=True)
+            put_heads(o, rows, np.matmul(p, vh))
+        np.matmul(o, wod, out=y[b])
 
     for _ in nt.lanes(sample, range(B)):
         pass
 
     def bwd(g):
-        xhat = nt._ln_xhat(xd, mu, inv)
-        a = modulated(xhat)
-        qd, kd, vd = project(a)
-        qn, kh, vh = rotated_heads(qd, kd, vd)
-        go = np.matmul(g, np.swapaxes(wo.data, -1, -2))          # dO
-        o = np.empty(go.shape)
-        gq = np.empty(qd.shape)
-        gk, gv = np.zeros(kh.shape), np.zeros(vh.shape)          # (B, H_kv, S_kv, d_h)
+        # each sample's share, filled at [b] by its task: the input
+        # gradients, and each weight's product, summed over the batch below
+        gx, g_scale, g_shift = np.empty(x.shape), np.empty(scale.shape), np.empty(shift.shape)
+        g_ktxt, g_vtxt = np.empty(k_txt.shape), np.empty(v_txt.shape)
+        g_wq, g_wk, g_wv, g_wo = (np.empty((B, *w.shape)) for w in (wq, wk, wv, wo))
 
         def sample_pullback(b: int) -> None:
+            xhat = nt._ln_xhat(xd[b], mu[b], inv[b])
+            a, qd, kd, qn, kh, vh = branch(b, xhat, fill=False)
+            go = np.matmul(g[b], np.swapaxes(wod, -1, -2))       # dO
+            o = np.empty(go.shape)
+            gq = np.empty(qd.shape)
+            gk, gv = np.zeros(kh.shape), np.zeros(vh.shape)      # (H_kv, S_kv, d_h)
             for rows in tiles:
-                qt, got = heads_of(qn, b, rows), heads_of(go, b, rows)
+                qt, got = heads_of(qn, rows), heads_of(go, rows)
                 p = probs(b, rows, qt, kh, fill=False)
-                put_heads(o, b, rows, np.matmul(p, vh[b]))
-                gs = np.matmul(got, np.swapaxes(vh[b], -1, -2))  # dP, then dS in place
-                gv[b] += np.matmul(np.swapaxes(p, -1, -2), got)
+                put_heads(o, rows, np.matmul(p, vh))
+                gs = np.matmul(got, np.swapaxes(vh, -1, -2))     # dP, then dS in place
+                gv += np.matmul(np.swapaxes(p, -1, -2), got)
                 gs -= (gs * p).sum(axis=-1, keepdims=True)
                 gs *= p
                 gs *= qk_scale
-                put_heads(gq, b, rows, np.matmul(gs, kh[b]))
-                gk[b] += np.matmul(np.swapaxes(gs, -1, -2), qt)
+                put_heads(gq, rows, np.matmul(gs, kh))
+                gk += np.matmul(np.swapaxes(gs, -1, -2), qt)
+            del qn, kh, vh, go
+            np.matmul(np.swapaxes(o, -1, -2), g[b], out=g_wo[b])
+            del o
+            gk, gv = gk.transpose(1, 0, 2), gv.transpose(1, 0, 2)  # (S_kv, H_kv, d_h)
+            g_ktxt[b], g_vtxt[b] = gk[S_i:], gv[S_i:]
+            gq = _norm_rope_pullback(gq, qd, inv_q[b], cos, sin)
+            g_kimg = _norm_rope_pullback(np.ascontiguousarray(gk[:S_i]), kd, inv_k[b],
+                                         cos, sin)
+            g_vimg = np.ascontiguousarray(gv[:S_i])
+            del gk, gv, qd, kd
+
+            def projection_pullback(w: Tensor, gh: np.ndarray, gw: np.ndarray) -> np.ndarray:
+                """matmul's pullback of a W from the (S_i, H, d_h) heads'
+                gradient: a's gradient, with aᵀ times it written into gw."""
+                g2 = gh.reshape(S_i, w.shape[1])
+                np.matmul(np.swapaxes(a, -1, -2), g2, out=gw)
+                return np.matmul(g2, np.swapaxes(w.data, -1, -2))
+
+            ga = projection_pullback(wv, g_vimg, g_wv[b])
+            ga = ga + projection_pullback(wk, g_kimg, g_wk[b])
+            ga += projection_pullback(wq, gq, g_wq[b])
+            gx[b] = nt._ln_bwd(xhat, inv[b], ga * (1.0 + sd[b]))
+            g_scale[b] = (ga * xhat).sum(axis=0)
+            g_shift[b] = ga.sum(axis=0)
 
         for _ in nt.lanes(sample_pullback, range(B)):
             pass
-        del qn, kh, vh, go
-        g_wo = nt._sum_to(np.matmul(np.swapaxes(o, -1, -2), g), wo.shape)
-        del o
-        gk, gv = gk.transpose(0, 2, 1, 3), gv.transpose(0, 2, 1, 3)  # (B, S_kv, H_kv, d_h)
-        gq = _norm_rope_pullback(gq, qd, inv_q, cos, sin)
-        g_kimg = _norm_rope_pullback(np.ascontiguousarray(gk[:, :S_i]), kd, inv_k, cos, sin)
-        g_vimg = np.ascontiguousarray(gv[:, :S_i])
-
-        def projection_pullback(w: Tensor, gh: np.ndarray):
-            """matmul's pullback of a W from the (B, S_i, H, d_h) heads' gradient."""
-            g2 = gh.reshape(B, S_i, w.shape[1])
-            return (np.matmul(g2, np.swapaxes(w.data, -1, -2)),
-                    nt._sum_to(np.matmul(np.swapaxes(a, -1, -2), g2), w.shape))
-
-        ga, g_wv = projection_pullback(wv, g_vimg)
-        ga_k, g_wk = projection_pullback(wk, g_kimg)
-        ga = ga + ga_k
-        ga_q, g_wq = projection_pullback(wq, gq)
-        ga += ga_q
-        return (nt._ln_bwd(xhat, inv, ga * (1.0 + sd)), (ga * xhat).sum(axis=1),
-                ga.sum(axis=1), g_wq, g_wk, g_wv, g_wo,
-                np.ascontiguousarray(gk[:, S_i:]), np.ascontiguousarray(gv[:, S_i:]))
+        return (gx, g_scale, g_shift, nt._sum_to(g_wq, wq.shape), nt._sum_to(g_wk, wk.shape),
+                nt._sum_to(g_wv, wv.shape), nt._sum_to(g_wo, wo.shape), g_ktxt, g_vtxt)
 
     return nt.record("joint_attention", (x, scale, shift, wq, wk, wv, wo, k_txt, v_txt),
-                     (np.matmul(o, wo.data),), bwd)[0]
+                     (y,), bwd)[0]
 
 
 # ---------------------------------------------------------------------------

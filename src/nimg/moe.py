@@ -25,7 +25,9 @@ The expert FFN runs each expert as one task of nt.lanes: the task gathers
 expert e's rows, runs its SwiGLU and scales each output row by its gate,
 and the caller adds the rows back, expert by expert in order. The shared
 expert, which covers every token so none is left without expert output,
-is the last task, on all rows, and is added last. So the experts of a
+is the last task, on all rows, and is added last. It is also the largest
+task (N rows against a routed expert's n), so it starts first, and each
+free lane pulls the next routed expert in order. So the experts of a
 layer run side by side on the process's CPUs and the sums, and so the
 values, are those of the plain loop. Every expert, and the dense FFN, runs
 one SwiGLU on (n, d) rows and 2-D weights, through the helpers _ffn and
@@ -48,10 +50,12 @@ h1 and h3, so no gathered rows or expert outputs outlive the forward, and
 it releases each pair once it has used it: a second backward recomputes
 each h1 and h3 from X and the weights, bitwise the forward's. Without a
 tape each expert's h1 and h3 are dropped within its own task, so a no-grad
-call holds at most one expert's per lane at a time. The pullback's tasks
-write each expert's weight and gate gradients into their slices of
-buffers the caller allocated, and the caller adds each expert's row
-gradient into dx in expert order.
+call holds at most one expert's per lane at a time. Each task's output
+rows (in the pullback, its row gradient) are a buffer the caller makes
+before the run starts, as nt.lanes lists its items, and drops once it has
+added them. The pullback's tasks write each expert's weight and gate
+gradients into their slices of buffers the caller allocated, and the
+caller adds each expert's row gradient into dx in expert order.
 
 swiglu and grouped_forward are the dense FFN and the expert FFN alone, as
 nodes of their own. The model records neither (its FFN-half nodes run the
@@ -208,8 +212,9 @@ def _experts(xd: np.ndarray, idx: np.ndarray, gd: np.ndarray, ws: tuple, keep: b
     expert e - 1's, bitwise as numpy's add.at over idx.ravel(); the shared
     SwiGLU of all rows is added last. With keep, kept holds each expert's
     (h1, h3) in block order, then the shared expert's; else it is empty.
-    Each expert, the shared one last, is one task of nt.lanes, which
-    writes its output rows and kept pair into buffers allocated here."""
+    Each expert, the shared one last, is one task of nt.lanes (the shared
+    one, the largest, starts first), which writes its output rows and kept
+    pair into buffers allocated here."""
     rows, sizes, weights = _expert_tasks(xd, idx, ws)
     kept = []
 
@@ -228,7 +233,7 @@ def _experts(xd: np.ndarray, idx: np.ndarray, gd: np.ndarray, ws: tuple, keep: b
         return rows[e], y
 
     out = np.zeros(xd.shape)
-    for r, y in nt.lanes(expert, jobs()):
+    for r, y in nt.lanes(expert, jobs(), sizes):
         out[r] += y
     return out, kept
 
@@ -237,9 +242,10 @@ def _experts_pullback(g: np.ndarray, xd: np.ndarray, idx: np.ndarray, gd: np.nda
                       ws: tuple, kept: list):
     """The gradients (dx, dgates, dW1, dW3, dW2, dW1_s, dW3_s, dW2_s) of
     _experts' output from g, by the module docstring's equations. Each
-    expert, the shared one last, is one task of nt.lanes, which writes its
-    rows' gradient and its weights' into buffers allocated here; the rows'
-    gradients are added into dx in task order."""
+    expert, the shared one last, is one task of nt.lanes (the shared one
+    starts first), which writes its rows' gradient and its weights' into
+    buffers allocated here; the rows' gradients are added into dx in item
+    order."""
     rows, sizes, weights = _expert_tasks(xd, idx, ws)
     grads = tuple(np.empty(w.shape) for w in ws)
     dgates = np.empty(gd.shape)
@@ -262,7 +268,7 @@ def _experts_pullback(g: np.ndarray, xd: np.ndarray, idx: np.ndarray, gd: np.nda
 
     gx = np.zeros(xd.shape)
     for r, gxe in nt.lanes(expert, ((e, np.empty((n, xd.shape[1])))
-                                    for e, n in enumerate(sizes))):
+                                    for e, n in enumerate(sizes)), sizes):
         gx[r] += gxe
     return (gx, dgates, *grads)
 
@@ -288,7 +294,8 @@ def grouped_forward(x: Tensor, blocks, gates: Tensor, bank: ExpertBank) -> Tenso
     second backward recomputes each pair from the input rows and weights.
     When no node will be recorded (nt.tracking), each expert's h1 and h3
     are dropped within its own task, so a no-grad call holds at most one
-    expert's per lane (nt.LANES) at a time. The model does not record it
+    expert's per lane (nt.LANES) at a time; every expert's output rows are
+    allocated before the first task starts. The model does not record it
     (moe_forward runs the same helpers), but perfbench/layertrace.py looks
     it up in this module's __dict__ to time it.
     """

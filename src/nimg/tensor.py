@@ -67,16 +67,20 @@ held twice at the end of backward.
 Work inside a node may run on lanes (lanes(), LANES = the CPUs the process
 may run on): the calling thread and LANES - 1 persistent worker threads,
 or the plain loop on one CPU. moe's experts and joint_attention's samples
-are its only tasks. A task makes the numpy calls the serial loop made,
-never records on a tape or calls a public op (perfbench's tracer wraps
-those), and writes only into memory no other task writes. Every array
-that outlives a task (a kept (h1, h3) pair, an output, a gradient buffer)
-is allocated by the caller and filled with out= or slice writes, since a
-worker thread's own allocations land in its own malloc arena and stay
-resident there. Every sum across tasks (out[rows] += y, gx[rows] += gxe)
-runs in the caller, in task order, so values and gradients are bitwise
-the plain loop's at any lane count. The caller holds at most one
-unconsumed result per lane.
+(each sample's whole attention branch) are its only tasks. Every lane
+pulls the next task from one shared index, largest first, so no lane
+idles while a task is left; results come back in item order, and a
+failing run raises the error of the earliest failing task in item order.
+A task makes the numpy calls the serial loop made, never records on a
+tape or calls a public op (perfbench's tracer wraps those), and writes
+only into memory no other task writes. Every array that outlives a task
+(a kept (h1, h3) pair, an output, a statistic, a gradient or a weight
+product slot) is allocated by the caller and filled with out= or slice
+writes, since a worker thread's own allocations land in its own malloc
+arena and stay resident there. Every sum across tasks (out[rows] += y,
+gx[rows] += gxe, a weight gradient summed over the batch) runs in the
+caller, in item order, so values and gradients are bitwise the plain
+loop's at any lane count.
 """
 
 from __future__ import annotations
@@ -86,7 +90,6 @@ import numbers
 import os
 import queue
 import threading
-from collections import deque
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -603,48 +606,90 @@ LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
 
-class _Worker:
-    """One persistent daemon thread that runs the tasks handed to it, one at
-    a time, and hands back each (value, error) in order."""
+class _Run:
+    """One lanes() call's tasks. Every lane pulls the next unstarted task in
+    start order until none is left or the run is stopped; task i's (value,
+    error) lands in done[i]."""
 
-    def __init__(self):
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self.pending = 0
-        self.thread = threading.Thread(target=self._serve, name="nimg-lane", daemon=True)
-        self.thread.start()
+    def __init__(self, fn: Callable, items: list, order: Sequence[int], workers: int):
+        self.fn, self.items, self.order = fn, items, order
+        self.done: list = [None] * len(items)
+        self.started = 0
+        self.stopped = False
+        self.workers = workers           # worker lanes that have not left the run
+        self.cond = threading.Condition()
 
-    def _serve(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            self._done.put(_call(*job))
-            del job          # an idle worker holds no task or result
+    def pull(self) -> bool:
+        """Run the next unstarted task in this thread; False if none is left
+        or the run is stopped."""
+        with self.cond:
+            if self.stopped or self.started == len(self.order):
+                return False
+            i = self.order[self.started]
+            self.started += 1
+            item, self.items[i] = self.items[i], None
+        done = _call(self.fn, item)
+        del item
+        with self.cond:
+            self.done[i] = done
+            self.cond.notify_all()
+        return True
 
-    def submit(self, fn: Callable, item) -> None:
-        self.pending += 1
-        self._jobs.put((fn, item))
-
-    def take(self) -> tuple:
-        """(value, error) of the oldest task handed over, waiting for it."""
-        done = self._done.get()
-        self.pending -= 1
-        return done
-
-    def result(self):
-        """The value of the oldest task handed over, or its exception raised."""
-        value, error = self.take()
+    def take(self, i: int):
+        """Task i's value, or its exception raised. While task i is
+        unstarted or running, the caller runs unstarted tasks itself."""
+        while self.done[i] is None:
+            if not self.pull():
+                with self.cond:
+                    self.cond.wait_for(lambda: self.done[i] is not None)
+        (value, error), self.done[i] = self.done[i], None
         if error is not None:
             raise error
         return value
 
+    def leave(self, worker: "_Worker") -> None:
+        with self.cond:
+            worker.run = None
+            self.workers -= 1
+            self.cond.notify_all()
+
     def stop(self) -> None:
-        self._jobs.put(None)
+        """Start no further task, and wait until every worker lane has left."""
+        with self.cond:
+            self.stopped = True
+            self.cond.wait_for(lambda: self.workers == 0)
+
+
+class _Worker:
+    """One persistent daemon thread that works on each run handed to it
+    until the run has no task left to start."""
+
+    def __init__(self):
+        self._runs: queue.SimpleQueue = queue.SimpleQueue()
+        self.run: _Run | None = None
+        self.thread = threading.Thread(target=self._serve, name="nimg-lane", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while (run := self._runs.get()) is not None:
+            while run.pull():
+                pass
+            run.leave(self)
+            del run          # an idle worker holds no task or result
+
+    def hand(self, run: _Run) -> None:
+        self.run = run
+        self._runs.put(run)
+
+    def stop(self) -> None:
+        self._runs.put(None)
         self.thread.join()
 
 
 def _call(fn: Callable, item):
     try:
         return fn(item), None
-    except BaseException as e:   # re-raised in the calling thread by result()
+    except BaseException as e:   # re-raised in the calling thread by _Run.take
         return None, e
 
 
@@ -666,25 +711,35 @@ if hasattr(os, "register_at_fork"):
 
 
 def _busy_lanes() -> int:
-    """Worker lanes holding a task or result that no caller has taken."""
-    return len([w for w in _WORKERS if w.pending])
+    """Worker lanes still inside a run."""
+    return len([w for w in _WORKERS if w.run is not None])
 
 
-def lanes(fn: Callable, items: Iterable) -> Iterator:
+def lanes(fn: Callable, items: Iterable, sizes: Sequence | None = None) -> Iterator:
     """fn(item) for each item, yielded in item order, with up to LANES of
     them running at once.
 
     The calling thread is lane 0 and LANES - 1 persistent worker threads
-    (started on first use) are lanes 1, 2, ...; item i runs on lane i %
-    LANES. items is iterated in the calling thread, one item ahead of each
-    lane, so arrays an item carries are allocated there. A worker lane is
-    handed its next item as soon as its result is taken, so each lane holds
-    at most one result the caller has not consumed. With LANES = 1, or
-    while another lanes() holds the workers (a nested call, or another
-    thread's), this is the plain loop. fn must be thread-safe: it reads
-    shared arrays, writes only into memory no other task writes, and
-    records nothing on a tape. An exception in a task is raised here after
-    every lane has finished its task, so no lane is left busy.
+    (started on first use) are lanes 1, 2, ... items is listed in the
+    calling thread before any task starts, so the arrays the items carry
+    are allocated there. Tasks start in order of decreasing size (sizes[i]
+    for item i; a stable sort, so equal sizes, or no sizes, start in item
+    order): the longest-processing-time rule (Graham 1969). Every lane
+    pulls the next unstarted task from one shared index until none is
+    left, so no lane idles while a task is unstarted. The caller yields
+    the results in item order, and while the next one is not done it runs
+    unstarted tasks itself. An item is dropped here once its task has run,
+    and a result once it is yielded. With LANES = 1, or while another
+    lanes() holds the workers (a nested call, or another thread's), this
+    is the plain loop. fn must be thread-safe: it reads shared arrays,
+    writes only into memory no other task writes, and records nothing on a
+    tape.
+
+    A failing task stops the run when its result is due: no further task
+    starts, and once every worker lane is idle its exception is raised
+    here. Every task before it in item order has succeeded by then, so the
+    error raised is that of the earliest failing task in item order, as in
+    the plain loop.
     """
     lock = _WORKERS_LOCK
     if not lock.acquire(blocking=False):
@@ -698,31 +753,20 @@ def lanes(fn: Callable, items: Iterable) -> Iterator:
         if not _WORKERS:
             yield from map(fn, items)
             return
-        it = iter(items)
-        order = deque()      # (lane, item): lane None is the caller, item None a worker's
-        end = object()
-
-        def hand(lane):
-            item = next(it, end)
-            if item is not end:
-                if lane is not None:
-                    lane.submit(fn, item)
-                    item = None
-                order.append((lane, item))
-
-        for lane in (None, *_WORKERS):
-            hand(lane)
-        while order:
-            lane, item = order.popleft()
-            value = fn(item) if lane is None else lane.result()
-            del item
-            hand(lane)
-            yield value
-            del value
+        items = list(items)
+        order = range(len(items)) if sizes is None else sorted(
+            range(len(items)), key=lambda i: -sizes[i])
+        run = _Run(fn, items, order, len(_WORKERS))
+        for w in _WORKERS:
+            w.hand(run)
+        try:
+            for i in range(len(items)):
+                value = run.take(i)
+                yield value
+                del value
+        finally:
+            run.stop()
     finally:
-        for w in _WORKERS:   # tasks still running after an error: wait, drop
-            while w.pending:
-                w.take()
         lock.release()
 
 

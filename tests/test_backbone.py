@@ -1,6 +1,7 @@
 import gc
 import inspect
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -835,6 +836,74 @@ def test_joint_attention_pullback_that_raises_leaves_a_node_that_runs_again(monk
             grads.append([t.grad.tobytes() for t in tensors])
         assert grads[0] == grads[1], lanes
 
+
+
+def attention_args(rng, B, S_i, S_t, H_kv, n_rep, d_h, d):
+    """joint_attention's arguments: attention_case's arrays as tensors that
+    require grad, a text mask that pads the last text token of every odd
+    sample, and the image rope tables."""
+    arrays, pos_h, pos_w = attention_case(rng, B, S_i, S_t, H_kv, n_rep, d_h, d)
+    mask = np.arange(S_t)[None, :] < S_t - np.arange(B)[:, None] % 2
+    return (*(Tensor(arrays[n], requires_grad=True) for n in ATTENTION_ARGS), mask,
+            *rope_tables(pos_h, pos_w, S_i, d_h))
+
+
+@pytest.mark.parametrize("B, S_t", [(1, 4), (3, 4), (2, 0), (3, 0)])
+def test_joint_attention_is_bitwise_the_same_on_one_two_and_three_lanes(monkeypatch, B, S_t):
+    """Each sample's whole branch is one task: one sample, an odd count of
+    samples on two lanes, and no text. The value, all nine input gradients
+    and the gradients after a second backward (exactly twice the first:
+    the pullback reruns bitwise from the kept statistics) match one
+    lane's. Two query tiles per sample."""
+    S_i = ATTENTION_TILE + 6
+    runs = {}
+    interval = sys.getswitchinterval()
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(nt, "LANES", lanes)
+        rng = np.random.default_rng(30)
+        args = attention_args(rng, B, S_i, S_t, H_kv=2, n_rep=2, d_h=4, d=16)
+        tensors = args[:9]
+        weight = Tensor(rng.standard_normal((B, S_i, 16)))
+        if lanes == 3:    # more lanes than CPUs, switching often: the stress case
+            sys.setswitchinterval(1e-5)
+        try:
+            with Tape() as tape:
+                out = joint_attention(*args)
+                loss = nt.sum(nt.mul(out, weight))
+            backward(tape, loss)
+            once = [t.grad.copy() for t in tensors]
+            backward(tape, loss)
+        finally:
+            sys.setswitchinterval(interval)
+        for t, g in zip(tensors, once):
+            assert t.grad.tobytes() == (2.0 * g).tobytes()
+        assert [t.grad.shape for t in tensors] == [t.shape for t in tensors]
+        runs[lanes] = (out.data.tobytes(), [g.tobytes() for g in once])
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def test_no_grad_joint_attention_holds_one_sample_at_a_time():
+    """On one lane at B = 4, a no-grad call's peak above its output stays
+    below two samples' working set (a, q, k, v, the rotated heads and one
+    tile's scores): each sample's task drops its arrays before the next
+    sample's starts, where a whole-batch forward would hold all four
+    samples' q, k and v at once."""
+    B, S_i, S_t, d, H_q, H_kv, d_h = 4, 256, 8, 64, 4, 1, 16
+    args = attention_args(np.random.default_rng(32), B, S_i, S_t, H_kv, H_q // H_kv, d_h, d)
+    with nt.no_grad(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nt, "LANES", 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = joint_attention(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+    S_kv, T = S_i + S_t, min(ATTENTION_TILE, S_i)
+    sample = 8 * (S_i * d + 2 * S_i * H_q * d_h + 2 * S_i * H_kv * d_h
+                  + 2 * S_kv * H_kv * d_h + H_q * T * S_kv)
+    assert peak < 2 * sample, (peak, sample)
 
 def held_by_tape(record):
     """Bytes still allocated after record() ran under a fresh tape (which

@@ -29,30 +29,105 @@ def lane_threads():
     return [t for t in threading.enumerate() if t.name == "nimg-lane"]
 
 
-def test_lanes_yield_in_task_order_and_pull_items_in_the_caller(monkeypatch):
-    """Item i runs on lane i % 3 (lane 0 the caller), results come back in
-    item order, and every item is made in the calling thread."""
-    monkeypatch.setattr(nt, "LANES", 3)
-    caller = threading.current_thread()
+def run_with_timeout(work, timeout=30.0):
+    """work() in a thread joined with a timeout, so that a scheduling fault
+    fails the test instead of hanging it; returns work's value or raises
+    its exception."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = work()
+        except BaseException as e:
+            box["error"] = e
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "lanes() did not finish"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_free_lanes_pull_the_remaining_items(monkeypatch, lanes):
+    """Item 0 blocks until the last item has run. That happens only if the
+    lanes not held by item 0 pull every other item, whichever lane they
+    are. Results still come back in item order, and every item's arrays
+    are made in the calling thread."""
+    monkeypatch.setattr(nt, "LANES", lanes)
+    n = 3 * lanes + 1
+    last_ran = threading.Event()
     made_in = []
 
     def items():
-        for i in range(8):
+        for i in range(n):
             made_in.append(threading.current_thread())
-            yield i
+            yield i, np.empty(4)
+
+    def task(job):
+        i, buf = job
+        if i == 0:
+            assert last_ran.wait(timeout=20.0), "item 0 was left waiting for the last item"
+        if i == n - 1:
+            last_ran.set()
+        buf[:] = i
+        return i, buf
+
+    def work():
+        caller = threading.current_thread()
+        out = list(nt.lanes(task, items()))
+        return caller, out
+
+    caller, out = run_with_timeout(work)
+    assert [i for i, _ in out] == list(range(n))
+    assert all((buf == i).all() for i, buf in out)
+    assert len(made_in) == n and all(t is caller for t in made_in)
+    assert nt._busy_lanes() == 0
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_the_largest_item_starts_first(monkeypatch, lanes):
+    """Every item but the last, the largest, waits until the last has
+    started. In item order the first `lanes` items would hold every lane
+    and wait forever; largest first, the last starts at once."""
+    monkeypatch.setattr(nt, "LANES", lanes)
+    sizes = [1] * 6 + [10]
+    largest_started = threading.Event()
 
     def task(i):
-        time.sleep(0.001 * (8 - i))   # later items finish first
-        return i, threading.current_thread()
+        if i == len(sizes) - 1:
+            largest_started.set()
+        else:
+            assert largest_started.wait(timeout=20.0), "the largest item did not start first"
+        time.sleep(0.001 * (len(sizes) - i))   # later items finish first
+        return i
 
-    out = list(nt.lanes(task, items()))
-    assert [i for i, _ in out] == list(range(8))
-    assert all(t is caller for t in made_in)
-    lane = [t for _, t in out]
-    assert all(lane[i] is caller for i in (0, 3, 6))
-    assert lane[1] is lane[4] is lane[7] and lane[2] is lane[5]
-    assert len({caller, lane[1], lane[2]}) == 3
+    out = run_with_timeout(lambda: list(nt.lanes(task, range(len(sizes)), sizes)))
+    assert out == list(range(len(sizes)))
     assert nt._busy_lanes() == 0
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_a_failing_run_raises_the_earliest_failing_items_error(monkeypatch, lanes):
+    """Item 5, the largest, starts first and fails at once; item 1 fails
+    later. The error raised is item 1's, the earliest in item order, as in
+    the plain loop, and it is raised once no lane is busy."""
+    monkeypatch.setattr(nt, "LANES", lanes)
+
+    def task(i):
+        if i == 5:
+            raise ValueError(i)
+        time.sleep(0.005)
+        if i == 1:
+            raise KeyError(i)
+        return i
+
+    with pytest.raises(KeyError):
+        run_with_timeout(lambda: list(nt.lanes(task, range(6), [1, 1, 1, 1, 1, 5])))
+    assert nt._busy_lanes() == 0
+    assert list(nt.lanes(lambda i: i * i, range(5))) == [0, 1, 4, 9, 16]
 
 
 def test_a_task_that_raises_reaches_the_caller_after_every_lane_is_done(monkeypatch):
@@ -70,7 +145,7 @@ def test_a_task_that_raises_reaches_the_caller_after_every_lane_is_done(monkeypa
         for _ in nt.lanes(task, range(9)):
             pass
     assert nt._busy_lanes() == 0
-    assert 5 in finished      # lane 2's task, running when lane 1's raised, was waited for
+    assert 5 in finished      # running when item 4's error came due, and waited for
     assert list(nt.lanes(lambda i: i * i, range(5))) == [0, 1, 4, 9, 16]
 
 
