@@ -45,7 +45,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -546,12 +548,12 @@ def sinusoidal_features(t, dim: int) -> Tensor:
     """Half sine / half cosine features over log-spaced frequencies.
 
     t: scalar or (B,) array, or Tensor that does not require grad, of real
-    values in [0, 1]. Returns the (B, dim) features as a constant Tensor; at
-    t = 0 the sine half is exactly 0 and the cosine half exactly 1. NaN is
-    outside the domain.
+    values in [0, 1], and dim an even integer >= 0 (ConfigError). Returns
+    the (B, dim) features as a constant Tensor; at t = 0 the sine half is
+    exactly 0 and the cosine half exactly 1. NaN is outside the domain.
     """
-    if dim % 2 != 0:
-        raise ConfigError(f"feature dim {dim} must be even")
+    if not isinstance(dim, numbers.Integral) or dim < 0 or dim % 2 != 0:
+        raise ConfigError(f"feature dim {dim!r} must be an even integer >= 0")
     vals = _timestep_values(t)
     if vals.ndim > 1:
         raise ShapeError(f"timestep t has shape {vals.shape}; expected () or (B,)")
@@ -758,9 +760,11 @@ class MoEDiT:
     def text_kv_recompute_count(self) -> int:
         return self._text_kv_recomputes
 
-    def precompute_text_kv(self, prompts: list[str]) -> TextContext:
-        """Project encoder output to per-layer text KV, once per prompt set."""
-        if isinstance(prompts, str) or not all(isinstance(p, str) for p in prompts):
+    def precompute_text_kv(self, prompts: Sequence[str]) -> TextContext:
+        """Project encoder output to per-layer text KV, once per prompt set.
+        prompts is a sequence of str, one per sample (ShapeError otherwise)."""
+        if (isinstance(prompts, str) or not isinstance(prompts, Sequence)
+                or not all(isinstance(p, str) for p in prompts)):
             raise ShapeError("prompts must be a sequence of str, one per sample")
         self._text_kv_recomputes += 1
         cfg = self.cfg

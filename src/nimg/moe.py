@@ -27,11 +27,11 @@ and the caller adds the rows back, expert by expert in order. The shared
 expert, which covers every token so none is left without expert output,
 is the last task, on all rows, and is added last. It is also the largest
 task (N rows against a routed expert's n), so it starts first, and each
-free lane pulls the next routed expert in order. So the experts of a
-layer run side by side on the process's CPUs and the sums, and so the
-values, are those of the plain loop. Every expert, and the dense FFN, runs
-one SwiGLU on (n, d) rows and 2-D weights, through the helpers _ffn and
-_ffn_pullback.
+free lane, the calling thread's included, pulls the next routed expert in
+order. So the experts of a layer run side by side on the process's CPUs
+and the sums, and so the values, are those of the plain loop. Every
+expert, and the dense FFN, runs one SwiGLU on (n, d) rows and 2-D
+weights, through the helpers _ffn and _ffn_pullback.
 
 For expert e with X = x[blocks[e]], h1 = X W1^T, h3 = X W3^T,
 a = SiLU(h1) * h3 and y = gates[e] * (a W2^T) added into rows blocks[e],

@@ -65,18 +65,19 @@ pullback allocated for that leaf alone, or the sum buffer the engine
 allocated for it, becomes its .grad as is, so parameter gradients are not
 held twice at the end of backward.
 Work inside a node may run on lanes (lanes(), LANES = the CPUs the process
-may run on): the calling thread and LANES - 1 persistent worker threads,
-or the plain loop on one CPU. moe's experts and joint_attention's samples
-(each sample's whole attention branch) are its only tasks. Every lane
-pulls the next task from one shared index, largest first, so no lane
-idles while a task is left; results come back in item order, and a
-failing run raises the error of the earliest failing task in item order.
+may run on): the calling thread and LANES - 1 helpers on a standard-library
+thread pool of as many non-daemon threads, or the plain loop on one CPU.
+moe's experts and joint_attention's samples (each sample's whole attention
+branch) are its only tasks. Every lane, the caller's included, pulls the
+next task from one shared start order, largest first, so no lane idles
+while a task is left; results come back in item order, and a failing run
+raises the error of the earliest failing task in item order.
 A task makes the numpy calls the serial loop made, never records on a
 tape or calls a public op (perfbench's tracer wraps those), and writes
 only into memory no other task writes. Every array that outlives a task
 (a kept (h1, h3) pair, an output, a statistic, a gradient or a weight
 product slot) is allocated by the caller and filled with out= or slice
-writes, since a worker thread's own allocations land in its own malloc
+writes, since a pool thread's own allocations land in its own malloc
 arena and stay resident there. Every sum across tasks (out[rows] += y,
 gx[rows] += gxe, a weight gradient summed over the batch) runs in the
 caller, in item order, so values and gradients are bitwise the plain
@@ -88,8 +89,9 @@ from __future__ import annotations
 import contextvars
 import numbers
 import os
-import queue
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -407,7 +409,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def split(a: Tensor, n: int, axis: int = 0) -> tuple[Tensor, ...]:
     """n equal slices along axis as one node with n outputs."""
     a = as_tensor(a)
-    if not -a.ndim <= axis < a.ndim or n < 1 or a.shape[axis] % n:
+    if (not isinstance(axis, numbers.Integral) or not isinstance(n, numbers.Integral)
+            or not -a.ndim <= axis < a.ndim or n < 1 or a.shape[axis] % n):
         raise ShapeError(f"cannot split {a.shape} into {n} equal parts "
                          f"along axis {axis}")
     outs = [np.ascontiguousarray(p) for p in np.split(a.data, n, axis=axis)]
@@ -515,6 +518,8 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     total = sum(a, axis=axis, keepdims=keepdims)  # first, so a bad axis is a ShapeError
     n = a.size if axis is None else int(np.prod([a.shape[i] for i in np.atleast_1d(axis)]))
+    if n == 0:
+        raise ShapeError(f"mean of {a.shape} over axis {axis}: zero elements")
     return mul(total, 1.0 / n)
 
 
@@ -605,167 +610,107 @@ def rmsnorm(a: Tensor) -> Tensor:
 LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
-
-class _Run:
-    """One lanes() call's tasks. Every lane pulls the next unstarted task in
-    start order until none is left or the run is stopped; task i's (value,
-    error) lands in done[i]."""
-
-    def __init__(self, fn: Callable, items: list, order: Sequence[int], workers: int):
-        self.fn, self.items, self.order = fn, items, order
-        self.done: list = [None] * len(items)
-        self.started = 0
-        self.stopped = False
-        self.workers = workers           # worker lanes that have not left the run
-        self.cond = threading.Condition()
-
-    def pull(self) -> bool:
-        """Run the next unstarted task in this thread; False if none is left
-        or the run is stopped."""
-        with self.cond:
-            if self.stopped or self.started == len(self.order):
-                return False
-            i = self.order[self.started]
-            self.started += 1
-            item, self.items[i] = self.items[i], None
-        done = _call(self.fn, item)
-        del item
-        with self.cond:
-            self.done[i] = done
-            self.cond.notify_all()
-        return True
-
-    def take(self, i: int):
-        """Task i's value, or its exception raised. While task i is
-        unstarted or running, the caller runs unstarted tasks itself."""
-        while self.done[i] is None:
-            if not self.pull():
-                with self.cond:
-                    self.cond.wait_for(lambda: self.done[i] is not None)
-        (value, error), self.done[i] = self.done[i], None
-        if error is not None:
-            raise error
-        return value
-
-    def leave(self, worker: "_Worker") -> None:
-        with self.cond:
-            worker.run = None
-            self.workers -= 1
-            self.cond.notify_all()
-
-    def stop(self) -> None:
-        """Start no further task, and wait until every worker lane has left."""
-        with self.cond:
-            self.stopped = True
-            self.cond.wait_for(lambda: self.workers == 0)
-
-
-class _Worker:
-    """One persistent daemon thread that works on each run handed to it
-    until the run has no task left to start."""
-
-    def __init__(self):
-        self._runs: queue.SimpleQueue = queue.SimpleQueue()
-        self.run: _Run | None = None
-        self.thread = threading.Thread(target=self._serve, name="nimg-lane", daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while (run := self._runs.get()) is not None:
-            while run.pull():
-                pass
-            run.leave(self)
-            del run          # an idle worker holds no task or result
-
-    def hand(self, run: _Run) -> None:
-        self.run = run
-        self._runs.put(run)
-
-    def stop(self) -> None:
-        self._runs.put(None)
-        self.thread.join()
-
-
-def _call(fn: Callable, item):
-    try:
-        return fn(item), None
-    except BaseException as e:   # re-raised in the calling thread by _Run.take
-        return None, e
-
-
-_WORKERS: list[_Worker] = []
-_WORKERS_LOCK = threading.Lock()
+_POOL: tuple[int, ThreadPoolExecutor | None] = (0, None)   # (threads, pool)
+_POOL_LOCK = threading.Lock()
 
 
 def _reset_lanes() -> None:
-    """In a forked child: the parent's worker threads do not exist there, so
-    forget them (and a lock another parent thread may have held); the next
-    lanes() starts the child's own."""
-    global _WORKERS_LOCK
-    _WORKERS.clear()
-    _WORKERS_LOCK = threading.Lock()
+    """In a forked child: the parent's pool threads do not exist there, so
+    forget the pool (and a lock another parent thread may have held); the
+    next lanes() makes the child's own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = (0, None), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_lanes)
 
 
-def _busy_lanes() -> int:
-    """Worker lanes still inside a run."""
-    return len([w for w in _WORKERS if w.run is not None])
-
-
 def lanes(fn: Callable, items: Iterable, sizes: Sequence | None = None) -> Iterator:
     """fn(item) for each item, yielded in item order, with up to LANES of
     them running at once.
 
-    The calling thread is lane 0 and LANES - 1 persistent worker threads
-    (started on first use) are lanes 1, 2, ... items is listed in the
+    The calling thread is lane 0, and LANES - 1 helpers on a pool of as
+    many threads (concurrent.futures.ThreadPoolExecutor, made on first use
+    and replaced when LANES changes) are the others. items is listed in the
     calling thread before any task starts, so the arrays the items carry
     are allocated there. Tasks start in order of decreasing size (sizes[i]
     for item i; a stable sort, so equal sizes, or no sizes, start in item
     order): the longest-processing-time rule (Graham 1969). Every lane
-    pulls the next unstarted task from one shared index until none is
+    pulls the next unstarted task from one shared iterator until none is
     left, so no lane idles while a task is unstarted. The caller yields
     the results in item order, and while the next one is not done it runs
-    unstarted tasks itself. An item is dropped here once its task has run,
-    and a result once it is yielded. With LANES = 1, or while another
-    lanes() holds the workers (a nested call, or another thread's), this
-    is the plain loop. fn must be thread-safe: it reads shared arrays,
-    writes only into memory no other task writes, and records nothing on a
-    tape.
+    unstarted tasks itself: that is the caller's share. An item is dropped
+    here once its task has run, and a result once it is yielded. With
+    LANES = 1, or while another lanes() holds the pool (a nested call, or
+    another thread's), this is the plain loop. fn must be thread-safe: it
+    reads shared arrays, writes only into memory no other task writes, and
+    records nothing on a tape. The pool threads are not daemons: between
+    runs they wait idle, and the standard library joins them at exit.
 
     A failing task stops the run when its result is due: no further task
-    starts, and once every worker lane is idle its exception is raised
-    here. Every task before it in item order has succeeded by then, so the
-    error raised is that of the earliest failing task in item order, as in
-    the plain loop.
+    starts, and once every helper has left its exception is raised here.
+    Every task before it in item order has succeeded by then, so the error
+    raised is that of the earliest failing task in item order, as in the
+    plain loop.
     """
-    lock = _WORKERS_LOCK
+    global _POOL
+    lock = _POOL_LOCK
     if not lock.acquire(blocking=False):
         yield from map(fn, items)
         return
     try:
-        while len(_WORKERS) > LANES - 1:
-            _WORKERS.pop().stop()
-        while len(_WORKERS) < LANES - 1:
-            _WORKERS.append(_Worker())
-        if not _WORKERS:
+        threads, pool = _POOL
+        if threads != LANES - 1:
+            if pool is not None:
+                pool.shutdown()
+            pool = None if LANES == 1 else ThreadPoolExecutor(
+                LANES - 1, thread_name_prefix="nimg-lane")
+            _POOL = LANES - 1, pool
+        if pool is None:
             yield from map(fn, items)
             return
         items = list(items)
-        order = range(len(items)) if sizes is None else sorted(
-            range(len(items)), key=lambda i: -sizes[i])
-        run = _Run(fn, items, order, len(_WORKERS))
-        for w in _WORKERS:
-            w.hand(run)
+        done: list = [None] * len(items)     # task i's (value, error), until yielded
+        order = iter(sorted(range(len(items)), key=None if sizes is None else lambda i: -sizes[i]))
+        cond = threading.Condition()
+
+        def pull() -> bool:
+            """Run the next unstarted task in this thread; False if none is left."""
+            with cond:
+                i = next(order, None)
+                if i is None:
+                    return False
+                item, items[i] = items[i], None
+            try:
+                result = fn(item), None
+            except BaseException as e:   # re-raised in the calling thread when due
+                result = None, e
+            with cond:
+                done[i] = result
+                cond.notify_all()
+            return True
+
+        def drain() -> None:
+            while pull():
+                pass
+
+        helpers = [pool.submit(drain) for _ in range(LANES - 1)]
         try:
             for i in range(len(items)):
-                value = run.take(i)
+                while done[i] is None and pull():
+                    pass
+                with cond:
+                    cond.wait_for(lambda: done[i] is not None)
+                (value, error), done[i] = done[i], None
+                if error is not None:
+                    raise error
                 yield value
                 del value
         finally:
-            run.stop()
+            with cond:
+                deque(order, maxlen=0)   # start no further task
+            wait(helpers)
     finally:
         lock.release()
 

@@ -10,11 +10,13 @@ chains of tape nodes the model recorded for a block's FFN half before
 moe.dense_ffn_half and moe.moe_forward folded each into one node; the
 folded nodes must equal them bitwise, values and gradients.
 trunc_normal_loop is the whole-mask resampling loop backbone.trunc_normal
-must reproduce draw for draw.
+must reproduce draw for draw. assert_lanes_free is the invariant every
+lanes test ends on: no run of nt.lanes is left holding a lane.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -22,6 +24,16 @@ import numpy as np
 from nimg import backbone, moe, router
 from nimg import tensor as nt
 from nimg.tensor import DomainError, NonScalarLoss, Tape, Tensor, backward
+
+
+def assert_lanes_free() -> None:
+    """nt.LANES tasks of one nt.lanes call meet at a barrier. They all get
+    past it only if every lane runs one of them at once: the pool lock is
+    free (else the call is the plain loop, and the first task waits alone)
+    and no helper of an earlier run still holds a pool thread. A lane that
+    is not free breaks the barrier after its timeout."""
+    barrier = threading.Barrier(nt.LANES, timeout=10)
+    list(nt.lanes(lambda _: barrier.wait(), range(nt.LANES)))
 
 
 class EvalError(RuntimeError):

@@ -15,8 +15,8 @@ from nimg.backbone import (ATTENTION_TILE, ModelConfig, MoEDiT, fused_gate_res_l
                            rope_tables, trunc_normal)
 from nimg.router import StageId
 from nimg.tensor import ShapeError, Tape, Tensor, backward
-from oracles import (fused_rms_modulate, grad_check, layernorm, rope_apply_grid, tanh,
-                     trunc_normal_loop)
+from oracles import (assert_lanes_free, fused_rms_modulate, grad_check, layernorm,
+                     rope_apply_grid, tanh, trunc_normal_loop)
 from reference_model import (attention_loop, layer_norm, reference_forward, rms_norm,
                              rope_loop)
 
@@ -831,7 +831,7 @@ def test_joint_attention_pullback_that_raises_leaves_a_node_that_runs_again(monk
                 with pytest.raises(ValueError) as raised:
                     tape.nodes[0].bwd(np.ones((B, S_i - 1, d)))
                 assert raised.type is ValueError, lanes
-                assert nt._busy_lanes() == 0, lanes
+                assert_lanes_free()
             backward(tape, loss)
             grads.append([t.grad.tobytes() for t in tensors])
         assert grads[0] == grads[1], lanes

@@ -19,6 +19,7 @@ from nimg import tensor as nt
 from nimg.backbone import ModelConfig, MoEDiT
 from nimg.router import StageId
 from nimg.tensor import Tape, Tensor, backward
+from oracles import assert_lanes_free
 
 PROMPTS = ["red cat under the old tree", "a quiet river"]
 DESK = ModelConfig(n_layers=8, d_model=128, n_q_heads=4, n_kv_heads=1, head_dim=32,
@@ -26,7 +27,7 @@ DESK = ModelConfig(n_layers=8, d_model=128, n_q_heads=4, n_kv_heads=1, head_dim=
 
 
 def lane_threads():
-    return [t for t in threading.enumerate() if t.name == "nimg-lane"]
+    return [t for t in threading.enumerate() if t.name.startswith("nimg-lane_")]
 
 
 def run_with_timeout(work, timeout=30.0):
@@ -84,7 +85,7 @@ def test_free_lanes_pull_the_remaining_items(monkeypatch, lanes):
     assert [i for i, _ in out] == list(range(n))
     assert all((buf == i).all() for i, buf in out)
     assert len(made_in) == n and all(t is caller for t in made_in)
-    assert nt._busy_lanes() == 0
+    assert_lanes_free()
 
 
 @pytest.mark.parametrize("lanes", [2, 3])
@@ -106,7 +107,7 @@ def test_the_largest_item_starts_first(monkeypatch, lanes):
 
     out = run_with_timeout(lambda: list(nt.lanes(task, range(len(sizes)), sizes)))
     assert out == list(range(len(sizes)))
-    assert nt._busy_lanes() == 0
+    assert_lanes_free()
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -126,7 +127,7 @@ def test_a_failing_run_raises_the_earliest_failing_items_error(monkeypatch, lane
 
     with pytest.raises(KeyError):
         run_with_timeout(lambda: list(nt.lanes(task, range(6), [1, 1, 1, 1, 1, 5])))
-    assert nt._busy_lanes() == 0
+    assert_lanes_free()
     assert list(nt.lanes(lambda i: i * i, range(5))) == [0, 1, 4, 9, 16]
 
 
@@ -137,24 +138,76 @@ def test_a_task_that_raises_reaches_the_caller_after_every_lane_is_done(monkeypa
     def task(i):
         if i == 4:
             raise KeyError(i)
-        time.sleep(0.01)
+        time.sleep(0.05 if i == 5 else 0.01)
         finished.append(i)
         return i
 
     with pytest.raises(KeyError):
         for _ in nt.lanes(task, range(9)):
             pass
-    assert nt._busy_lanes() == 0
     assert 5 in finished      # running when item 4's error came due, and waited for
+    assert_lanes_free()
     assert list(nt.lanes(lambda i: i * i, range(5))) == [0, 1, 4, 9, 16]
 
 
 def test_a_consumer_that_stops_early_leaves_no_lane_busy(monkeypatch):
     monkeypatch.setattr(nt, "LANES", 3)
-    results = nt.lanes(lambda i: time.sleep(0.01) or i, range(9))
+    running = []
+
+    def task(i):
+        running.append(i)
+        time.sleep(0.01)
+        running.remove(i)
+        return i
+
+    results = nt.lanes(task, range(9))
     assert next(results) == 0
     results.close()
-    assert nt._busy_lanes() == 0
+    assert running == []      # close() returned only once every started task had
+    assert_lanes_free()
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_no_items_give_no_results(monkeypatch, lanes):
+    monkeypatch.setattr(nt, "LANES", lanes)
+    assert run_with_timeout(lambda: list(nt.lanes(lambda i: i, []))) == []
+    assert run_with_timeout(lambda: list(nt.lanes(lambda i: i, iter(()), []))) == []
+    assert_lanes_free()
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_items_that_raise_while_listed_raise_their_own_error(monkeypatch, lanes):
+    """With more than one lane items is listed before any task starts, so
+    no task runs; the plain loop runs item 0's before it lists item 1."""
+    monkeypatch.setattr(nt, "LANES", lanes)
+    ran = []
+
+    def items():
+        yield 0
+        raise LookupError("listing items")
+
+    with pytest.raises(LookupError, match="listing items") as raised:
+        run_with_timeout(lambda: list(nt.lanes(ran.append, items())))
+    assert raised.type is LookupError
+    assert ran == ([0] if lanes == 1 else [])
+    assert_lanes_free()
+
+
+@pytest.mark.parametrize("error", [SystemExit, KeyboardInterrupt])
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_a_task_that_raises_a_base_exception_reaches_the_caller(monkeypatch, lanes, error):
+    monkeypatch.setattr(nt, "LANES", lanes)
+
+    def task(i):
+        time.sleep(0.002)
+        if i == 3:
+            raise error(i)
+        return i
+
+    with pytest.raises(error) as raised:
+        run_with_timeout(lambda: list(nt.lanes(task, range(7))))
+    assert raised.type is error
+    assert_lanes_free()
 
 
 def test_a_nested_call_runs_its_tasks_in_its_own_lane(monkeypatch):
@@ -225,36 +278,41 @@ def tiny_forward():
 
 
 def test_lane_threads_number_at_most_cpus_minus_one_and_are_reused(monkeypatch):
+    """The pool has LANES - 1 threads, made on first use and reused by every
+    later call; when LANES changes, the pool is replaced by one of the new
+    size and the old threads exit."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert nt.LANES == cpus
     tiny_forward()
+    assert_lanes_free()           # every pool thread runs a task at once
     first = lane_threads()
     assert len(first) == nt.LANES - 1 <= cpus - 1
     count = threading.active_count()
     tiny_forward()
     tiny_forward()
     assert lane_threads() == first and threading.active_count() == count
-    monkeypatch.setattr(nt, "LANES", nt.LANES + 2)
-    tiny_forward()
-    grown = lane_threads()
-    assert len(grown) == len(first) + 2 and grown[:len(first)] == first
-    monkeypatch.undo()
-    tiny_forward()
-    assert lane_threads() == first   # the extra workers stopped when lanes shrank
+    for lanes in (nt.LANES + 2, cpus):
+        monkeypatch.setattr(nt, "LANES", lanes)
+        tiny_forward()
+        assert_lanes_free()
+        now = lane_threads()
+        assert len(now) == lanes - 1
+        assert not any(t.is_alive() for t in first)
+        first = now
 
 
 def test_a_child_forked_after_a_forward_starts_its_own_lanes(monkeypatch):
-    """The parent's worker threads do not exist in a forked child; without
-    the at-fork reset the child's first task would wait forever on them."""
+    """The parent's pool threads do not exist in a forked child; without
+    the at-fork reset the child's first run would wait forever on them."""
     monkeypatch.setattr(nt, "LANES", 2)
     want = tiny_forward()
-    parent_worker = lane_threads()
-    assert len(parent_worker) == 1
+    parent_thread = lane_threads()
+    assert len(parent_thread) == 1
 
     def child():
         same = tiny_forward() == want
-        own = [t for t in lane_threads() if t is not parent_worker[0]]
-        sys.exit(0 if same and len(own) == 1 else 3)
+        own = lane_threads()
+        sys.exit(0 if same and len(own) == 1 and own[0] is not parent_thread[0] else 3)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()

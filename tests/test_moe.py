@@ -8,7 +8,8 @@ from nimg import tensor as nt
 from nimg.moe import ExpertBank, dense_ffn_half, grouped_forward, moe_forward, swiglu
 from nimg.router import GATE_EPS, capacity_for, route_full
 from nimg.tensor import ShapeError, Tape, Tensor, backward
-from oracles import dense_half_chain, fused_rms_modulate, grad_check, moe_half_chain
+from oracles import (assert_lanes_free, dense_half_chain, fused_rms_modulate, grad_check,
+                     moe_half_chain)
 
 
 def swiglu_arrays(x: np.ndarray, w1: np.ndarray, w3: np.ndarray,
@@ -386,7 +387,7 @@ def test_pullback_that_raises_part_way_leaves_a_node_that_runs_again(monkeypatch
                 with pytest.raises(error) as raised:
                     tape.nodes[0].bwd(bad_g)
                 assert raised.type is error, lanes
-                assert nt._busy_lanes() == 0, lanes
+                assert_lanes_free()
             backward(tape, loss)
             grads.append([t.grad.tobytes() for t in inputs])
         assert grads[0] == grads[1], lanes

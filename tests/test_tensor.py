@@ -341,6 +341,14 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
         (lambda: capacity_for("16", 4, 1.0), ConfigError, "capacity"),
     "scatter_add_rows_fractional_row_count":
         (lambda: nt.scatter_add_rows(M23, [0, 1], 2.5), ShapeError, "row count"),
+    "mean_of_no_elements": (lambda: nt.mean(Tensor(np.ones(0))), ShapeError, "zero elements"),
+    "sinusoidal_negative_dim":
+        (lambda: sinusoidal_features(0.5, -2), ConfigError, "feature dim"),
+    "text_kv_prompts_not_a_sequence": (lambda: text_kv_of(3), ShapeError, "prompts"),
+    "text_kv_prompts_generator":
+        (lambda: text_kv_of(p for p in ("a cat", "a dog")), ShapeError, "prompts"),
+    "split_fractional_axis": (lambda: nt.split(M23, 2, axis=0.5), ShapeError, "split"),
+    "split_fractional_count": (lambda: nt.split(V3, 1.5), ShapeError, "split"),
 }
 
 
