@@ -7,26 +7,28 @@ block is an exact identity at initialization. A block records five tape
 nodes: the modulation matmul, add and split, its attention branch and its
 FFN half. The fused nodes have hand-derived pullbacks, their values and
 gradients are bitwise those of the chains of nodes they replace, and they
-keep per-row statistics, not (B, S, d) arrays, and recompute the rest.
+keep by the one rule of tensor.py's buffer-ownership paragraph: their
+inputs and outputs, but no per-row statistic and no other (B, S, d)
+array. Their pullbacks recompute the rest by the forward's own calls.
 fused_ln_scale is the whole adaLN modulate, LN(x) (1 + scale) + shift, of
 the final layer.
 A block's whole attention branch is one node, joint_attention: adaLN
 modulate, Q/K/V projections, the image QK-norm/RoPE, attention and the
-output projection. It keeps only per-row statistics (each token's
-LayerNorm mean and inverse std, each image query and key head's inverse
-RMS, each score row's max and sum). Each sample's whole branch, forward
-and pullback, is one task of nt.lanes, so samples run side by side on the
-process's CPUs; only the sums of the weight gradients over the batch run
-in the caller. Within a sample the tiles of up to ATTENTION_TILE query
-rows run one at a time: a tile's scores, mask and softmax share one buffer
-that stays in cache. Its pullback recomputes the modulated input, the
-projections, the rotated heads and each tile's probabilities and output
-from its inputs and those statistics. It sums the key and value
+output projection. It keeps nothing beyond its inputs and its output.
+Each sample's whole branch, forward and pullback, is one task of nt.lanes,
+so samples run side by side on the process's CPUs; only the sums of the
+weight gradients over the batch run in the caller. Within a sample the
+tiles of up to ATTENTION_TILE query rows run one at a time: a tile's
+scores, mask and softmax share one buffer that stays in cache. Its
+pullback recomputes the modulated input, the projections, the rotated
+heads and each tile's probabilities and output from its inputs, every row
+statistic the forward formed included. It sums the key and value
 gradients over the tiles in row order, so they are not bitwise those of one
 untiled pass (1.1e-15 relative at most in the desk-model checks). The text
 keys' RMS norm and rotary rotation is one node, qk_norm_rope, recorded once
-per prompt set, which keeps only the inverse RMS; the two angle tables are
-built once per forward and shared by every layer.
+per prompt set, which keeps nothing beyond its input, its output and the
+two angle tables; those are built once per forward and shared by every
+layer.
 A block's FFN half is one node too, from the attention output to the next
 residual stream: both gated residuals, the norm and modulation, and the
 dense SwiGLU (moe.dense_ffn_half) or the expert-choice routing and the
@@ -48,7 +50,7 @@ import math
 import numbers
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,19 +91,20 @@ def fused_ln_scale(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """LayerNorm(x) * (1 + scale) + shift in one pass: DiT's adaLN modulate.
 
     scale and shift are (B, d), broadcast over the tokens of x (ShapeError
-    otherwise); scale = shift = 0 is plain LayerNorm. The node keeps only
-    each row's mean and inverse std, (B, S, 1) each; its pullback recomputes
-    x̂ from x with _ln_stats' ops, so bitwise the forward's.
+    otherwise); scale = shift = 0 is plain LayerNorm. The node keeps
+    nothing beyond its inputs and output; its pullback recomputes x̂ and
+    each row's inverse std from x with the forward's _ln_stats call, so
+    bitwise the forward's.
     """
     sd = nt._expand_mod(scale.data, x.shape)
     bd = nt._expand_mod(shift.data, x.shape)
     xd = x.data
-    out, mu, inv = nt._ln_stats(xd)
+    out = nt._ln_stats(xd)[0]
     out *= 1.0 + sd
     out += bd
 
     def bwd(G):
-        xhat = nt._ln_xhat(xd, mu, inv)
+        xhat, inv = nt._ln_stats(xd)
         return nt._ln_bwd(xhat, inv, G * (1.0 + sd)), (G * xhat).sum(axis=1), G.sum(axis=1)
 
     return nt.record("fused_ln_scale", (x, scale, shift), (out,), bwd)[0]
@@ -112,11 +115,12 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
     """Gated residual then LayerNorm-scale, one pass.
 
     Returns (h, m) with h = x + tanh(g) * r (the updated residual stream)
-    and m = LayerNorm(h) * (1 + s). The node keeps tanh(g) and each row's
-    mean and inverse std of h; its pullback recomputes x̂ from h, its own
-    first output. The model does not record it (moe.dense_ffn_half folds it),
-    but perfbench/layertrace.py looks it up in this module's __dict__ to
-    time it, so deleting it makes Tracer.install raise KeyError.
+    and m = LayerNorm(h) * (1 + s). Beyond its inputs and outputs the node
+    keeps tanh(g); its pullback recomputes x̂ and each row's inverse std
+    from h, its own first output, with the forward's _ln_stats call. The
+    model does not record it (moe.dense_ffn_half folds it), but
+    perfbench/layertrace.py looks it up in this module's __dict__ to time
+    it, so deleting it makes Tracer.install raise KeyError.
     """
     if r.shape != x.shape:
         raise ShapeError(f"residual shape {r.shape} != {x.shape}")
@@ -124,11 +128,11 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
     sd = nt._expand_mod(s.data, x.shape)
     rd = r.data
     h = x.data + th * rd
-    m, mu, inv = nt._ln_stats(h)
+    m = nt._ln_stats(h)[0]
     m *= 1.0 + sd
 
     def bwd(Gh, Gm):
-        xhat = nt._ln_xhat(h, mu, inv)
+        xhat, inv = nt._ln_stats(h)
         dh = Gh + nt._ln_bwd(xhat, inv, Gm * (1.0 + sd))
         dg = (dh * rd * (1.0 - th * th)).sum(axis=1)
         return dh, dg, dh * th, (Gm * xhat).sum(axis=1)
@@ -235,8 +239,8 @@ def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
     in the numpy order of the rmsnorm → rotate_pairs → mul → mul → add
     composition it replaces, so its values are bitwise that composition's.
-    The node keeps only inv (B, S, H, 1) and the caller's two tables; x is
-    its input.
+    The node keeps nothing beyond its input x, its output and the caller's
+    two tables; its pullback recomputes inv with the forward's _rms_inv call.
     With g the output gradient the pullback is the inverse rotation, then
     the RMS-norm pullback, in one owned buffer:
 
@@ -250,9 +254,9 @@ def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
         raise ShapeError(f"qk_norm_rope expects (B, S, H, d_h) heads, got {x.shape}")
     _check_tables(cos, sin, x.shape, "heads")
     xd = x.data
-    inv = nt._rms_inv(xd)
-    return nt.record("qk_norm_rope", (x,), (_norm_rope(xd, inv, cos, sin),),
-                     lambda g: (_norm_rope_pullback(g, xd, inv, cos, sin),))[0]
+    out = _norm_rope(xd, nt._rms_inv(xd), cos, sin)
+    return nt.record("qk_norm_rope", (x,), (out,),
+                     lambda g: (_norm_rope_pullback(g, xd, nt._rms_inv(xd), cos, sin),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +349,24 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     and output projection, and in the pullback every step below down to
     its rows of dx, dscale, dshift and the text dK and dV. A sample's task
     writes only its slot [b] of arrays the node allocated: the output, the
-    kept statistics, the input gradients and each weight's product
-    (B, ...) buffer, whose sum over the batch the caller forms as matmul's
-    pullback does. So a no-grad call holds one sample's a, q, k, v and
-    rotated heads per lane, not the batch's, and values do not depend on
-    how many lanes run. Within a sample the attention runs in tiles of
-    ATTENTION_TILE query rows (the last may be shorter), one at a time in
-    row order, as in FlashAttention (Dao et al. 2022). A tile's scores
-    S = Q Kᵀ over all S_i + S_t keys are scaled, masked and softmaxed in
-    place in one buffer.
-    The node keeps only per-row statistics: each token's LayerNorm mean and
-    inverse std (B, S_i, 1), the inverse RMS of every query and image key
-    head (B, S_i, H, 1), and each score row's max and sum. a, q, k, v, the
-    rotated heads and O are not kept (Chen et al. 2016). The pullback
-    recomputes a from x with _ln_xhat, then q, k and v by the same matmuls,
-    the rotated heads, and each tile's P and O = P V by the forward's exact
-    sequence, all bitwise the forward's. With G the output gradient and
-    c = 1/sqrt(d_h) it computes dO = G W_oᵀ, then per tile
+    input gradients and each weight's product (B, ...) buffer, whose sum
+    over the batch the caller forms as matmul's pullback does. So a no-grad
+    call holds one sample's a, q, k, v and rotated heads per lane, not the
+    batch's, and values do not depend on how many lanes run. Within a
+    sample the attention runs in tiles of ATTENTION_TILE query rows (the
+    last may be shorter), one at a time in row order, as in FlashAttention
+    (Dao et al. 2022). A tile's scores S = Q Kᵀ over all S_i + S_t keys
+    are scaled, masked and softmaxed in place in one buffer.
+    The node keeps nothing beyond its inputs and its output: a, q, k, v, the
+    rotated heads, O and every row statistic (each token's LayerNorm inverse
+    std, the inverse RMS of every query and image key head, each score
+    row's max and sum) are recomputed (Chen et al. 2016). The pullback
+    recomputes x̂ and the inverse std from x with _ln_stats, then a, q, k
+    and v by the same matmuls, the heads' inverse RMS with _rms_inv, the
+    rotated heads, and each tile's P, its row max and sum included, and
+    O = P V by the forward's exact sequence, all bitwise the forward's.
+    With G the output gradient and c = 1/sqrt(d_h) it computes dO = G W_oᵀ,
+    then per tile
 
         dP = dO Vᵀ,   dS = P * (dP - rowsum(dP * P)) c,
         dQ = dS K,    dK += dSᵀ Q,   dV += Pᵀ dO,
@@ -410,52 +415,38 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
         dst.reshape(S_i, H_kv, n_rep, d_h)[rows] = (
             t.reshape(H_kv, n_rep, -1, d_h).transpose(2, 0, 1, 3))
 
-    def branch(b: int, xhat: np.ndarray, fill: bool):
+    def branch(b: int, xhat: np.ndarray):
         """Sample b's modulated input a, its q, k and v heads (S_i, H, d_h),
-        the normed and rotated q, and the key and value heads of every
-        token, (H_kv, S_kv, d_h): image, then text. With fill, the inverse
-        RMS of each q and k head is computed and stored into inv_q and
-        inv_k; else it is read from them."""
+        the inverse RMS of each q and k head, the normed and rotated q, and
+        the key and value heads of every token, (H_kv, S_kv, d_h): image,
+        then text."""
         a = xhat * (1.0 + sd[b])
         a += bd[b]
         qd, kd, vd = (np.matmul(a, w.data).reshape(S_i, H, d_h) for w, H in projections)
-        if fill:
-            inv_q[b], inv_k[b] = nt._rms_inv(qd), nt._rms_inv(kd)
-        kh = np.concatenate([_norm_rope(kd, inv_k[b], cos, sin), k_txt.data[b]])
+        inv_q, inv_k = nt._rms_inv(qd), nt._rms_inv(kd)
+        kh = np.concatenate([_norm_rope(kd, inv_k, cos, sin), k_txt.data[b]])
         vh = np.concatenate([vd, v_txt.data[b]])
-        return (a, qd, kd, _norm_rope(qd, inv_q[b], cos, sin),
+        return (a, qd, kd, inv_q, inv_k, _norm_rope(qd, inv_q, cos, sin),
                 kh.transpose(1, 0, 2).copy(), vh.transpose(1, 0, 2).copy())
 
-    def probs(b, rows, qt, kh, fill):
+    def probs(b, qt, kh):
         """P of one tile of sample b in its scores' buffer, (H_kv, n_rep * T,
-        S_kv). With fill, the row max and sum are computed and stored into
-        stats; else they are read from them."""
+        S_kv)."""
         p = np.matmul(qt, np.swapaxes(kh, -1, -2))
         p *= qk_scale
         p[..., S_i:] += bias[b]
-        row_max, row_sum = (s[b, :, :, rows] for s in stats)
-        if fill:
-            row_max[...] = p.max(axis=-1).reshape(row_max.shape)
-        p -= row_max.reshape(H_kv, -1, 1)
+        p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
-        if fill:
-            row_sum[...] = p.sum(axis=-1).reshape(row_sum.shape)
-        p /= row_sum.reshape(H_kv, -1, 1)
+        p /= p.sum(axis=-1, keepdims=True)
         return p
 
-    # the kept statistics and the output, filled at [b] by sample b's task
-    mu, inv = np.empty((B, S_i, 1)), np.empty((B, S_i, 1))
-    inv_q, inv_k = np.empty((B, S_i, H_q, 1)), np.empty((B, S_i, H_kv, 1))
-    stats = (np.empty((B, H_kv, n_rep, S_i, 1)), np.empty((B, H_kv, n_rep, S_i, 1)))
-    y = np.empty((B, S_i, d))
+    y = np.empty((B, S_i, d))     # the output, filled at [b] by sample b's task
 
     def sample(b: int) -> None:
-        xhat, mu[b], inv[b] = nt._ln_stats(xd[b])
-        qn, kh, vh = branch(b, xhat, fill=True)[3:]
-        del xhat
+        qn, kh, vh = branch(b, nt._ln_stats(xd[b])[0])[5:]
         o = np.empty((S_i, H_q * d_h))
         for rows in tiles:
-            p = probs(b, rows, heads_of(qn, rows), kh, fill=True)
+            p = probs(b, heads_of(qn, rows), kh)
             put_heads(o, rows, np.matmul(p, vh))
         np.matmul(o, wod, out=y[b])
 
@@ -470,15 +461,15 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
         g_wq, g_wk, g_wv, g_wo = (np.empty((B, *w.shape)) for w in (wq, wk, wv, wo))
 
         def sample_pullback(b: int) -> None:
-            xhat = nt._ln_xhat(xd[b], mu[b], inv[b])
-            a, qd, kd, qn, kh, vh = branch(b, xhat, fill=False)
+            xhat, inv = nt._ln_stats(xd[b])
+            a, qd, kd, inv_q, inv_k, qn, kh, vh = branch(b, xhat)
             go = np.matmul(g[b], np.swapaxes(wod, -1, -2))       # dO
             o = np.empty(go.shape)
             gq = np.empty(qd.shape)
             gk, gv = np.zeros(kh.shape), np.zeros(vh.shape)      # (H_kv, S_kv, d_h)
             for rows in tiles:
                 qt, got = heads_of(qn, rows), heads_of(go, rows)
-                p = probs(b, rows, qt, kh, fill=False)
+                p = probs(b, qt, kh)
                 put_heads(o, rows, np.matmul(p, vh))
                 gs = np.matmul(got, np.swapaxes(vh, -1, -2))     # dP, then dS in place
                 gv += np.matmul(np.swapaxes(p, -1, -2), got)
@@ -492,8 +483,8 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
             del o
             gk, gv = gk.transpose(1, 0, 2), gv.transpose(1, 0, 2)  # (S_kv, H_kv, d_h)
             g_ktxt[b], g_vtxt[b] = gk[S_i:], gv[S_i:]
-            gq = _norm_rope_pullback(gq, qd, inv_q[b], cos, sin)
-            g_kimg = _norm_rope_pullback(np.ascontiguousarray(gk[:S_i]), kd, inv_k[b],
+            gq = _norm_rope_pullback(gq, qd, inv_q, cos, sin)
+            g_kimg = _norm_rope_pullback(np.ascontiguousarray(gk[:S_i]), kd, inv_k,
                                          cos, sin)
             g_vimg = np.ascontiguousarray(gv[:S_i])
             del gk, gv, qd, kd
@@ -508,7 +499,7 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
             ga = projection_pullback(wv, g_vimg, g_wv[b])
             ga = ga + projection_pullback(wk, g_kimg, g_wk[b])
             ga += projection_pullback(wq, gq, g_wq[b])
-            gx[b] = nt._ln_bwd(xhat, inv[b], ga * (1.0 + sd[b]))
+            gx[b] = nt._ln_bwd(xhat, inv, ga * (1.0 + sd[b]))
             g_scale[b] = (ga * xhat).sum(axis=0)
             g_shift[b] = ga.sum(axis=0)
 
@@ -652,6 +643,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         for name in ("n_layers", "d_model", "n_q_heads", "n_kv_heads", "head_dim",
                      "n_experts", "expert_hidden", "latent_channels", "patch"):
             if getattr(self, name) < 1:

@@ -10,10 +10,12 @@ F = SwiGLU(LN(h) (1 + ff_scale)). moe_forward runs the paper's MoE layer
 with decoupled routing: with n = RMS(h) c, expert choice (router) routes on
 n plus a per-sample timestep term, and F is the routed experts plus the
 shared expert on the modulated state n (1 + ff_scale). Each node keeps
-both tanh(gate)s, its rows' normalisation statistics ((B, S, 1) arrays),
-F(h), which the ff_gate gradient reads, and the FFN's up-projections;
-moe_forward also keeps token_flat, the gates and the router's (B, S, E)
-scores and claim mask. Its pullback recomputes h, the normalised and the
+its inputs, its output, both tanh(gate)s and what a GEMM produced: F(h),
+which the ff_gate gradient reads, and the FFN's up-projections;
+moe_forward also keeps what routing chose: token_flat, the gates and the
+router's (B, S, E) scores and claim mask. Neither keeps a row statistic.
+Its pullback recomputes h, its rows' LayerNorm inverse std or inverse RMS
+(the forward's nt._ln_stats or nt._rms_inv call), the normalised and the
 modulated input by the forward's numpy calls and runs the pullbacks of
 the chain of nodes it replaces in the order backward ran them, so its
 values and gradients are bitwise that chain's (tests/oracles.py keeps the
@@ -364,10 +366,10 @@ def dense_ffn_half(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
     weights (h, d), (h, d), (d, h) (ShapeError otherwise). The values are
     bitwise those of the fused_gate_res_ln_scale → reshape → swiglu →
     reshape → fused_gated_residual chain it replaces. The node keeps both
-    tanh(gate)s, each row's LayerNorm mean and inverse std of h, F, and
-    until its pullback first runs the SwiGLU's up-projections h1 and h3.
-    With gf the gradient at F, the pullback recomputes h, x̂ = LN(h) and
-    m = x̂ (1 + ff_scale), then
+    tanh(gate)s, F, and until its pullback first runs the SwiGLU's
+    up-projections h1 and h3, but no row statistic. With gf the gradient at
+    F, the pullback recomputes h, x̂ = LN(h) and each row's inverse std
+    with the forward's nt._ln_stats call, and m = x̂ (1 + ff_scale), then
 
         gm = SwiGLU pullback of gf at m (swiglu's),
         gh = LN pullback of gm (1 + ff_scale),   dff_scale = sum over tokens of gm x̂,
@@ -381,13 +383,13 @@ def dense_ffn_half(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
     B, S, d = x.shape
     _check_shapes((B * S, d), w1.shape, w3.shape, w2.shape, "dense_ffn_half")
     w1d, w3d, w2d = w1.data, w3.data, w2.data
-    m, mu, inv = nt._ln_stats(h)
+    m = nt._ln_stats(h)[0]
     m *= 1.0 + sd
     h1, h3, f = _ffn(m.reshape(B * S, d), w1d, w3d, w2d)
     kept = [(h1, h3)]
 
     def pullback(gf, h):
-        xhat = nt._ln_xhat(h, mu, inv)
+        xhat, inv = nt._ln_stats(h)
         rows = (xhat * (1.0 + sd)).reshape(B * S, d)
         gf = gf.reshape(B * S, d)
         gx, gw1, gw3, act = _ffn_pullback(gf @ w2d, rows, kept, 0, w1d, w3d)
@@ -418,10 +420,11 @@ def moe_forward(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
     The values are bitwise those of the fused_gated_residual →
     fused_rms_modulate → route_full (12 nodes) → reshape → grouped_forward
     → reshape → fused_gated_residual chain it replaces. The node keeps both
-    tanh(gate)s, each row's inverse RMS of h, F, every expert's up-projections
-    until its pullback first uses them, token_flat, the gates and the
-    router's (B, S, E) scores and claim mask. With gf the gradient at F, the
-    pullback recomputes h, n and m, then
+    tanh(gate)s, F, every expert's up-projections until its pullback first
+    uses them, token_flat, the gates and the router's (B, S, E) scores and
+    claim mask, but no row statistic. With gf the gradient at F, the
+    pullback recomputes h, each row's inverse RMS inv of h with the
+    forward's nt._rms_inv call, n and m, then
 
         gm, dgates, dW = expert pullback of gf at m (the module docstring's),
         gn_r, dt_emb, dw_r = route_pullback of dgates,
@@ -437,8 +440,7 @@ def moe_forward(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
     inputs = (x, r_attn, sa_gate, ff_scale, ff_gate, t_emb, w_r, *_bank_tensors(bank))
     td, wd = t_emb.data, w_r.data
     ws = tuple(w.data for w in inputs[7:])
-    inv = nt._rms_inv(h)
-    n = h * inv
+    n = h * nt._rms_inv(h)
     n *= c
     decisions, routing = route_full(n, td, wd, capacity_factor)
     idx = routing["token_flat"].reshape(w_r.shape[1], -1)
@@ -449,6 +451,7 @@ def moe_forward(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
                        nt.tracking(inputs))
 
     def pullback(gf, h):
+        inv = nt._rms_inv(h)
         n = h * inv
         n *= c
         gx, dgates, *weights = _experts_pullback(gf.reshape(B * S, d),

@@ -29,30 +29,29 @@ _add_blocks itself.
 Buffer ownership. A tensor is immutable after forward: an op's output array
 may be the very array its pullback closure reads (no defensive copies), so
 writing into .data in place corrupts later gradients. A closure need not
-keep everything its pullback reads: it may keep a little and recompute the
-rest from the node's inputs and outputs. joint_attention, a block's whole
-attention branch, keeps each token's LayerNorm mean and inverse std, the
-inverse RMS of every image query and key head and each score row's max
-and sum; it recomputes the modulated input, the Q/K/V projections, the
-rotated heads and the attention output from its input x and the weights.
-The FFN-half nodes, moe.dense_ffn_half and moe.moe_forward, keep both
-tanh(gate)s, each row's LayerNorm mean and inverse std or inverse RMS, the
-FFN's output F and its up-projections (the dense SwiGLU's pair, or every
-expert's), and moe_forward the router's token_flat, gates, (B, S, E)
-scores and claim mask; they recompute the residual stream h = x +
-tanh(sa_gate) r_attn and the normalised and modulated inputs from x and
-r_attn. qk_norm_rope keeps the inverse RMS of each head, and it and
-joint_attention share the two (S, 1, d_h) angle tables their caller
-built. fused_ln_scale keeps each row's mean and inverse std. A fused op
-that asks tracking() before its forward keeps nothing when no node will be
-recorded. A pullback may write into a buffer it allocated itself
-(qk_norm_rope forms its input gradient in one such buffer), but never into
-what its closure keeps, because backward may run it twice on one tape and
-both runs must get the same gradients. A closure may drop what it kept
-once its pullback has run, if a repeated run recomputes it bitwise from
-the node's inputs: the FFN nodes release each pair of up-projections after
-their pullback's first use of it, and a second backward recomputes the
-pair by the same matmul.
+keep everything its pullback reads, and every fused node (backbone's and
+moe's) keeps by one rule. It keeps its inputs (qk_norm_rope and
+joint_attention also the (S, 1, d_h) angle tables their caller built once
+per forward), its outputs, the (B, 1, d) tanh of its gates, and what a
+GEMM or a routing choice produced: the FFN's output F and its
+up-projections in moe's FFN-half nodes, and moe_forward's token_flat,
+gates, (B, S, E) scores and claim mask. It keeps no per-row statistic: its
+pullback recomputes a LayerNorm's inverse std, an inverse RMS, or
+attention's row max and sum with the same _ln_stats, _rms_inv or
+reduction call the forward made, on the same operands, so every value is
+bitwise the forward's (the recompute of Chen et al. 2016 and Dao et al.
+2022). The rest it recomputes from its inputs the same way: the residual
+stream h = x + tanh(sa_gate) r_attn, the normalised and modulated inputs,
+and in joint_attention the Q/K/V projections, the rotated heads and the
+attention output. A fused op that asks tracking() before its forward
+keeps nothing when no node will be recorded. A pullback may write into a
+buffer it allocated itself (qk_norm_rope forms its input gradient in one
+such buffer), but never into what its closure keeps, because backward may
+run it twice on one tape and both runs must get the same gradients. A
+closure may drop what it kept once its pullback has run, if a repeated
+run recomputes it bitwise from the node's inputs: the FFN nodes release
+each pair of up-projections after their pullback's first use of it, and a
+second backward recomputes the pair by the same matmul.
 A pullback returns either arrays it allocates or its incoming gradients
 (and views of them), never an array its closure keeps.
 After backward, a leaf's .grad (a tensor no recorded node produced) is
@@ -75,10 +74,10 @@ raises the error of the earliest failing task in item order.
 A task makes the numpy calls the serial loop made, never records on a
 tape or calls a public op (perfbench's tracer wraps those), and writes
 only into memory no other task writes. Every array that outlives a task
-(a kept (h1, h3) pair, an output, a statistic, a gradient or a weight
-product slot) is allocated by the caller and filled with out= or slice
-writes, since a pool thread's own allocations land in its own malloc
-arena and stay resident there. Every sum across tasks (out[rows] += y,
+(a kept (h1, h3) pair, an output, a gradient or a weight product slot)
+is allocated by the caller and filled with out= or slice writes, since a
+pool thread's own allocations land in its own malloc arena and stay
+resident there. Every sum across tasks (out[rows] += y,
 gx[rows] += gxe, a weight gradient summed over the batch) runs in the
 caller, in item order, so values and gradients are bitwise the plain
 loop's at any lane count.
@@ -175,12 +174,11 @@ class Node:
         self.bwd = bwd
 
 
-# Per thread (and per asyncio task): a tape entered or a no_grad block in one
-# thread never affects recording in another.
-_TAPE_STACK: contextvars.ContextVar[tuple["Tape", ...]] = contextvars.ContextVar(
-    "nimg_tape_stack", default=())
-_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "nimg_grad_enabled", default=True)
+# The tape ops record on, or None: a Tape block sets itself, a no_grad block
+# None, and the innermost block wins until it exits. Per thread (and per
+# asyncio task): a block in one thread never affects recording in another.
+_RECORDING: contextvars.ContextVar[Tape | None] = contextvars.ContextVar(
+    "nimg_recording", default=None)
 
 
 class Tape:
@@ -190,27 +188,26 @@ class Tape:
         self.nodes: list[Node] = []
 
     def __enter__(self) -> "Tape":
-        self._token = _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
+        self._token = _RECORDING.set(self)
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.reset(self._token)
+        _RECORDING.reset(self._token)
         return False
 
 
 class no_grad:
     def __enter__(self):
-        self._token = _GRAD_ENABLED.set(False)
+        self._token = _RECORDING.set(None)
         return self
 
     def __exit__(self, *exc):
-        _GRAD_ENABLED.reset(self._token)
+        _RECORDING.reset(self._token)
         return False
 
 
 def active_tape() -> Tape | None:
-    stack = _TAPE_STACK.get()
-    return stack[-1] if stack else None
+    return _RECORDING.get()
 
 
 def as_tensor(x) -> Tensor:
@@ -245,12 +242,11 @@ def record(op: str, inputs: Sequence[Tensor], out_arrays: Sequence[np.ndarray],
 
 
 def tracking(inputs: Sequence[Tensor]) -> bool:
-    """Whether record would append a node for an op on these inputs: grad is
-    enabled, a tape is active and some input requires grad. A fused op asks
-    before its forward, so that it keeps nothing for a pullback that will
-    never run."""
-    return (_GRAD_ENABLED.get() and active_tape() is not None
-            and any(t.requires_grad for t in inputs))
+    """Whether record would append a node for an op on these inputs: a tape
+    is active (inside no_grad none is, unless a Tape block is nested in it)
+    and some input requires grad. A fused op asks before its forward, so
+    that it keeps nothing for a pullback that will never run."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -272,6 +268,22 @@ def _expand_mod(m: np.ndarray, like_shape: tuple[int, ...]) -> np.ndarray:
         raise ShapeError(f"modulation shape {m.shape} is not (B, d) for "
                          f"activations {like_shape}")
     return m[:, None, :]
+
+
+def _dims(shape, op: str) -> tuple[int, ...]:
+    """A shape argument, an integer or an iterable of them, as a tuple of
+    ints; ShapeError otherwise, so that no fractional dim is truncated."""
+    dims = tuple(shape) if isinstance(shape, Iterable) else (shape,)
+    if not all(isinstance(s, numbers.Integral) for s in dims):
+        raise ShapeError(f"{op}: shape {shape!r} is not a sequence of integers")
+    return tuple(int(s) for s in dims)
+
+
+def _check_axis(axis, op: str, shape: tuple[int, ...]) -> None:
+    """ShapeError unless axis is None, an integer or a tuple of integers."""
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    if axis is not None and not all(isinstance(i, numbers.Integral) for i in axes):
+        raise ShapeError(f"{op} of {shape}: axis {axis!r} is not an integer")
 
 
 def _ew_shapes(a: Tensor, b: Tensor, op: str) -> None:
@@ -351,7 +363,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = as_tensor(a)
-    shape = tuple(int(s) for s in shape)
+    shape = _dims(shape, "reshape")
     try:
         out = a.data.reshape(shape)
     except ValueError:
@@ -362,6 +374,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
+    _check_axis(axes, "transpose", a.shape)
     try:  # AxisError is a ValueError
         out = np.ascontiguousarray(a.data.transpose(axes))
     except ValueError as e:
@@ -378,7 +391,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     perfbench/layertrace.py times it by name, so it stays.
     """
     a = as_tensor(a)
-    shape = tuple(int(s) for s in shape)
+    shape = _dims(shape, "broadcast_to")
     try:
         out = np.ascontiguousarray(np.broadcast_to(a.data, shape))
     except ValueError as e:
@@ -393,6 +406,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     perfbench/layertrace.py times it by name, so it stays.
     """
     tensors = [as_tensor(t) for t in tensors]
+    if not isinstance(axis, numbers.Integral):
+        raise ShapeError(f"concat along axis {axis!r}: not an integer")
     try:  # numpy reports rank, dim and axis mismatches as ValueError
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as e:
@@ -502,6 +517,7 @@ def silu(a: Tensor) -> Tensor:
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = as_tensor(a)
+    _check_axis(axis, "sum", a.shape)
     try:
         out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
     except ValueError as e:
@@ -537,6 +553,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     perfbench/layertrace.py times it by name, so it stays.
     """
     a = as_tensor(a)
+    _check_axis(axis, "softmax", a.shape)
     try:
         s = _softmax(a.data, axis)
     except ValueError as e:
@@ -549,23 +566,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return record("softmax", (a,), (s,), bwd)[0]
 
 
-def _ln_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalised values (a new buffer), row mean and inverse std of a
-    LayerNorm over the last axis."""
+def _ln_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised values (a new buffer) and row inverse std of a LayerNorm
+    over the last axis. A pullback calls it again on the forward's operand
+    for values bitwise the forward's."""
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xc *= inv
-    return xc, mu, inv
-
-
-def _ln_xhat(xd: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """The normalised values of _ln_stats again, in a new buffer, from its
-    input and row statistics by the same ops, so bitwise equal."""
-    xc = xd - mu
-    xc *= inv
-    return xc
+    return xc, inv
 
 
 def _ln_bwd(xhat: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -592,11 +602,11 @@ def rmsnorm(a: Tensor) -> Tensor:
     if a.ndim == 0:
         raise ShapeError("rmsnorm normalises over the last axis; got a 0-d tensor")
     da = a.data
-    inv = _rms_inv(da)
-    out = da * inv
+    out = da * _rms_inv(da)
     n = a.shape[-1]
 
     def bwd(g):
+        inv = _rms_inv(da)
         dot = (g * da).sum(axis=-1, keepdims=True)
         return (g * inv - da * (dot * inv ** 3 / n),)
 

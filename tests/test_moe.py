@@ -678,10 +678,10 @@ def desk_half(node: str, rng):
 
 @pytest.mark.parametrize("node", ["dense", "moe"])
 def test_taped_ffn_half_keeps_only_what_its_pullback_reads(node):
-    """Besides its output the node keeps both tanh(gate)s, its rows'
-    statistics, F and the up-projections, and for MoE token_flat, the gates
-    and the router's scores and claim mask: no h, normalised or modulated
-    input, and no gradient-sized router array beyond those."""
+    """Besides its output the node keeps both tanh(gate)s, F and the
+    up-projections, and for MoE token_flat, the gates and the router's
+    scores and claim mask: no h, normalised or modulated input, no row
+    statistic, and no gradient-sized router array beyond those."""
     rng = np.random.default_rng(35)
     case = desk_half(node, rng)
     B, S, d = case.tensors["x"].shape
@@ -698,19 +698,17 @@ def test_taped_ffn_half_keeps_only_what_its_pullback_reads(node):
     gates = 2 * B * d * 8
     f = B * S * d * 8
     if node == "dense":
-        stats = 2 * B * S * 8                            # LayerNorm mean and inverse std
         pairs = 2 * B * S * case.tensors["w1"].shape[0] * 8
         routing = 0
     else:
         E, h = case.tensors["w1"].shape[:2]
         n = B * capacity_for(S, E, case.C)
-        stats = B * S * 8                                # inverse RMS
         pairs = 2 * (E * n + B * S) * h * 8              # every routed expert's and the shared
         routing = E * n * 8 * 2 + B * S * E * (8 + 1)    # token_flat, gates; scores, claimed
     kept = held - outs[0].data.nbytes
     assert kept >= f + pairs, kept
-    assert kept <= gates + stats + f + pairs + routing + 16 * 1024, (
-        kept, gates + stats + f + pairs + routing)
+    assert kept <= gates + f + pairs + routing + 16 * 1024, (
+        kept, gates + f + pairs + routing)
 
 
 @pytest.mark.parametrize("node", ["dense", "moe"])

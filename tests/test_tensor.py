@@ -349,6 +349,21 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
         (lambda: text_kv_of(p for p in ("a cat", "a dog")), ShapeError, "prompts"),
     "split_fractional_axis": (lambda: nt.split(M23, 2, axis=0.5), ShapeError, "split"),
     "split_fractional_count": (lambda: nt.split(V3, 1.5), ShapeError, "split"),
+    "reshape_fractional_dim": (lambda: nt.reshape(V3, (1.5, 3)), ShapeError, "reshape"),
+    "reshape_string_dim": (lambda: nt.reshape(V3, ("a",)), ShapeError, "reshape"),
+    "reshape_to_none": (lambda: nt.reshape(V3, None), ShapeError, "reshape"),
+    "broadcast_to_fractional_dim":
+        (lambda: nt.broadcast_to(V3, (2.7, 3)), ShapeError, "broadcast_to"),
+    "broadcast_to_string_shape": (lambda: nt.broadcast_to(V3, "ab"), ShapeError, "broadcast_to"),
+    "sum_fractional_axis": (lambda: nt.sum(M23, axis=1.5), ShapeError, "axis"),
+    "mean_fractional_axis": (lambda: nt.mean(M23, axis=1.5), ShapeError, "axis"),
+    "softmax_fractional_axis": (lambda: nt.softmax(M23, axis=1.5), ShapeError, "axis"),
+    "concat_fractional_axis": (lambda: nt.concat([M23, M23], axis=1.5), ShapeError, "axis"),
+    "transpose_fractional_axes": (lambda: nt.transpose(M23, (1.0, 0)), ShapeError, "axis"),
+    "config_fractional_layers": (lambda: ModelConfig(n_layers=2.5), ConfigError, "n_layers"),
+    "config_fractional_patch": (lambda: ModelConfig(patch=1.5), ConfigError, "patch"),
+    "config_fractional_seed": (lambda: ModelConfig(seed=0.5), ConfigError, "seed"),
+    "config_string_d_model": (lambda: ModelConfig(d_model="32"), ConfigError, "d_model"),
 }
 
 
@@ -545,6 +560,26 @@ def test_no_grad_blocks_recording():
             y = nt.mul(x, 2.0)
     assert tape.nodes == []
     assert not y.requires_grad
+
+
+def test_the_innermost_tape_or_no_grad_block_decides_where_ops_record():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with Tape() as outer:
+        nt.mul(x, 2.0)
+        with Tape() as inner:
+            nt.add(x, 1.0)
+            with nt.no_grad():
+                quiet = nt.mul(x, 3.0)
+                with Tape() as nested:   # a tape inside no_grad records again
+                    nt.sub(x, 1.0)
+                assert nt.active_tape() is None
+            assert nt.active_tape() is inner
+        nt.div(x, 2.0)                  # the outer tape resumes on exit
+    assert nt.active_tape() is None
+    assert [n.op for n in outer.nodes] == ["mul", "div"]
+    assert [n.op for n in inner.nodes] == ["add"]
+    assert [n.op for n in nested.nodes] == ["sub"]
+    assert not quiet.requires_grad
 
 
 def test_leaf_grads_of_add_do_not_share_memory():
