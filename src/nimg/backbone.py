@@ -9,7 +9,9 @@ FFN half. The fused nodes have hand-derived pullbacks, their values and
 gradients are bitwise those of the chains of nodes they replace, and they
 keep by the one rule of tensor.py's buffer-ownership paragraph: their
 inputs and outputs, but no per-row statistic and no other (B, S, d)
-array. Their pullbacks recompute the rest by the forward's own calls.
+array. Their pullbacks recompute the rest by the forward's own calls;
+every LayerNorm and RMS norm, forward and pullback, is one of tensor.py's
+normalisation helpers (nt._modulate, nt._rms and their pullbacks).
 fused_ln_scale is the whole adaLN modulate, LN(x) (1 + scale) + shift, of
 the final layer.
 A block's whole attention branch is one node, joint_attention: adaLN
@@ -92,20 +94,17 @@ def fused_ln_scale(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
 
     scale and shift are (B, d), broadcast over the tokens of x (ShapeError
     otherwise); scale = shift = 0 is plain LayerNorm. The node keeps
-    nothing beyond its inputs and output; its pullback recomputes x̂ and
-    each row's inverse std from x with the forward's _ln_stats call, so
-    bitwise the forward's.
+    nothing beyond its inputs and output: nt._modulate is its forward and
+    nt._modulate_pullback its pullback, which recomputes the statistics
+    from x, so bitwise the forward's.
     """
     sd = nt._expand_mod(scale.data, x.shape)
     bd = nt._expand_mod(shift.data, x.shape)
     xd = x.data
-    out = nt._ln_stats(xd)[0]
-    out *= 1.0 + sd
-    out += bd
+    out = nt._modulate(xd, sd, bd)
 
     def bwd(G):
-        xhat, inv = nt._ln_stats(xd)
-        return nt._ln_bwd(xhat, inv, G * (1.0 + sd)), (G * xhat).sum(axis=1), G.sum(axis=1)
+        return (*nt._modulate_pullback(xd, sd, G, 1), G.sum(axis=1))
 
     return nt.record("fused_ln_scale", (x, scale, shift), (out,), bwd)[0]
 
@@ -116,11 +115,10 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
 
     Returns (h, m) with h = x + tanh(g) * r (the updated residual stream)
     and m = LayerNorm(h) * (1 + s). Beyond its inputs and outputs the node
-    keeps tanh(g); its pullback recomputes x̂ and each row's inverse std
-    from h, its own first output, with the forward's _ln_stats call. The
-    model does not record it (moe.dense_ffn_half folds it), but
-    perfbench/layertrace.py looks it up in this module's __dict__ to time
-    it, so deleting it makes Tracer.install raise KeyError.
+    keeps tanh(g); its pullback is nt._modulate_pullback at h, its own
+    first output. The model does not record it (moe.dense_ffn_half folds
+    it), but perfbench/layertrace.py looks it up in this module's __dict__
+    to time it, so deleting it makes Tracer.install raise KeyError.
     """
     if r.shape != x.shape:
         raise ShapeError(f"residual shape {r.shape} != {x.shape}")
@@ -128,14 +126,13 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
     sd = nt._expand_mod(s.data, x.shape)
     rd = r.data
     h = x.data + th * rd
-    m = nt._ln_stats(h)[0]
-    m *= 1.0 + sd
+    m = nt._modulate(h, sd)
 
     def bwd(Gh, Gm):
-        xhat, inv = nt._ln_stats(h)
-        dh = Gh + nt._ln_bwd(xhat, inv, Gm * (1.0 + sd))
+        gm, ds = nt._modulate_pullback(h, sd, Gm, 1)
+        dh = Gh + gm
         dg = (dh * rd * (1.0 - th * th)).sum(axis=1)
-        return dh, dg, dh * th, (Gm * xhat).sum(axis=1)
+        return dh, dg, dh * th, ds
 
     return nt.record("fused_gate_res_ln_scale", (x, g, r, s), (h, m), bwd)
 
@@ -148,17 +145,18 @@ def fused_gate_res_ln_scale(x: Tensor, g: Tensor, r: Tensor,
 ROPE_BASE = 10000.0
 
 
-def rope_tables(pos_h, pos_w, S: int, d_h: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each token's angles as (S, 1, d_h): one table for every
-    sample, head and layer. Pair i of each head turns by
-    pos_h * base^(-i/quarter) for i < d_h/4 and by pos_w on the rest.
-    pos_h and pos_w must each be (S,) (ShapeError); d_h must be divisible
-    by 4 (ConfigError)."""
-    if d_h % 4 != 0:
-        raise ConfigError(f"head dim {d_h} not divisible by 4")
-    if np.shape(pos_h) != (S,) or np.shape(pos_w) != (S,):
+def rope_tables(pos_h, pos_w, d_h: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each token's angles as (S, 1, d_h), S the number of
+    positions: one table for every sample, head and layer. Pair i of each
+    head turns by pos_h * base^(-i/quarter) for i < d_h/4 and by pos_w on
+    the rest. pos_h and pos_w must be 1-d and of one length (ShapeError);
+    d_h must be an integer of at least 4 that is divisible by 4
+    (ConfigError)."""
+    if not isinstance(d_h, numbers.Integral) or d_h < 4 or d_h % 4 != 0:
+        raise ConfigError(f"head dim {d_h!r} is not an integer >= 4 divisible by 4")
+    if np.ndim(pos_h) != 1 or np.shape(pos_w) != np.shape(pos_h):
         raise ShapeError(f"rope positions pos_h {np.shape(pos_h)} and pos_w "
-                         f"{np.shape(pos_w)}; expected ({S},) each for {S} tokens")
+                         f"{np.shape(pos_w)}; expected two 1-d arrays of one length")
     quarter = d_h // 4
     freqs = ROPE_BASE ** (-np.arange(quarter, dtype=np.float64) / quarter)
     ang_h = np.multiply.outer(np.asarray(pos_h, dtype=np.float64), freqs)
@@ -202,11 +200,10 @@ def _check_tables(cos: np.ndarray, sin: np.ndarray, heads: tuple[int, ...],
                          f"expected {want} for {name} {heads}")
 
 
-def _norm_rope(xd: np.ndarray, inv: np.ndarray, cos: np.ndarray,
-               sin: np.ndarray) -> np.ndarray:
-    """n cos + R(n) sin with n = xd inv, in a new buffer: qk_norm_rope's
-    forward given the inverse RMS, so the same call recomputes it bitwise."""
-    n = xd * inv
+def _norm_rope(xd: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """n cos + R(n) sin with n = nt._rms(xd), in a new buffer: qk_norm_rope's
+    forward, so the same call recomputes it bitwise."""
+    n = nt._rms(xd)
     out = n * cos
     rn = _rotated(n)
     rn *= sin
@@ -214,16 +211,13 @@ def _norm_rope(xd: np.ndarray, inv: np.ndarray, cos: np.ndarray,
     return out
 
 
-def _norm_rope_pullback(g: np.ndarray, xd: np.ndarray, inv: np.ndarray,
-                        cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def _norm_rope_pullback(g: np.ndarray, xd: np.ndarray, cos: np.ndarray,
+                        sin: np.ndarray) -> np.ndarray:
     """The gradient at xd from g, the gradient at _norm_rope's output: the
-    inverse rotation, then the RMS-norm pullback, in one new buffer."""
-    gx = g * cos
-    gx += _rotated(g * sin, transpose=True)
-    dot = (gx * xd).sum(axis=-1, keepdims=True)
-    gx *= inv
-    gx -= xd * (dot * inv ** 3 / xd.shape[-1])
-    return gx
+    inverse rotation, then nt._rms_pullback, in new buffers."""
+    gn = g * cos
+    gn += _rotated(g * sin, transpose=True)
+    return nt._rms_pullback(xd, gn)
 
 
 def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -240,9 +234,9 @@ def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     in the numpy order of the rmsnorm → rotate_pairs → mul → mul → add
     composition it replaces, so its values are bitwise that composition's.
     The node keeps nothing beyond its input x, its output and the caller's
-    two tables; its pullback recomputes inv with the forward's _rms_inv call.
-    With g the output gradient the pullback is the inverse rotation, then
-    the RMS-norm pullback, in one owned buffer:
+    two tables. With g the output gradient the pullback is the inverse
+    rotation, then the RMS-norm pullback (nt._rms_pullback, which recomputes
+    inv from x), in buffers it owns:
 
         gn = g cos + Rᵀ(g sin),   gx = gn inv - x (sum(gn x) inv³ / d_h),
 
@@ -254,9 +248,9 @@ def qk_norm_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
         raise ShapeError(f"qk_norm_rope expects (B, S, H, d_h) heads, got {x.shape}")
     _check_tables(cos, sin, x.shape, "heads")
     xd = x.data
-    out = _norm_rope(xd, nt._rms_inv(xd), cos, sin)
+    out = _norm_rope(xd, cos, sin)
     return nt.record("qk_norm_rope", (x,), (out,),
-                     lambda g: (_norm_rope_pullback(g, xd, nt._rms_inv(xd), cos, sin),))[0]
+                     lambda g: (_norm_rope_pullback(g, xd, cos, sin),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +355,10 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     rotated heads, O and every row statistic (each token's LayerNorm inverse
     std, the inverse RMS of every query and image key head, each score
     row's max and sum) are recomputed (Chen et al. 2016). The pullback
-    recomputes x̂ and the inverse std from x with _ln_stats, then a, q, k
-    and v by the same matmuls, the heads' inverse RMS with _rms_inv, the
-    rotated heads, and each tile's P, its row max and sum included, and
-    O = P V by the forward's exact sequence, all bitwise the forward's.
+    recomputes a with nt._modulate, q, k and v by the same matmuls, the
+    rotated heads with _norm_rope, and each tile's P, its row max and sum
+    included, and O = P V by the forward's exact sequence, all bitwise the
+    forward's.
     With G the output gradient and c = 1/sqrt(d_h) it computes dO = G W_oᵀ,
     then per tile
 
@@ -380,10 +374,11 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
         dx = LN pullback of da (1 + scale),
         dscale = sum over tokens of da x̂,   dshift = sum over tokens of da,
 
-    where each weight's product is formed per sample, in that sample's
-    task, and summed over the batch in the caller, as matmul's pullback
-    does, and da sums the V, K and Q terms in the order backward summed
-    them for the chain. So gradients are bitwise the chain's too.
+    with dx and dscale from nt._modulate_pullback, where each weight's
+    product is formed per sample, in that sample's task, and summed over
+    the batch in the caller, as matmul's pullback does, and da sums the V,
+    K and Q terms in the order backward summed them for the chain. So
+    gradients are bitwise the chain's too.
 
     The tiled sums make dK and dV, and so the gradients upstream of them,
     not bitwise those of one untiled pass. At the desk shapes (256 image
@@ -415,18 +410,15 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
         dst.reshape(S_i, H_kv, n_rep, d_h)[rows] = (
             t.reshape(H_kv, n_rep, -1, d_h).transpose(2, 0, 1, 3))
 
-    def branch(b: int, xhat: np.ndarray):
-        """Sample b's modulated input a, its q, k and v heads (S_i, H, d_h),
-        the inverse RMS of each q and k head, the normed and rotated q, and
-        the key and value heads of every token, (H_kv, S_kv, d_h): image,
-        then text."""
-        a = xhat * (1.0 + sd[b])
-        a += bd[b]
+    def branch(b: int):
+        """Sample b's modulated input a, its q and k heads (S_i, H, d_h), the
+        normed and rotated q, and the key and value heads of every token,
+        (H_kv, S_kv, d_h): image, then text."""
+        a = nt._modulate(xd[b], sd[b], bd[b])
         qd, kd, vd = (np.matmul(a, w.data).reshape(S_i, H, d_h) for w, H in projections)
-        inv_q, inv_k = nt._rms_inv(qd), nt._rms_inv(kd)
-        kh = np.concatenate([_norm_rope(kd, inv_k, cos, sin), k_txt.data[b]])
+        kh = np.concatenate([_norm_rope(kd, cos, sin), k_txt.data[b]])
         vh = np.concatenate([vd, v_txt.data[b]])
-        return (a, qd, kd, inv_q, inv_k, _norm_rope(qd, inv_q, cos, sin),
+        return (a, qd, kd, _norm_rope(qd, cos, sin),
                 kh.transpose(1, 0, 2).copy(), vh.transpose(1, 0, 2).copy())
 
     def probs(b, qt, kh):
@@ -443,7 +435,7 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
     y = np.empty((B, S_i, d))     # the output, filled at [b] by sample b's task
 
     def sample(b: int) -> None:
-        qn, kh, vh = branch(b, nt._ln_stats(xd[b])[0])[5:]
+        qn, kh, vh = branch(b)[3:]
         o = np.empty((S_i, H_q * d_h))
         for rows in tiles:
             p = probs(b, heads_of(qn, rows), kh)
@@ -461,8 +453,7 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
         g_wq, g_wk, g_wv, g_wo = (np.empty((B, *w.shape)) for w in (wq, wk, wv, wo))
 
         def sample_pullback(b: int) -> None:
-            xhat, inv = nt._ln_stats(xd[b])
-            a, qd, kd, inv_q, inv_k, qn, kh, vh = branch(b, xhat)
+            a, qd, kd, qn, kh, vh = branch(b)
             go = np.matmul(g[b], np.swapaxes(wod, -1, -2))       # dO
             o = np.empty(go.shape)
             gq = np.empty(qd.shape)
@@ -483,9 +474,8 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
             del o
             gk, gv = gk.transpose(1, 0, 2), gv.transpose(1, 0, 2)  # (S_kv, H_kv, d_h)
             g_ktxt[b], g_vtxt[b] = gk[S_i:], gv[S_i:]
-            gq = _norm_rope_pullback(gq, qd, inv_q, cos, sin)
-            g_kimg = _norm_rope_pullback(np.ascontiguousarray(gk[:S_i]), kd, inv_k,
-                                         cos, sin)
+            gq = _norm_rope_pullback(gq, qd, cos, sin)
+            g_kimg = _norm_rope_pullback(np.ascontiguousarray(gk[:S_i]), kd, cos, sin)
             g_vimg = np.ascontiguousarray(gv[:S_i])
             del gk, gv, qd, kd
 
@@ -499,8 +489,7 @@ def joint_attention(x: Tensor, scale: Tensor, shift: Tensor, wq: Tensor, wk: Ten
             ga = projection_pullback(wv, g_vimg, g_wv[b])
             ga = ga + projection_pullback(wk, g_kimg, g_wk[b])
             ga += projection_pullback(wq, gq, g_wq[b])
-            gx[b] = nt._ln_bwd(xhat, inv, ga * (1.0 + sd[b]))
-            g_scale[b] = (ga * xhat).sum(axis=0)
+            gx[b], g_scale[b] = nt._modulate_pullback(xd[b], sd[b], ga, 0)
             g_shift[b] = ga.sum(axis=0)
 
         for _ in nt.lanes(sample_pullback, range(B)):
@@ -774,7 +763,7 @@ class MoEDiT:
             cmat[b, :e.shape[0]] = e
         c = Tensor(cmat)
         ks, vs = [], []
-        rope = rope_tables(np.zeros(s_t), np.arange(s_t), s_t, cfg.head_dim)
+        rope = rope_tables(np.zeros(s_t), np.arange(s_t), cfg.head_dim)
         for blk in self.blocks:
             k = nt.reshape(nt.matmul(c, blk.wk_txt),
                            (B, s_t, cfg.n_kv_heads, cfg.head_dim))
@@ -816,8 +805,8 @@ class MoEDiT:
         sinusoidal_features), and stage a StageId (ConfigError otherwise,
         checked before anything runs). z_t is (B, C, H, W) with B, H and W
         at least 1 (ShapeError, checked first). Returns (velocity, aux)
-        where aux carries each MoE layer's router logits, a (B, S, E) array
-        off the tape, and its routing decisions.
+        where aux["decisions"] holds (layer, decisions) for each MoE layer:
+        its RouterDecision per sample, off the tape.
         """
         cfg = self.cfg
         if (z_t.ndim != 4 or z_t.shape[1] != cfg.latent_channels
@@ -847,9 +836,9 @@ class MoEDiT:
                              f"or ({B},) for a batch of {B}")
         t_vec = self.time_embed(np.broadcast_to(t_arr, (B,)))
         rope = rope_tables(np.repeat(np.arange(gh), gw), np.tile(np.arange(gw), gh),
-                           gh * gw, cfg.head_dim)
+                           cfg.head_dim)
 
-        aux = {"router_logits": [], "decisions": []}
+        aux = {"decisions": []}
         for blk in self.blocks:
             mod = nt.add(nt.matmul(t_vec, blk.mod_w), blk.mod_b)
             sa_shift, sa_scale, sa_gate, ff_scale, ff_gate = _chunks(mod, 5)
@@ -861,10 +850,9 @@ class MoEDiT:
                                    blk.ffn_w1, blk.ffn_w3, blk.ffn_w2)
             else:
                 cf = capacity_schedule(blk.layer, stage, n_layers=cfg.n_layers)
-                x, decisions, routing = moe_forward(
+                x, decisions, _ = moe_forward(
                     x, r_attn, sa_gate, ff_scale, ff_gate, t_vec, blk.router_gate,
                     blk.bank, cf, 1.0 / math.sqrt(blk.layer + 1))
-                aux["router_logits"].append(routing["logits"])
                 aux["decisions"].append((blk.layer, decisions))
 
         fmod = nt.add(nt.matmul(t_vec, self.final_mod_w), self.final_mod_b)

@@ -14,10 +14,10 @@ its inputs, its output, both tanh(gate)s and what a GEMM produced: F(h),
 which the ff_gate gradient reads, and the FFN's up-projections;
 moe_forward also keeps what routing chose: token_flat, the gates and the
 router's (B, S, E) scores and claim mask. Neither keeps a row statistic.
-Its pullback recomputes h, its rows' LayerNorm inverse std or inverse RMS
-(the forward's nt._ln_stats or nt._rms_inv call), the normalised and the
-modulated input by the forward's numpy calls and runs the pullbacks of
-the chain of nodes it replaces in the order backward ran them, so its
+Its pullback recomputes h, the normalised and the modulated input by the
+forward's calls (nt._modulate, or nt._rms for the MoE norm), and runs the
+pullbacks of the chain of nodes it replaces in the order backward ran
+them, the norm's by nt._modulate_pullback or nt._rms_pullback, so its
 values and gradients are bitwise that chain's (tests/oracles.py keeps the
 chains).
 
@@ -368,34 +368,31 @@ def dense_ffn_half(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
     reshape → fused_gated_residual chain it replaces. The node keeps both
     tanh(gate)s, F, and until its pullback first runs the SwiGLU's
     up-projections h1 and h3, but no row statistic. With gf the gradient at
-    F, the pullback recomputes h, x̂ = LN(h) and each row's inverse std
-    with the forward's nt._ln_stats call, and m = x̂ (1 + ff_scale), then
+    F, the pullback recomputes h and m = x̂ (1 + ff_scale), x̂ = LN(h), with
+    the forward's nt._modulate call, then
 
         gm = SwiGLU pullback of gf at m (swiglu's),
         gh = LN pullback of gm (1 + ff_scale),   dff_scale = sum over tokens of gm x̂,
 
-    inside _record_half's gated-residual pullbacks, summing the same terms
-    in the same order as backward did for the chain, so gradients are
-    bitwise the chain's too.
+    the last two by nt._modulate_pullback, inside _record_half's
+    gated-residual pullbacks, summing the same terms in the same order as
+    backward did for the chain, so gradients are bitwise the chain's too.
     """
     th_sa, th_ff, sd, h = _half_inputs("dense_ffn_half", x, r_attn, sa_gate, ff_scale,
                                        ff_gate)
     B, S, d = x.shape
     _check_shapes((B * S, d), w1.shape, w3.shape, w2.shape, "dense_ffn_half")
     w1d, w3d, w2d = w1.data, w3.data, w2.data
-    m = nt._ln_stats(h)[0]
-    m *= 1.0 + sd
+    m = nt._modulate(h, sd)
     h1, h3, f = _ffn(m.reshape(B * S, d), w1d, w3d, w2d)
     kept = [(h1, h3)]
 
     def pullback(gf, h):
-        xhat, inv = nt._ln_stats(h)
-        rows = (xhat * (1.0 + sd)).reshape(B * S, d)
+        rows = nt._modulate(h, sd).reshape(B * S, d)
         gf = gf.reshape(B * S, d)
         gx, gw1, gw3, act = _ffn_pullback(gf @ w2d, rows, kept, 0, w1d, w3d)
         gm = gx.reshape(B, S, d)
-        return (nt._ln_bwd(xhat, inv, gm * (1.0 + sd)), (gm * xhat).sum(axis=1),
-                gw1, gw3, gf.T @ act)
+        return (*nt._modulate_pullback(h, sd, gm, 1), gw1, gw3, gf.T @ act)
 
     return _record_half("dense_ffn_half", (x, r_attn, sa_gate, ff_scale, ff_gate, w1, w3, w2),
                         th_sa, th_ff, h, f.reshape(B, S, d), pullback)
@@ -423,14 +420,14 @@ def moe_forward(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
     tanh(gate)s, F, every expert's up-projections until its pullback first
     uses them, token_flat, the gates and the router's (B, S, E) scores and
     claim mask, but no row statistic. With gf the gradient at F, the
-    pullback recomputes h, each row's inverse RMS inv of h with the
-    forward's nt._rms_inv call, n and m, then
+    pullback recomputes h, n with the forward's nt._rms call and m, then
 
         gm, dgates, dW = expert pullback of gf at m (the module docstring's),
         gn_r, dt_emb, dw_r = route_pullback of dgates,
         gn = (gm (1 + ff_scale) + gn_r) c,
         gh = gn inv - h (sum(gn h) inv³ / d),   dff_scale = sum over tokens of gm n,
 
+    with inv = 1 / RMS(h) and gh by nt._rms_pullback, which recomputes inv,
     inside _record_half's gated-residual pullbacks, summing the same terms
     in the same order as backward did for the chain, so gradients are
     bitwise the chain's too.
@@ -440,7 +437,7 @@ def moe_forward(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
     inputs = (x, r_attn, sa_gate, ff_scale, ff_gate, t_emb, w_r, *_bank_tensors(bank))
     td, wd = t_emb.data, w_r.data
     ws = tuple(w.data for w in inputs[7:])
-    n = h * nt._rms_inv(h)
+    n = nt._rms(h)
     n *= c
     decisions, routing = route_full(n, td, wd, capacity_factor)
     idx = routing["token_flat"].reshape(w_r.shape[1], -1)
@@ -451,8 +448,7 @@ def moe_forward(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
                        nt.tracking(inputs))
 
     def pullback(gf, h):
-        inv = nt._rms_inv(h)
-        n = h * inv
+        n = nt._rms(h)
         n *= c
         gx, dgates, *weights = _experts_pullback(gf.reshape(B * S, d),
                                                  (n * (1.0 + sd)).reshape(B * S, d),
@@ -462,10 +458,7 @@ def moe_forward(x: Tensor, r_attn: Tensor, sa_gate: Tensor, ff_scale: Tensor,
         gn = gm * (1.0 + sd)
         gn += gn_r
         gn *= c
-        dot = (gn * h).sum(axis=-1, keepdims=True)
-        gh = gn * inv
-        gh -= h * (dot * inv ** 3 / d)
-        return (gh, (gm * n).sum(axis=1), dt_emb, dw_r, *weights)
+        return (nt._rms_pullback(h, gn), (gm * n).sum(axis=1), dt_emb, dw_r, *weights)
 
     out = _record_half("moe_forward", inputs, th_sa, th_ff, h, f.reshape(B, S, d), pullback)
     return out, decisions, routing

@@ -174,7 +174,6 @@ def route_full(x_norm: np.ndarray, t_emb: np.ndarray, w_r: np.ndarray,
         "scores": scores,               # (B, S, E)
         "claimed": claimed,             # (B, S, E) bool
         "token_flat": token_flat,       # flat row index into (B*S, d)
-        "capacity": capacity,
         "shape": (B, S, E),
     }
     return decisions, routing

@@ -35,18 +35,22 @@ joint_attention also the (S, 1, d_h) angle tables their caller built once
 per forward), its outputs, the (B, 1, d) tanh of its gates, and what a
 GEMM or a routing choice produced: the FFN's output F and its
 up-projections in moe's FFN-half nodes, and moe_forward's token_flat,
-gates, (B, S, E) scores and claim mask. It keeps no per-row statistic: its
-pullback recomputes a LayerNorm's inverse std, an inverse RMS, or
-attention's row max and sum with the same _ln_stats, _rms_inv or
-reduction call the forward made, on the same operands, so every value is
-bitwise the forward's (the recompute of Chen et al. 2016 and Dao et al.
-2022). The rest it recomputes from its inputs the same way: the residual
-stream h = x + tanh(sa_gate) r_attn, the normalised and modulated inputs,
-and in joint_attention the Q/K/V projections, the rotated heads and the
-attention output. A fused op that asks tracking() before its forward
-keeps nothing when no node will be recorded. A pullback may write into a
-buffer it allocated itself (qk_norm_rope forms its input gradient in one
-such buffer), but never into what its closure keeps, because backward may
+gates, (B, S, E) scores and claim mask. It keeps no per-row statistic
+(the recompute of Chen et al. 2016 and Dao et al. 2022). A LayerNorm's
+inverse std and an inverse RMS exist only inside the four normalisation
+helpers, _modulate and _modulate_pullback, _rms and _rms_pullback, which
+form them from their operand by the same numpy calls each time; so a
+pullback that calls a helper on the forward's operand gets every value
+bitwise the forward's, and no caller takes, returns or holds a
+statistic. Attention's row max and sum the pullback recomputes with the
+forward's own reduction calls. The rest it recomputes from its inputs the
+same way: the residual stream h = x + tanh(sa_gate) r_attn, the
+normalised and modulated inputs, and in joint_attention the Q/K/V
+projections, the rotated heads and the attention output. A fused op that
+asks tracking() before its forward keeps nothing when no node will be
+recorded. A pullback may write into a buffer it allocated itself
+(qk_norm_rope sums the two terms of its inverse rotation in one such
+buffer), but never into what its closure keeps, because backward may
 run it twice on one tape and both runs must get the same gradients. A
 closure may drop what it kept once its pullback has run, if a repeated
 run recomputes it bitwise from the node's inputs: the FFN nodes release
@@ -272,10 +276,11 @@ def _expand_mod(m: np.ndarray, like_shape: tuple[int, ...]) -> np.ndarray:
 
 def _dims(shape, op: str) -> tuple[int, ...]:
     """A shape argument, an integer or an iterable of them, as a tuple of
-    ints; ShapeError otherwise, so that no fractional dim is truncated."""
+    ints >= -1; ShapeError otherwise, so that no fractional dim is truncated
+    and no negative dim but -1 is read as -1."""
     dims = tuple(shape) if isinstance(shape, Iterable) else (shape,)
-    if not all(isinstance(s, numbers.Integral) for s in dims):
-        raise ShapeError(f"{op}: shape {shape!r} is not a sequence of integers")
+    if not all(isinstance(s, numbers.Integral) and s >= -1 for s in dims):
+        raise ShapeError(f"{op}: shape {shape!r} is not a sequence of integers >= -1")
     return tuple(int(s) for s in dims)
 
 
@@ -373,6 +378,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
+    if not isinstance(axes, Iterable):
+        raise ShapeError(f"transpose of {a.shape}: axes {axes!r} is not a sequence")
     axes = tuple(axes)
     _check_axis(axes, "transpose", a.shape)
     try:  # AxisError is a ValueError
@@ -518,6 +525,8 @@ def silu(a: Tensor) -> Tensor:
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = as_tensor(a)
     _check_axis(axis, "sum", a.shape)
+    if not isinstance(keepdims, (bool, np.bool_)):
+        raise ShapeError(f"sum of {a.shape}: keepdims {keepdims!r} is not a bool")
     try:
         out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
     except ValueError as e:
@@ -566,10 +575,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return record("softmax", (a,), (s,), bwd)[0]
 
 
+# Normalisation. Every node normalises through _modulate and
+# _modulate_pullback (LayerNorm, then adaLN scale and shift) or _rms and
+# _rms_pullback (RMS norm). Each forms its row statistics from its operand by
+# the same numpy calls, so a pullback gets them bitwise the forward's and no
+# caller holds one (see Buffer ownership above). The tests' chain oracles
+# call _ln_stats, _ln_bwd and _rms_inv directly.
+
+
 def _ln_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalised values (a new buffer) and row inverse std of a LayerNorm
-    over the last axis. A pullback calls it again on the forward's operand
-    for values bitwise the forward's."""
+    over the last axis."""
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -591,6 +607,40 @@ def _rms_inv(xd: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(ms)
 
 
+def _modulate(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """The adaLN modulate LN(xd) (1 + scale) + shift over the last axis, in a
+    new buffer; without shift, LN(xd) (1 + scale). (Adding a zero shift
+    instead would turn -0.0 into +0.0.)"""
+    out = _ln_stats(xd)[0]
+    out *= 1.0 + scale
+    if shift is not None:
+        out += shift
+    return out
+
+
+def _modulate_pullback(xd: np.ndarray, scale: np.ndarray, g: np.ndarray,
+                       axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients at xd and at scale of _modulate's output from g: the
+    LayerNorm pullback of g (1 + scale), and the sum of g x̂ over axis (the
+    token axis the scale was broadcast over)."""
+    xhat, inv = _ln_stats(xd)
+    return _ln_bwd(xhat, inv, g * (1.0 + scale)), (g * xhat).sum(axis=axis)
+
+
+def _rms(xd: np.ndarray) -> np.ndarray:
+    """RMS norm xd / sqrt(mean(xd²) + NORM_EPS) over the last axis, in a new
+    buffer."""
+    return xd * _rms_inv(xd)
+
+
+def _rms_pullback(xd: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient at xd of _rms's output from g, in a new buffer: with
+    inv = _rms_inv(xd), g inv - xd (sum(g xd) inv³ / d)."""
+    inv = _rms_inv(xd)
+    dot = (g * xd).sum(axis=-1, keepdims=True)
+    return g * inv - xd * (dot * inv ** 3 / xd.shape[-1])
+
+
 def rmsnorm(a: Tensor) -> Tensor:
     """RMS normalization over the last axis, no affine parameters.
 
@@ -602,15 +652,7 @@ def rmsnorm(a: Tensor) -> Tensor:
     if a.ndim == 0:
         raise ShapeError("rmsnorm normalises over the last axis; got a 0-d tensor")
     da = a.data
-    out = da * _rms_inv(da)
-    n = a.shape[-1]
-
-    def bwd(g):
-        inv = _rms_inv(da)
-        dot = (g * da).sum(axis=-1, keepdims=True)
-        return (g * inv - da * (dot * inv ** 3 / n),)
-
-    return record("rmsnorm", (a,), (out,), bwd)[0]
+    return record("rmsnorm", (a,), (_rms(da),), lambda g: (_rms_pullback(da, g),))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def layernorm(a: Tensor) -> Tensor:
 
 def rope_apply_grid(x: Tensor, pos_h, pos_w) -> Tensor:
     """2-axis RoPE on (B, S, H, d_h) heads as x cos + rotate_pairs(x) sin."""
-    cos, sin = backbone.rope_tables(pos_h, pos_w, x.shape[1], x.shape[3])
+    cos, sin = backbone.rope_tables(pos_h, pos_w, x.shape[3])
     return nt.add(nt.mul(x, Tensor(cos)), nt.mul(backbone.rotate_pairs(x), Tensor(sin)))
 
 
@@ -115,7 +115,7 @@ def route_chain(x_norm: Tensor, t_emb: Tensor, w_r: Tensor, capacity_factor: flo
                                        logits=logits.data[b].copy(), capacity=capacity)
                  for b in range(B)]
     return decisions, {"gates": gates, "logits": logits, "token_flat": token_flat,
-                       "capacity": capacity, "shape": (B, S, E)}
+                       "shape": (B, S, E)}
 
 
 def dense_half_chain(x, r_attn, sa_gate, ff_scale, ff_gate, w1, w3, w2) -> Tensor:

@@ -463,7 +463,7 @@ def check_attention_against_oracles(arrays, mask, pos_h, pos_w, rng):
     """joint_attention's values against the numpy loops and the composition,
     and its nine input gradients against the composition's, at rtol 1e-12.
     Returns the node as a function of its tensors, and an output weight."""
-    rope = rope_tables(pos_h, pos_w, len(pos_h), arrays["k_txt"].shape[3])
+    rope = rope_tables(pos_h, pos_w, arrays["k_txt"].shape[3])
 
     def attend(**ts):
         return joint_attention(**ts, text_mask=mask, cos=rope[0], sin=rope[1])
@@ -538,7 +538,7 @@ ROPE_POSITIONS = {"grid": (np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3))
 
 def rope_of(pos_h, pos_w, d_h=8):
     """The angle tables qk_norm_rope takes, for (S,) positions."""
-    return rope_tables(pos_h, pos_w, len(pos_h), d_h)
+    return rope_tables(pos_h, pos_w, d_h)
 
 
 @pytest.mark.parametrize("where", ROPE_POSITIONS)
@@ -780,7 +780,7 @@ def attention_inputs(rng):
     mask = np.array([[True, True, True, True], [True, True, False, False]])
     return (p(2, 5, 16), p(2, 16), p(2, 16), p(16, 16), p(16, 8), p(16, 8), p(16, 16),
             p(2, 4, 2, 4), p(2, 4, 2, 4), mask,
-            *rope_tables(np.arange(5) // 2, np.arange(5) % 2, 5, 4))
+            *rope_tables(np.arange(5) // 2, np.arange(5) % 2, 4))
 
 
 def test_padded_text_positions_get_zero_kv_gradient():
@@ -845,7 +845,7 @@ def attention_args(rng, B, S_i, S_t, H_kv, n_rep, d_h, d):
     arrays, pos_h, pos_w = attention_case(rng, B, S_i, S_t, H_kv, n_rep, d_h, d)
     mask = np.arange(S_t)[None, :] < S_t - np.arange(B)[:, None] % 2
     return (*(Tensor(arrays[n], requires_grad=True) for n in ATTENTION_ARGS), mask,
-            *rope_tables(pos_h, pos_w, S_i, d_h))
+            *rope_tables(pos_h, pos_w, d_h))
 
 
 @pytest.mark.parametrize("B, S_t", [(1, 4), (3, 4), (2, 0), (3, 0)])
@@ -930,7 +930,7 @@ def test_taped_joint_attention_keeps_nothing_beyond_its_output():
     args = (p(B, S_i, d), p(B, d), p(B, d), p(d, H_q * d_h), p(d, H_kv * d_h),
             p(d, H_kv * d_h), p(H_q * d_h, d), p(B, S_t, H_kv, d_h), p(B, S_t, H_kv, d_h))
     mask = np.arange(S_t)[None, :] < 12
-    rope = rope_tables(np.arange(S_i) // 16, np.arange(S_i) % 16, S_i, d_h)  # the caller's
+    rope = rope_tables(np.arange(S_i) // 16, np.arange(S_i) % 16, d_h)  # the caller's
     with nt.no_grad():   # starts the lane pool, whose threads live for the process
         joint_attention(*args, mask, *rope)
     outs = []

@@ -77,9 +77,9 @@ def forward_on(z_shape, prompts=("a cat", "a dog"), t=0.5, ctx_layers=None,
 
 
 def rope_on(pos_h, pos_w):
-    """qk_norm_rope of zero (2, 4, 1, 8) heads with the tables of these
-    positions: S = 4 tokens."""
-    return qk_norm_rope(Tensor(np.zeros((2, 4, 1, 8))), *rope_tables(pos_h, pos_w, 4, 8))
+    """qk_norm_rope of zero (2, 4, 1, 8) heads, S = 4 tokens, with the
+    tables of these positions."""
+    return qk_norm_rope(Tensor(np.zeros((2, 4, 1, 8))), *rope_tables(pos_h, pos_w, 8))
 
 
 def forward_with_foreign_context():
@@ -252,7 +252,13 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "rope_positions_of_different_lengths":
         (lambda: rope_on(np.zeros(4), np.zeros(3)), ShapeError, "pos_w"),
     "rope_positions_not_one_per_token":
-        (lambda: rope_on(np.zeros(3), np.zeros(3)), ShapeError, "positions"),
+        (lambda: rope_on(np.zeros(3), np.zeros(3)), ShapeError, "rope tables"),
+    "rope_tables_negative_head_dim":
+        (lambda: rope_tables(np.zeros(4), np.zeros(4), -4), ConfigError, "head dim"),
+    "rope_tables_zero_head_dim":
+        (lambda: rope_tables(np.zeros(4), np.zeros(4), 0), ConfigError, "head dim"),
+    "rope_tables_fractional_head_dim":
+        (lambda: rope_tables(np.zeros(4), np.zeros(4), 4.0), ConfigError, "head dim"),
     "rope_2d_positions":
         (lambda: rope_on(np.zeros((4, 1)), np.zeros((4, 1))), ShapeError, "positions"),
     "config_zero_kv_heads": (lambda: ModelConfig(n_kv_heads=0), ConfigError, "n_kv_heads"),
@@ -352,6 +358,14 @@ BAD_INPUTS = {  # case: (call, error type, message pattern)
     "reshape_fractional_dim": (lambda: nt.reshape(V3, (1.5, 3)), ShapeError, "reshape"),
     "reshape_string_dim": (lambda: nt.reshape(V3, ("a",)), ShapeError, "reshape"),
     "reshape_to_none": (lambda: nt.reshape(V3, None), ShapeError, "reshape"),
+    "reshape_negative_dim_not_minus_one":
+        (lambda: nt.reshape(M23, (-2, 3)), ShapeError, "reshape"),
+    "reshape_to_minus_seven": (lambda: nt.reshape(M23, (-7,)), ShapeError, "reshape"),
+    "transpose_axes_none": (lambda: nt.transpose(M23, None), ShapeError, "axes"),
+    "transpose_axes_int": (lambda: nt.transpose(M23, 1), ShapeError, "axes"),
+    "sum_keepdims_not_a_bool": (lambda: nt.sum(M23, axis=0, keepdims="no"), ShapeError, "keepdims"),
+    "mean_keepdims_not_a_bool":
+        (lambda: nt.mean(M23, axis=0, keepdims="no"), ShapeError, "keepdims"),
     "broadcast_to_fractional_dim":
         (lambda: nt.broadcast_to(V3, (2.7, 3)), ShapeError, "broadcast_to"),
     "broadcast_to_string_shape": (lambda: nt.broadcast_to(V3, "ab"), ShapeError, "broadcast_to"),
